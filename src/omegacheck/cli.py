@@ -290,41 +290,26 @@ def cmd_check(args) -> int:
     report.add("target", print_formula(target))
     report.add("k", args.k)
     report.add("instance-budget", args.instance_budget)
-    if proof.omega_step_count == 0:
-        finitary = kernel.Proof(tuple(proof.steps), proof.target)
-        verdict = kernel.check_proof(gamma, finitary, target)
-        if verdict.accepted:
-            report.add("verdict", "accepted")
-            report.emit()
-            return EXIT_OK
-        report.add("verdict", "rejected")
-        report.add("step", verdict.step + 1)
-        report.add("reason", verdict.reason)
-        if verdict.detail:
-            report.add("detail", verdict.detail)
-        report.emit()
-        return EXIT_REJECTED
-    verdict = omega.check_omega_proof(
-        gamma, proof, target, k=args.k, per_instance_budget=args.instance_budget
+    verdict = kernel._drain(
+        kernel.check_units(gamma, proof.steps, target, args.k, args.instance_budget)
     )
-    if verdict.kind == "accepted_conditional":
+    if verdict.accepted:
         report.add("verdict", "accepted")
-        report.add("conditional", f"conditional on k={verdict.bound}")
+        if proof.omega_step_count:
+            report.add("conditional", f"conditional on k={args.k}")
         report.emit()
         return EXIT_OK
-    if verdict.kind == "rejected":
-        report.add("verdict", "rejected")
-        report.add("step", verdict.step + 1)
-        if verdict.instance is not None:
-            report.add("instance", verdict.instance)
-        report.add("reason", verdict.reason)
-        report.emit()
-        return EXIT_REJECTED
-    report.add("verdict", "budget-exhausted")
+    exhausted = verdict.reason == kernel.REASON_BUDGET_EXHAUSTED
+    report.add("verdict", "budget-exhausted" if exhausted else "rejected")
     report.add("step", verdict.step + 1)
-    report.add("instance", verdict.instance)
+    if verdict.instance is not None:
+        report.add("instance", verdict.instance)
+    if not exhausted:
+        report.add("reason", verdict.reason)
+    if verdict.detail:
+        report.add("detail", verdict.detail)
     report.emit()
-    return EXIT_EXHAUSTED
+    return EXIT_EXHAUSTED if exhausted else EXIT_REJECTED
 
 
 def cmd_encode(args) -> int:
@@ -346,7 +331,8 @@ def cmd_encode(args) -> int:
     except arithmetize.RunAnalysisError as exc:
         print(f"encoding failed: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
-    print(print_formula(f))
+    text = print_formula(f)
+    print(f"formula={text}" if args.format == "records" else text)
     return EXIT_OK
 
 

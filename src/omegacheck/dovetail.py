@@ -30,16 +30,14 @@ from .kernel import (
     RULE_EVAL_TRUE,
     RULE_LOGIC,
     RULE_MP,
-    check_step,
+    check_units,
 )
 from .machines import Halted, MachineDesc, StuckConfiguration, initial_config, step
 from .omega import (
     DEFAULT_INSTANCE_BUDGET,
     DEFAULT_OMEGA_BOUND,
     OmegaProof,
-    OmegaStep,
     build_loops_certificate,
-    check_instance,
     deserialize_omega_proof,
     serialize_omega_proof,
 )
@@ -97,16 +95,8 @@ class RealProofOracle(VerifierOracle):
             proof = wire.deserialize_proof(candidate)
         except wire.MalformedEncoding:
             return False
-        conclusions: list[Formula] = []
-        dependencies: list[frozenset] = []
-        for index, s in enumerate(proof.steps):
-            yield
-            bad, deps = check_step(s, index, conclusions, self.gamma, dependencies)
-            if bad is not None:
-                return False
-            conclusions.append(s.conclusion)
-            dependencies.append(deps)
-        return conclusions[-1] == target
+        yield
+        return (yield from check_units(self.gamma, proof.steps, target)).accepted
 
 
 class OmegaVerifierOracle(VerifierOracle):
@@ -133,29 +123,11 @@ class OmegaVerifierOracle(VerifierOracle):
             proof = deserialize_omega_proof(candidate)
         except wire.MalformedEncoding:
             return False
-        conclusions: list[Formula] = []
-        dependencies: list[frozenset] = []
-        for index, s in enumerate(proof.steps):
-            yield
-            if isinstance(s, OmegaStep):
-                if not s.gamma <= self.gamma:
-                    return False
-                for instance in range(self.k + 1):
-                    if check_instance(s, instance, self.per_instance_budget):
-                        return False
-                    if instance < self.k:
-                        yield
-                conclusions.append(s.conclusion)
-                dependencies.append(s.gamma)
-            else:
-                bad, deps = check_step(
-                    s, index, conclusions, self.gamma, dependencies
-                )
-                if bad is not None:
-                    return False
-                conclusions.append(s.conclusion)
-                dependencies.append(deps)
-        return conclusions[-1] == target
+        yield
+        verdict = yield from check_units(
+            self.gamma, proof.steps, target, self.k, self.per_instance_budget
+        )
+        return verdict.accepted
 
 
 @dataclass(frozen=True)
@@ -317,18 +289,14 @@ def _witness_loops_thread(
     target: Formula,
     k: int,
     instance_budget: int,
-) -> Generator[int, None, Optional[tuple[bytes, Optional[int]]]]:
+) -> Generator[Optional[int], None, Optional[tuple[bytes, Optional[int]]]]:
     """Check the loops certificate one instance per unit; instances still
     flow through the unmodified kernel."""
     cert = build_loops_certificate(m, n)
-    if cert.conclusion != target:
+    proof = OmegaProof((cert,), cert.conclusion)
+    verdict = yield from check_units(frozenset(), proof.steps, target, k, instance_budget)
+    if not verdict.accepted:
         yield from _idle()
-    for instance in range(k + 1):
-        if check_instance(cert, instance, instance_budget) is not None:
-            yield from _idle()
-        if instance < k:
-            yield instance
-    proof = OmegaProof((cert,), target)
     return (serialize_omega_proof(proof), k)
 
 

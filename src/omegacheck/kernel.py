@@ -16,12 +16,20 @@ Rules:
   eval-true       any true closed bounded sentence (truth is decided by
                   eval_bounded, which is total on that fragment)
   premise         member of the ambient assumption set
+
+There is one stepped checker, `check_units`, and every verifier in the
+package drains or wraps it. It checks steps in order and yields once
+between metered units: each proof step is one unit, and a machine-premise
+step (see `omega`) takes one more unit between consecutive instances 0..k.
+The stepped oracles add one unit in front for deserializing the candidate.
+A machine-premise step is only ever checked up to an instance bound k; with
+no bound it is rejected, never accepted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Generator, Iterable, Optional, Sequence
 
 from .syntax import (
     And,
@@ -74,6 +82,7 @@ REASON_BAD_PREMISE = "bad-premise-index"
 REASON_RULE_MISMATCH = "rule-mismatch"
 REASON_EVAL_FALSE = "eval-false"
 REASON_TARGET_MISMATCH = "target-mismatch"
+REASON_BUDGET_EXHAUSTED = "budget-exhausted"
 
 
 @dataclass(frozen=True)
@@ -107,6 +116,7 @@ class Verdict:
     step: Optional[int] = None
     reason: Optional[str] = None
     detail: Optional[str] = None
+    instance: Optional[int] = None  # failing instance of a machine-premise step
 
     @staticmethod
     def accept() -> "Verdict":
@@ -398,17 +408,51 @@ def check_step(
     return None, deps
 
 
-def check_proof(gamma: Iterable[Formula], proof: Proof, target: Formula) -> Verdict:
-    """Deterministic, total verdict on a candidate proof of `target`."""
+def check_units(
+    gamma: Iterable[Formula],
+    steps: Sequence,
+    target: Formula,
+    k: Optional[int] = None,
+    per_instance_budget: Optional[int] = None,
+) -> Generator[None, None, Verdict]:
+    """Check `steps` in order, yielding once between metered units; the
+    return value is the verdict.
+
+    A step that is not a `ProofStep` is a machine-premise step: it is
+    rejected without an instance bound k or when its assumptions are not in
+    gamma, and otherwise checked through its own `instance_units` up to k.
+    """
     gamma = frozenset(gamma)
     conclusions: list[Formula] = []
     dependencies: list[frozenset[Formula]] = []
-    for index, step in enumerate(proof.steps):
-        bad, deps = check_step(step, index, conclusions, gamma, dependencies)
+    for index, step in enumerate(steps):
+        if index:
+            yield
+        if isinstance(step, ProofStep):
+            bad, deps = check_step(step, index, conclusions, gamma, dependencies)
+        elif k is None or not step.gamma <= gamma:
+            bad = Verdict.reject(index, REASON_RULE_MISMATCH)
+        else:
+            bad = yield from step.instance_units(index, k, per_instance_budget)
+            deps = step.gamma
         if bad is not None:
             return bad
         conclusions.append(step.conclusion)
         dependencies.append(deps)
-    if proof.steps[-1].conclusion != target:
-        return Verdict.reject(len(proof.steps) - 1, REASON_TARGET_MISMATCH)
+    if steps[-1].conclusion != target:
+        return Verdict.reject(len(steps) - 1, REASON_TARGET_MISMATCH)
     return Verdict.accept()
+
+
+def _drain(units: Generator[None, None, Verdict]) -> Verdict:
+    """Run a stepped check to its verdict."""
+    while True:
+        try:
+            next(units)
+        except StopIteration as stop:
+            return stop.value
+
+
+def check_proof(gamma: Iterable[Formula], proof: Proof, target: Formula) -> Verdict:
+    """Deterministic, total verdict on a candidate proof of `target`."""
+    return _drain(check_units(gamma, proof.steps, target))

@@ -24,10 +24,12 @@ from .arithmetize import (
 from .kernel import (
     Proof,
     ProofStep,
+    REASON_BUDGET_EXHAUSTED,
     RULE_EVAL_TRUE,
     Verdict,
+    _drain,
     check_proof,
-    check_step,
+    check_units,
 )
 from .machines import MachineDesc, RunResult, run
 from .syntax import ForAll, Formula, Not, Or, free_vars, numeral, substitute
@@ -96,6 +98,22 @@ class OmegaStep:
         if self.conclusion != ForAll(self.var, self.phi):
             raise ValueError("conclusion must be the universal closure of phi")
 
+    def instance_units(self, step: int, k: int, per_instance_budget: int):
+        """Check instances 0..k in order, yielding once between instances;
+        the return value is None when all of them verify, else the rejection
+        of proof step `step` at the first failing instance."""
+        if k < 0:
+            raise ValueError("k must be a natural number")
+        for index in range(k + 1):
+            if index:
+                yield
+            bad = check_instance(self, index, per_instance_budget)
+            if bad is not None:
+                exhausted = bad.kind == "budget_exhausted"
+                reason = REASON_BUDGET_EXHAUSTED if exhausted else bad.reason
+                return Verdict(False, step, reason, instance=index)
+        return None
+
 
 @dataclass(frozen=True)
 class OmegaVerdict:
@@ -141,16 +159,13 @@ def check_omega_bounded(
     """Check instances 0..k in order; report the first failure.
 
     Instances are independent, so a parallel checker is allowed as long as
-    it reports the smallest failing instance, which is what this sequential
-    loop does by construction.
+    it reports the smallest failing instance, which is what the sequential
+    `OmegaStep.instance_units` does by construction.
     """
-    if k < 0:
-        raise ValueError("k must be a natural number")
-    for index in range(k + 1):
-        bad = check_instance(s, index, per_instance_budget)
-        if bad is not None:
-            return bad
-    return OmegaVerdict("accepted_up_to", bound=k)
+    proof = OmegaProof((s,), s.conclusion)
+    verdict = check_omega_proof(s.gamma, proof, s.conclusion, k, per_instance_budget)
+    kind = "accepted_up_to" if verdict.kind == "accepted_conditional" else verdict.kind
+    return OmegaVerdict(kind, bound=verdict.bound, index=verdict.instance, reason=verdict.reason)
 
 
 def build_loops_certificate(
@@ -221,42 +236,15 @@ def check_omega_proof(
     per_instance_budget: int = DEFAULT_INSTANCE_BUDGET,
 ) -> OmegaProofVerdict:
     """Finitary steps are checked exactly as check_proof does; omega steps
-    via check_omega_bounded. Acceptance is always conditioned on k."""
-    gamma = frozenset(gamma)
-    conclusions: list[Formula] = []
-    dependencies: list[frozenset[Formula]] = []
-    for index, s in enumerate(proof.steps):
-        if isinstance(s, OmegaStep):
-            if not s.gamma <= gamma:
-                return OmegaProofVerdict(
-                    "rejected",
-                    step=index,
-                    reason="rule-mismatch",
-                )
-            verdict = check_omega_bounded(s, k, per_instance_budget)
-            if verdict.kind == "rejected":
-                return OmegaProofVerdict(
-                    "rejected", step=index, instance=verdict.index, reason=verdict.reason
-                )
-            if verdict.kind == "budget_exhausted":
-                return OmegaProofVerdict(
-                    "budget_exhausted", step=index, instance=verdict.index
-                )
-            conclusions.append(s.conclusion)
-            dependencies.append(s.gamma)
-        else:
-            bad, deps = check_step(s, index, conclusions, gamma, dependencies)
-            if bad is not None:
-                return OmegaProofVerdict(
-                    "rejected", step=bad.step, reason=bad.reason
-                )
-            conclusions.append(s.conclusion)
-            dependencies.append(deps)
-    if conclusions[-1] != target:
-        return OmegaProofVerdict(
-            "rejected", step=len(proof.steps) - 1, reason="target-mismatch"
-        )
-    return OmegaProofVerdict("accepted_conditional", bound=k)
+    instance by instance up to k. Acceptance is always conditioned on k."""
+    verdict = _drain(check_units(gamma, proof.steps, target, k, per_instance_budget))
+    if verdict.accepted:
+        return OmegaProofVerdict("accepted_conditional", bound=k)
+    if verdict.reason == REASON_BUDGET_EXHAUSTED:
+        return OmegaProofVerdict("budget_exhausted", step=verdict.step, instance=verdict.instance)
+    return OmegaProofVerdict(
+        "rejected", step=verdict.step, instance=verdict.instance, reason=verdict.reason
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -680,28 +680,3 @@ def eval_bounded(sentence: Formula) -> bool:
     if not is_closed(sentence):
         raise NotBounded("sentence has free variables")
     return _eval(sentence, {})
-
-
-def formula_size(f: Formula) -> int:
-    """Node count, handy for budget heuristics and tests."""
-    count = 0
-    stack: list[object] = [f]
-    while stack:
-        node = stack.pop()
-        count += 1
-        if isinstance(node, (Succ,)):
-            stack.append(node.arg)
-        elif isinstance(node, (Add, Mul)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Not):
-            stack.append(node.body)
-        elif isinstance(node, (And, Or, Implies, Eq, Le)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, (ForAll, Exists)):
-            stack.append(node.body)
-        elif isinstance(node, _BOUNDED):
-            stack.append(node.bound)
-            stack.append(node.body)
-    return count

@@ -9,6 +9,7 @@ from omegacheck.kernel import (
     check_proof,
     make_proof,
 )
+from omegacheck.omega import OmegaProof, build_loops_certificate, serialize_omega_proof
 from omegacheck.machines import (
     ALWAYS_YES,
     EVEN,
@@ -21,6 +22,7 @@ from omegacheck.syntax import (
     eval_bounded,
     is_delta0,
     parse_formula,
+    print_formula,
 )
 from omegacheck.wire import serialize_proof
 
@@ -115,6 +117,55 @@ def test_omega_proof_check_reports_conditional(machine_files, tmp_path, capsys):
     )
     assert code == 0
     assert "conditional on k=25" in out
+
+
+def test_check_mixed_proof_reports_detail(tmp_path, capsys):
+    cert = build_loops_certificate(LOOP, 0)
+    bad = ProofStep(parse_formula("0 = 0"), RULE_MP, premises=(0, 0))
+    path = tmp_path / "mixed.oob"
+    path.write_bytes(serialize_omega_proof(OmegaProof((cert, bad), bad.conclusion)))
+    code, out, _ = run_cli(
+        capsys, "check", str(path), "--target", "0 = 0", "--k", "3", "--format", "records"
+    )
+    assert code == 2
+    assert out.splitlines()[-4:] == [
+        "verdict=rejected",
+        "step=2",
+        "reason=rule-mismatch",
+        "detail=first premise is not an implication",
+    ]
+
+
+def test_check_reports_exhausted_instance(tmp_path, capsys):
+    cert = build_loops_certificate(LOOP, 0)
+    path = tmp_path / "loop.oob"
+    path.write_bytes(serialize_omega_proof(OmegaProof((cert,), cert.conclusion)))
+    code, out, _ = run_cli(
+        capsys,
+        "check",
+        str(path),
+        "--target",
+        print_formula(cert.conclusion),
+        "--k",
+        "25",
+        "--instance-budget",
+        "3",
+        "--format",
+        "records",
+    )
+    assert code == 3
+    # instance 3 needs three simulated steps plus one to emit its proof
+    assert out.splitlines()[-3:] == ["verdict=budget-exhausted", "step=1", "instance=3"]
+
+
+def test_encode_records_format(machine_files, capsys):
+    code, text, _ = run_cli(capsys, "encode", machine_files["loop"], "0", "q3")
+    assert code == 0
+    code, records, _ = run_cli(
+        capsys, "encode", machine_files["loop"], "0", "q3", "--format", "records"
+    )
+    assert code == 0
+    assert records == f"formula={text}"
 
 
 def test_encode_q1_reparses(machine_files, capsys):

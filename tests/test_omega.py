@@ -1,7 +1,8 @@
 import pytest
 
 from omegacheck.arithmetize import loops_formula
-from omegacheck.kernel import ProofStep, RULE_EVAL_TRUE, check_proof, make_proof
+from omegacheck.dovetail import OmegaVerifierOracle
+from omegacheck.kernel import Proof, ProofStep, RULE_EVAL_TRUE, check_proof, make_proof
 from omegacheck.machines import ALWAYS_YES, EVEN, LOOP, run
 from omegacheck.omega import (
     GenResult,
@@ -203,6 +204,31 @@ def test_finitary_embedding_matches_check_proof():
     assert not kernel_verdict.accepted and omega_verdict.kind == "rejected"
     assert omega_verdict.step == kernel_verdict.step
     assert omega_verdict.reason == kernel_verdict.reason
+
+
+def test_check_proof_rejects_omega_steps():
+    # check_proof has no instance bound, so a machine-premise step anywhere
+    # in the proof is a rule mismatch, never an acceptance or a crash.
+    cert = build_loops_certificate(LOOP, 0)
+    truth = ProofStep(parse_formula("0 = 0"), RULE_EVAL_TRUE)
+    for steps in ((cert,), (truth, cert)):
+        verdict = check_proof(frozenset(), Proof(steps, cert.conclusion), cert.conclusion)
+        assert not verdict.accepted
+        assert (verdict.step, verdict.reason) == (len(steps) - 1, "rule-mismatch")
+
+
+def test_negative_bound_is_refused():
+    # Checking no instance at all must not pass for an acceptance.
+    cert = build_loops_certificate(LOOP, 0)
+    proof = OmegaProof((cert,), cert.conclusion)
+    with pytest.raises(ValueError):
+        check_omega_bounded(cert, -1)
+    with pytest.raises(ValueError):
+        check_omega_proof(frozenset(), proof, cert.conclusion, k=-1)
+    run_ = OmegaVerifierOracle(k=-1).open(serialize_omega_proof(proof), cert.conclusion)
+    run_.step()
+    with pytest.raises(ValueError):
+        run_.step()
 
 
 def test_gamma_containment_enforced():
