@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import threading
 from pathlib import Path
 from typing import Optional
 
@@ -500,14 +499,7 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    # Deep formula trees mean deep recursion in parsing; give the worker a
-    # generous stack rather than trusting the platform default.
-    code: list[int] = []
-    threading.stack_size(256 * 1024 * 1024)
-    worker = threading.Thread(target=lambda: code.append(main()))
-    worker.start()
-    worker.join()
-    sys.exit(code[0] if code else 1)
+    sys.exit(main())
 
 
 if __name__ == "__main__":

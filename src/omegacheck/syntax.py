@@ -12,14 +12,8 @@ refuses anything else.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from typing import Union
-
-# Formula trees built by the trace encoder nest one quantifier per digit and
-# can be a few thousand nodes deep; the default CPython limit is too small.
-if sys.getrecursionlimit() < 100_000:
-    sys.setrecursionlimit(100_000)
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _KEYWORDS = frozenset({"forall", "exists", "S"})
@@ -42,33 +36,83 @@ class NotBounded(Exception):
 
 
 # ---------------------------------------------------------------------------
+# Nodes
+
+
+class _Node:
+    """Base of every term and formula node. Equality and hashing walk the
+    tree on an explicit stack, so they work at any depth. The hash covers
+    the first 32 nodes of a depth-first walk, which equal trees share; the
+    sets nodes go into (assumptions, dependencies) are small, so collisions
+    between trees that differ further down cost little. Fields are read by
+    the names in `__match_args__`: reading `__dict__` would make CPython
+    build a dict for every node it touches."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [self, other]  # pairs of same-class nodes still to compare
+        while stack:
+            b = stack.pop()
+            a = stack.pop()
+            for name in a.__match_args__:
+                x = getattr(a, name)
+                y = getattr(b, name)
+                while x.__class__ is Succ and y.__class__ is Succ:
+                    x = x.arg
+                    y = y.arg
+                if x is y:
+                    continue
+                if x.__class__ is not y.__class__:
+                    return False
+                if isinstance(x, _Node):
+                    stack.append(x)
+                    stack.append(y)
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self):
+        parts: list[object] = []
+        stack: list[object] = [self]
+        while stack and len(parts) < 32:
+            item = stack.pop()
+            if isinstance(item, _Node):
+                parts.append(item.__class__)
+                stack.extend(getattr(item, name) for name in item.__match_args__)
+            else:
+                parts.append(item)
+        return hash(tuple(parts))
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True)
-class Zero:
+@dataclass(frozen=True, eq=False)
+class Zero(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Succ:
+@dataclass(frozen=True, eq=False)
+class Succ(_Node):
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class Add:
+@dataclass(frozen=True, eq=False)
+class Add(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Mul:
+@dataclass(frozen=True, eq=False)
+class Mul(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False)
+class Var(_Node):
     name: str
 
     def __post_init__(self):
@@ -85,81 +129,76 @@ ZERO = Zero()
 # Formulas
 
 
-@dataclass(frozen=True)
-class Eq:
+@dataclass(frozen=True, eq=False)
+class Eq(_Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Le:
+@dataclass(frozen=True, eq=False)
+class Le(_Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False)
+class Not(_Node):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False)
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False)
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+@dataclass(frozen=True, eq=False)
+class Implies(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class ForAll:
+@dataclass(frozen=True, eq=False)
+class ForAll(_Node):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+@dataclass(frozen=True, eq=False)
+class Exists(_Node):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class BoundedForAll:
-    var: str
-    bound: Term
-    body: "Formula"
-
+class _Bounded(_Node):
     def __post_init__(self):
         if self.var in term_vars(self.bound):
             raise ValueError(f"bound of {self.var} mentions {self.var}")
 
 
-@dataclass(frozen=True)
-class BoundedExists:
+@dataclass(frozen=True, eq=False)
+class BoundedForAll(_Bounded):
     var: str
     bound: Term
     body: "Formula"
 
-    def __post_init__(self):
-        if self.var in term_vars(self.bound):
-            raise ValueError(f"bound of {self.var} mentions {self.var}")
+
+@dataclass(frozen=True, eq=False)
+class BoundedExists(_Bounded):
+    var: str
+    bound: Term
+    body: "Formula"
 
 
 Formula = Union[
     Eq, Le, Not, And, Or, Implies, ForAll, Exists, BoundedForAll, BoundedExists
 ]
-
-_BINDERS = (ForAll, Exists, BoundedForAll, BoundedExists)
-_BOUNDED = (BoundedForAll, BoundedExists)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +280,7 @@ def is_delta0(f: Formula) -> bool:
         elif isinstance(node, (And, Or, Implies)):
             stack.append(node.left)
             stack.append(node.right)
-        elif isinstance(node, _BOUNDED):
+        elif isinstance(node, _Bounded):
             stack.append(node.body)
     return True
 
@@ -259,186 +298,193 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 # Substitution
 
 
-def term_substitute(t: Term, var: str, replacement: Term) -> Term:
-    # Untouched subtrees are returned as-is, so trees that barely mention
-    # the variable (encoder output, mostly) are shared, not copied.
-    if isinstance(t, Var):
-        return replacement if t.name == var else t
-    if isinstance(t, Succ):
-        arg = term_substitute(t.arg, var, replacement)
-        return t if arg is t.arg else Succ(arg)
-    if isinstance(t, (Add, Mul)):
-        left = term_substitute(t.left, var, replacement)
-        right = term_substitute(t.right, var, replacement)
-        if left is t.left and right is t.right:
-            return t
-        return Add(left, right) if isinstance(t, Add) else Mul(left, right)
-    return t
+_BINARY = frozenset({Add, Mul, Eq, Le, And, Or, Implies})
 
 
 def substitute(f: Formula, var: str, replacement: Term) -> Formula:
-    """Capture-avoiding substitution of `replacement` for free `var`."""
+    """Capture-avoiding substitution of `replacement` for free `var`.
+
+    Untouched subtrees are returned as-is, so trees that barely mention the
+    variable (encoder output, mostly) are shared, not copied.
+    """
     repl_vars = term_vars(replacement)
-
-    def go(node: Formula) -> Formula:
-        if isinstance(node, (Eq, Le)):
-            left = term_substitute(node.left, var, replacement)
-            right = term_substitute(node.right, var, replacement)
-            if left is node.left and right is node.right:
-                return node
-            return Eq(left, right) if isinstance(node, Eq) else Le(left, right)
-        if isinstance(node, Not):
-            body = go(node.body)
-            return node if body is node.body else Not(body)
-        if isinstance(node, (And, Or, Implies)):
-            left = go(node.left)
-            right = go(node.right)
-            if left is node.left and right is node.right:
-                return node
-            kind = And if isinstance(node, And) else Or if isinstance(node, Or) else Implies
-            return kind(left, right)
-        # Binders.
-        bound_term = getattr(node, "bound", None)
-        new_bound = (
-            term_substitute(bound_term, var, replacement)
-            if bound_term is not None
-            else None
-        )
-        if node.var == var:
-            # Shadowed: only the bound term (which never mentions node.var)
-            # is open to substitution.
-            body = node.body
-        elif node.var in repl_vars and (
-            var in free_vars(node.body)
-            or (bound_term is not None and var in term_vars(bound_term))
-        ):
-            # Renaming needed to avoid capturing a variable of `replacement`
-            # (or violating the bound-term invariant of bounded binders).
-            # Reached only for open replacements; closed terms skip the
-            # free-variable scan entirely, which matters on encoder output.
-            new_var = fresh_name(node.var, repl_vars | free_vars(node.body) | {var})
-            body = go(substitute(node.body, node.var, Var(new_var)))
-            return _rebuild_binder(node, new_var, new_bound, body)
+    sub = (var, replacement, repl_vars)
+    done: list = []  # finished subtrees, popped by the rebuild that needs them
+    # Subtrees to substitute into under `sub`, and rebuilds from `done`: of a
+    # node (node,), of a successor chain (chain, base), of a binder under a
+    # name (binder, name); (None, sub) resumes `sub` on the last result.
+    todo: list = [f]
+    while todo:
+        item = todo.pop()
+        cls = item.__class__
+        if cls is tuple:
+            node = item[0]
+            if node is None:
+                sub = item[1]
+                var, replacement, repl_vars = sub
+                todo.append(done.pop())
+                continue
+            cls = node.__class__
+            if cls is Succ:
+                # A successor chain over item[1], rebuilt if its base changed.
+                base = done.pop()
+                if base is not item[1]:
+                    while node.__class__ is Succ:
+                        node = node.arg
+                        base = Succ(base)
+                    node = base
+                done.append(node)
+            elif cls is Not:
+                body = done.pop()
+                done.append(node if body is node.body else Not(body))
+            elif cls in _BINARY:
+                right = done.pop()
+                left = done.pop()
+                if left is node.left and right is node.right:
+                    done.append(node)
+                else:
+                    done.append(cls(left, right))
+            else:
+                name = item[1]
+                bound = done.pop() if issubclass(cls, _Bounded) else None
+                body = done.pop()
+                if name == node.var and body is node.body and bound is getattr(node, "bound", None):
+                    done.append(node)
+                else:
+                    done.append(cls(name, body) if bound is None else cls(name, bound, body))
+        elif cls is Var:
+            done.append(replacement if item.name == var else item)
+        elif cls is Zero:
+            done.append(item)
+        elif cls is Succ:
+            base = item.arg
+            while base.__class__ is Succ:
+                base = base.arg
+            todo.append((item, base))
+            todo.append(base)
+        elif cls is Not:
+            todo.append((item,))
+            todo.append(item.body)
+        elif cls in _BINARY:
+            todo.append((item,))
+            todo.append(item.right)
+            todo.append(item.left)
         else:
-            body = go(node.body)
-        if body is node.body and new_bound is bound_term:
-            return node
-        return _rebuild_binder(node, node.var, new_bound, body)
-
-    return go(f)
-
-
-def _rebuild_binder(node, var, bound, body):
-    if isinstance(node, ForAll):
-        return ForAll(var, body)
-    if isinstance(node, Exists):
-        return Exists(var, body)
-    if isinstance(node, BoundedForAll):
-        return BoundedForAll(var, bound, body)
-    return BoundedExists(var, bound, body)
+            # Binders.
+            bound = getattr(item, "bound", None)
+            todo.append((item, item.var))
+            if item.var == var:
+                # Shadowed: only the bound term (which never mentions
+                # item.var) is open to substitution.
+                done.append(item.body)
+            elif item.var in repl_vars and (
+                var in free_vars(item.body)
+                or (bound is not None and var in term_vars(bound))
+            ):
+                # Renaming needed to avoid capturing a variable of `replacement`
+                # (or violating the bound-term invariant of bounded binders).
+                # Reached only for open replacements; closed terms skip the
+                # free-variable scan entirely, which matters on encoder output.
+                # The fresh name goes into the body before `sub` does, as in
+                # the recursive definition, so later fresh names match it.
+                name = fresh_name(item.var, repl_vars | free_vars(item.body) | {var})
+                todo[-1] = (item, name)
+                if bound is not None:
+                    todo.append(bound)
+                todo.append((None, sub))
+                todo.append(item.body)
+                var, replacement, repl_vars = item.var, Var(name), frozenset({name})
+                sub = (var, replacement, repl_vars)
+                continue
+            if bound is not None:
+                todo.append(bound)
+            if item.var != var:
+                todo.append(item.body)
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
 # Printing
 
-_TERM_ATOM, _TERM_MUL, _TERM_ADD = 3, 2, 1
+_TERM_ADD = 1
+
+# Infix node -> (operator, own level, left operand's level, right operand's
+# level). Terms: + is 1, * is 2, atoms 3. Formulas: -> is 1 (right assoc),
+# | is 2, & is 3, ~ and atoms 4.
+_INFIX_PRINT = {
+    Eq: (" = ", 4, 1, 1),
+    Le: (" <= ", 4, 1, 1),
+    Add: (" + ", 1, 1, 2),
+    Mul: (" * ", 2, 2, 3),
+    Implies: (" -> ", 1, 2, 1),
+    Or: (" | ", 2, 2, 3),
+    And: (" & ", 3, 3, 4),
+}
 
 
-def _print_term(t: Term, out: list[str], level: int) -> None:
-    if isinstance(t, Zero):
-        out.append("0")
-    elif isinstance(t, Succ):
-        out.append("S(")
-        _print_term(t.arg, out, _TERM_ADD)
-        out.append(")")
-    elif isinstance(t, Var):
-        out.append(t.name)
-    elif isinstance(t, Add):
-        if level > _TERM_ADD:
-            out.append("(")
-        _print_term(t.left, out, _TERM_ADD)
-        out.append(" + ")
-        _print_term(t.right, out, _TERM_ADD + 1)
-        if level > _TERM_ADD:
-            out.append(")")
-    else:
-        if level > _TERM_MUL:
-            out.append("(")
-        _print_term(t.left, out, _TERM_MUL)
-        out.append(" * ")
-        _print_term(t.right, out, _TERM_MUL + 1)
-        if level > _TERM_MUL:
-            out.append(")")
-
-
-def print_term(t: Term) -> str:
+def _render(root: Term | Formula, level: int) -> str:
     out: list[str] = []
-    _print_term(t, out, _TERM_ADD)
-    return "".join(out)
-
-
-# Formula precedence levels: -> is 1 (right assoc), | is 2, & is 3, ~ is 4.
-def print_formula(f: Formula) -> str:
-    """Render in the concrete grammar; parse(print(f)) == f.
-
-    Iterative: encoder output nests quantifiers one per trace digit and
-    easily exceeds any recursion limit worth configuring.
-    """
-    out: list[str] = []
-    # Work stack holds formulas to render (with their context level) and
+    # Work stack holds nodes to render (with their context level) and
     # literal strings to emit.
-    stack: list[object] = [(f, 1)]
+    stack: list[object] = [(root, level)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             out.append(item)
             continue
         node, level = item
-        if isinstance(node, Eq):
-            out.append(print_term(node.left) + " = " + print_term(node.right))
-        elif isinstance(node, Le):
-            out.append(print_term(node.left) + " <= " + print_term(node.right))
-        elif isinstance(node, Not):
+        cls = node.__class__
+        if cls is Zero:
+            out.append("0")
+        elif cls is Var:
+            out.append(node.name)
+        elif cls is Succ:
+            n = 0
+            while node.__class__ is Succ:
+                n += 1
+                node = node.arg
+            out.append("S(" * n)
+            stack.append(")" * n)
+            stack.append((node, _TERM_ADD))
+        elif cls is Not:
             out.append("~")
             stack.append((node.body, 4))
-        elif isinstance(node, (And, Or, Implies)):
-            if isinstance(node, Implies):
-                op, mine, left_lv, right_lv = " -> ", 1, 2, 1
-            elif isinstance(node, Or):
-                op, mine, left_lv, right_lv = " | ", 2, 2, 3
-            else:
-                op, mine, left_lv, right_lv = " & ", 3, 3, 4
-            wrap = level > mine
-            if wrap:
+        elif cls in _INFIX_PRINT:
+            op, mine, left_lv, right_lv = _INFIX_PRINT[cls]
+            if level > mine:
+                out.append("(")
                 stack.append(")")
             stack.append((node.right, right_lv))
             stack.append(op)
             stack.append((node.left, left_lv))
-            if wrap:
-                out.append("(")
         else:
             # All four binders; body extends as far right as possible.
-            wrap = level > 1
-            if wrap:
+            if level > 1:
+                out.append("(")
                 stack.append(")")
             stack.append((node.body, 1))
-            head = "forall " if isinstance(node, (ForAll, BoundedForAll)) else "exists "
-            text = head + node.var
-            if isinstance(node, _BOUNDED):
-                text += " <= " + print_term(node.bound)
-            text += ". "
-            if wrap:
-                text = "(" + text
-            out.append(text)
+            stack.append(". ")
+            out.append("forall " if cls is ForAll or cls is BoundedForAll else "exists ")
+            out.append(node.var)
+            if issubclass(cls, _Bounded):
+                out.append(" <= ")
+                stack.append((node.bound, _TERM_ADD))
     return "".join(out)
+
+
+def print_term(t: Term) -> str:
+    return _render(t, _TERM_ADD)
+
+
+def print_formula(f: Formula) -> str:
+    """Render in the concrete grammar; parse(print(f)) == f."""
+    return _render(f, 1)
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow>->)|(?P<le><=)|(?P<sym>[()=~&|.+*])|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<zero>0))"
-)
+_TOKEN_RE = re.compile(r"\s*(?:(?P<sym>->|<=|[()=~&|.+*0])|(?P<ident>[A-Za-z_][A-Za-z0-9_]*))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -452,159 +498,135 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             if pos >= len(text):
                 break
             raise SyntaxError_(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "arrow":
-            tokens.append(("->", "->", m.start("arrow")))
-        elif m.lastgroup == "le":
-            tokens.append(("<=", "<=", m.start("le")))
-        elif m.lastgroup == "sym":
-            tokens.append((m.group("sym"), m.group("sym"), m.start("sym")))
-        elif m.lastgroup == "zero":
-            tokens.append(("0", "0", m.start("zero")))
-        else:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
+        group = m.lastgroup
+        tokens.append((group if group == "ident" else m[group], m[group], m.start(group)))
         pos = m.end()
     tokens.append(("eof", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+# Infix token -> (precedence, right-associative, node class). Operators of
+# precedence 5 and up take terms, the others formulas. The prefix operators
+# are `~` (4) and the quantifiers (0: the body extends as far right as
+# possible).
+_INFIX = {
+    "->": (1, True, Implies),
+    "|": (2, False, Or),
+    "&": (3, False, And),
+    "=": (5, False, Eq),
+    "<=": (5, False, Le),
+    "+": (6, False, Add),
+    "*": (7, False, Mul),
+}
+_TERMS = (Zero, Succ, Add, Mul, Var)
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _sorted(node, position: int, term: bool):
+    if isinstance(node, _TERMS) != term:
+        raise SyntaxError_(f"expected a {'term' if term else 'formula'}", position)
+    return node
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            raise SyntaxError_(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
 
-    # Formulas.
+def _reduce(operators: list[tuple], operands: list[tuple]) -> None:
+    """Apply the top operator to the operands it takes."""
+    prec, cls, pos, head = operators.pop()
+    arg, arg_pos = operands.pop()
+    if head is not None:  # `~` or a quantifier, before its body
+        node = cls(*head, _sorted(arg, arg_pos, False))
+    else:
+        left, pos = operands.pop()
+        term = prec >= 5
+        node = cls(_sorted(left, pos, term), _sorted(arg, arg_pos, term))
+    operands.append((node, pos))
 
-    def formula(self) -> Formula:
-        left = self.or_()
-        if self.peek()[0] == "->":
-            self.next()
-            return Implies(left, self.formula())
-        return left
 
-    def or_(self) -> Formula:
-        left = self.and_()
-        while self.peek()[0] == "|":
-            self.next()
-            left = Or(left, self.and_())
-        return left
+def _parse(text: str, term: bool) -> Term | Formula:
+    """Operator-precedence parse of all of `text` as a term or a formula.
 
-    def and_(self) -> Formula:
-        left = self.unary()
-        while self.peek()[0] == "&":
-            self.next()
-            left = And(left, self.unary())
-        return left
-
-    def unary(self) -> Formula:
-        kind, value, pos = self.peek()
+    `operands` holds (tree, position) pairs. `operators` holds pending
+    operators as (precedence, class, position, fields before the body of a
+    prefix operator), and open brackets, with precedence -1, as (-1,
+    closing token, position, Succ for `S(` or (keyword, var) for a bound).
+    """
+    tokens = iter(_tokenize(text))  # never read past the final "eof"
+    operands: list[tuple] = []
+    operators: list[tuple] = []
+    while True:
+        # An operand, after any prefix operators and opening brackets.
+        kind, value, pos = next(tokens)
         if kind == "~":
-            self.next()
-            return Not(self.unary())
-        if kind == "ident" and value in ("forall", "exists"):
-            self.next()
-            name_tok = self.expect("ident")
-            if name_tok[1] in _KEYWORDS:
-                raise SyntaxError_(f"{name_tok[1]!r} is reserved", name_tok[2])
-            bound = None
-            if self.peek()[0] == "<=":
-                self.next()
-                bound = self.term()
-            self.expect(".")
-            body = self.formula()
-            if value == "forall":
-                return (
-                    ForAll(name_tok[1], body)
-                    if bound is None
-                    else BoundedForAll(name_tok[1], bound, body)
-                )
-            return (
-                Exists(name_tok[1], body)
-                if bound is None
-                else BoundedExists(name_tok[1], bound, body)
-            )
-        return self.atom()
-
-    def atom(self) -> Formula:
-        # Either `term (=|<=) term` or a parenthesized formula; terms can
-        # also start with '(', so try the relational reading first.
-        save = self.pos
-        try:
-            left = self.term()
-            kind, _, pos = self.next()
-            if kind == "=":
-                return Eq(left, self.term())
-            if kind == "<=":
-                return Le(left, self.term())
-            raise SyntaxError_("expected '=' or '<='", pos)
-        except SyntaxError_:
-            self.pos = save
-        self.expect("(")
-        f = self.formula()
-        self.expect(")")
-        return f
-
-    # Terms.
-
-    def term(self) -> Term:
-        left = self.mul()
-        while self.peek()[0] == "+":
-            self.next()
-            left = Add(left, self.mul())
-        return left
-
-    def mul(self) -> Term:
-        left = self.prim()
-        while self.peek()[0] == "*":
-            self.next()
-            left = Mul(left, self.prim())
-        return left
-
-    def prim(self) -> Term:
-        kind, value, pos = self.next()
-        if kind == "0":
-            return ZERO
-        if kind == "ident":
-            if value == "S":
-                self.expect("(")
-                inner = self.term()
-                self.expect(")")
-                return Succ(inner)
-            if value in _KEYWORDS:
-                raise SyntaxError_(f"{value!r} cannot appear in a term here", pos)
-            return Var(value)
+            operators.append((4, Not, pos, ()))
+            continue
         if kind == "(":
-            inner = self.term()
-            self.expect(")")
-            return inner
-        raise SyntaxError_(f"expected a term, found {value!r}", pos)
+            operators.append((-1, ")", pos, None))
+            continue
+        if kind == "ident" and value == "S":
+            kind, value, paren = next(tokens)
+            if kind != "(":
+                raise SyntaxError_(f"expected '(', found {value!r}", paren)
+            operators.append((-1, ")", pos, Succ))
+            continue
+        if kind == "ident" and value in _KEYWORDS:
+            kind, var, var_pos = next(tokens)
+            if kind != "ident" or var in _KEYWORDS:
+                raise SyntaxError_(f"expected a variable, found {var!r}", var_pos)
+            kind, dot, dot_pos = next(tokens)
+            if kind == "<=":
+                operators.append((-1, ".", pos, (value, var)))
+                continue
+            if kind != ".":
+                raise SyntaxError_(f"expected '.', found {dot!r}", dot_pos)
+            operators.append((0, ForAll if value == "forall" else Exists, pos, (var,)))
+            continue
+        if kind == "0":
+            operands.append((ZERO, pos))
+        elif kind == "ident":
+            operands.append((Var(value), pos))
+        else:
+            raise SyntaxError_(f"expected a term or formula, found {value!r}", pos)
+        # After an operand: closing brackets, then an infix operator or the end.
+        while True:
+            kind, value, pos = next(tokens)
+            if kind in _INFIX:
+                prec, right, cls = _INFIX[kind]
+                while operators and (
+                    operators[-1][0] > prec or (operators[-1][0] == prec and not right)
+                ):
+                    _reduce(operators, operands)
+                operators.append((prec, cls, pos, None))
+                break
+            while operators and operators[-1][0] >= 0:
+                _reduce(operators, operands)
+            if kind == "eof":
+                if operators:
+                    raise SyntaxError_(f"expected {operators[-1][1]!r}, found ''", pos)
+                node, node_pos = operands.pop()
+                return _sorted(node, node_pos, term)
+            if not operators or operators[-1][1] != kind:
+                raise SyntaxError_(f"unexpected {value!r}", pos)
+            _, _, open_pos, what = operators.pop()
+            node, node_pos = operands.pop()
+            if kind == ")":
+                if what is Succ:
+                    node = Succ(_sorted(node, node_pos, True))
+                operands.append((node, open_pos))
+                continue
+            # `.` ends a bound: the quantifier becomes a prefix operator.
+            keyword, var = what
+            bound = _sorted(node, node_pos, True)
+            if var in term_vars(bound):
+                raise SyntaxError_(f"bound of {var} mentions {var}", node_pos)
+            cls = BoundedForAll if keyword == "forall" else BoundedExists
+            operators.append((0, cls, open_pos, (var, bound)))
+            break
 
 
 def parse_formula(text: str) -> Formula:
-    parser = _Parser(text)
-    f = parser.formula()
-    parser.expect("eof")
-    return f
+    return _parse(text, term=False)
 
 
 def parse_term(text: str) -> Term:
-    parser = _Parser(text)
-    t = parser.term()
-    parser.expect("eof")
-    return t
+    return _parse(text, term=True)
 
 
 # ---------------------------------------------------------------------------
@@ -612,59 +634,89 @@ def parse_term(text: str) -> Term:
 
 
 def eval_term(t: Term, env: dict[str, int]) -> int:
-    if isinstance(t, Zero):
-        return 0
-    if isinstance(t, Succ):
-        return eval_term(t.arg, env) + 1
-    if isinstance(t, Add):
-        return eval_term(t.left, env) + eval_term(t.right, env)
-    if isinstance(t, Mul):
-        return eval_term(t.left, env) * eval_term(t.right, env)
-    return env[t.name]
+    # Binary nodes with an operand still to evaluate, as (class, right
+    # operand or left value, successors above the node, right side?).
+    pending: list[tuple] = []
+    above = 0  # successors above the current node, counted, not descended
+    while True:
+        cls = t.__class__
+        while cls is not Zero and cls is not Var:
+            if cls is Succ:
+                above += 1
+                t = t.arg
+            else:
+                pending.append((cls, t.right, above, False))
+                above = 0
+                t = t.left
+            cls = t.__class__
+        value = above if cls is Zero else env[t.name] + above
+        while pending:
+            cls, other, above, right = pending.pop()
+            if not right:
+                pending.append((cls, value, above, True))
+                t = other
+                above = 0
+                break
+            value = (other + value if cls is Add else other * value) + above
+        else:
+            return value
 
 
 def _eval(f: Formula, env: dict[str, int]) -> bool:
-    if isinstance(f, Eq):
-        return eval_term(f.left, env) == eval_term(f.right, env)
-    if isinstance(f, Le):
-        return eval_term(f.left, env) <= eval_term(f.right, env)
-    if isinstance(f, Not):
-        return not _eval(f.body, env)
-    if isinstance(f, And):
-        return _eval(f.left, env) and _eval(f.right, env)
-    if isinstance(f, Or):
-        return _eval(f.left, env) or _eval(f.right, env)
-    if isinstance(f, Implies):
-        return (not _eval(f.left, env)) or _eval(f.right, env)
-    if isinstance(f, BoundedExists):
-        limit = eval_term(f.bound, env)
-        saved = env.get(f.var)
-        try:
-            for v in range(limit + 1):
-                env[f.var] = v
-                if _eval(f.body, env):
-                    return True
-            return False
-        finally:
-            if saved is None:
-                env.pop(f.var, None)
+    # A frame for each connective or quantifier above the current node: the
+    # node itself while its (left) operand is evaluated, and [quantifier,
+    # value, limit, saved binding] for a bounded quantifier.
+    frames: list = []
+    node = f
+    while True:
+        # Descend to an atom.
+        while True:
+            cls = node.__class__
+            if cls is Eq or cls is Le:
+                left, right = eval_term(node.left, env), eval_term(node.right, env)
+                value = left == right if cls is Eq else left <= right
+                break
+            if cls is Not:
+                frames.append(node)
+                node = node.body
+            elif cls is And or cls is Or or cls is Implies:
+                frames.append(node)
+                node = node.left
+            elif cls is BoundedExists or cls is BoundedForAll:
+                frames.append([node, 0, eval_term(node.bound, env), env.get(node.var)])
+                env[node.var] = 0
+                node = node.body
             else:
-                env[f.var] = saved
-    if isinstance(f, BoundedForAll):
-        limit = eval_term(f.bound, env)
-        saved = env.get(f.var)
-        try:
-            for v in range(limit + 1):
-                env[f.var] = v
-                if not _eval(f.body, env):
-                    return False
-            return True
-        finally:
-            if saved is None:
-                env.pop(f.var, None)
+                raise NotBounded("unbounded quantifier in eval_bounded")
+        # Ascend with the truth value until a frame has more to evaluate.
+        while frames:
+            frame = frames.pop()
+            cls = frame.__class__
+            if cls is list:
+                quantifier, v, limit, saved = frame
+                # An existential stops at the first true instance, a
+                # universal at the first false one.
+                if value is not (quantifier.__class__ is BoundedExists) and v < limit:
+                    frame[1] = v + 1
+                    env[quantifier.var] = v + 1
+                    frames.append(frame)
+                    node = quantifier.body
+                    break
+                if saved is None:
+                    del env[quantifier.var]
+                else:
+                    env[quantifier.var] = saved
+            elif cls is Not:
+                value = not value
+            elif value is not (cls is Or):
+                # & and -> go on past a true left operand, | past a false
+                # one, and then take the right operand's value.
+                node = frame.right
+                break
             else:
-                env[f.var] = saved
-    raise NotBounded("unbounded quantifier in eval_bounded")
+                value = cls is not And
+        else:
+            return value
 
 
 def eval_bounded(sentence: Formula) -> bool:

@@ -5,6 +5,11 @@ Layout: one tag byte per node, children in fixed order, names and counts
 length-prefixed (lengths big-endian). A proof is the bare concatenation of
 its steps; the target is implicit as the final step's conclusion, which
 keeps encodings short and makes the encoding canonical.
+
+Decoding is total: any byte string either decodes or raises
+`MalformedEncoding`. The decoder keeps its own stack, so this does not
+depend on the interpreter's recursion limit; formula nesting is capped at
+`MAX_FORMULA_DEPTH`, and term nesting only by memory.
 """
 
 from __future__ import annotations
@@ -17,11 +22,6 @@ class MalformedEncoding(Exception):
     """Bytes that do not decode; search treats these as rejections."""
 
 
-# Term tags
-_T_ZERO, _T_SUCC, _T_ADD, _T_MUL, _T_VAR = 0x01, 0x02, 0x03, 0x04, 0x05
-# Formula tags
-_F_EQ, _F_LE, _F_NOT, _F_AND, _F_OR, _F_IMPLIES = 0x10, 0x11, 0x12, 0x13, 0x14, 0x15
-_F_FORALL, _F_EXISTS, _F_BFORALL, _F_BEXISTS = 0x16, 0x17, 0x18, 0x19
 # Step tags
 STEP_TAGS = {
     K.RULE_PA_AXIOM: 0x20,
@@ -40,6 +40,36 @@ OMEGA_STEP_TAG = 0x30
 _SCHEME_IDS = {name: i for i, name in enumerate(sorted(K.LOGIC_SCHEMES))}
 _ID_SCHEMES = {i: name for name, i in _SCHEME_IDS.items()}
 
+# Node tag -> (class, kinds of its fields in encoding order: "n" a name, "t"
+# a term, "f" a formula).
+_TERM_NODES = {
+    0x01: (S.Zero, ""),
+    0x02: (S.Succ, "t"),
+    0x03: (S.Add, "tt"),
+    0x04: (S.Mul, "tt"),
+    0x05: (S.Var, "n"),
+}
+_FORMULA_NODES = {
+    0x10: (S.Eq, "tt"),
+    0x11: (S.Le, "tt"),
+    0x12: (S.Not, "f"),
+    0x13: (S.And, "ff"),
+    0x14: (S.Or, "ff"),
+    0x15: (S.Implies, "ff"),
+    0x16: (S.ForAll, "nf"),
+    0x17: (S.Exists, "nf"),
+    0x18: (S.BoundedForAll, "ntf"),
+    0x19: (S.BoundedExists, "ntf"),
+}
+_TAGS = {cls: tag for nodes in (_TERM_NODES, _FORMULA_NODES) for tag, (cls, _) in nodes.items()}
+_SUCC_TAG = _TAGS[S.Succ]
+
+MAX_FORMULA_DEPTH = 1 << 16
+"""Deepest nesting of connectives and quantifiers the decoder accepts;
+deeper input is a `MalformedEncoding`. About twice the 33 279 of the deepest
+formula `encode` emits for a corpus machine at its 128-step limit (LOOP on
+input 0). Term depth is not capped: numerals grow with what they denote."""
+
 
 def _put_name(out: bytearray, name: str) -> None:
     data = name.encode("ascii")
@@ -49,75 +79,25 @@ def _put_name(out: bytearray, name: str) -> None:
     out += data
 
 
-def encode_term(t: S.Term, out: bytearray) -> None:
-    stack = [t]
+def encode_formula(f: S.Formula | S.Term, out: bytearray) -> None:
+    """Append the encoding of a formula or a term: its tag, then its fields."""
+    stack = [f]
     while stack:
         node = stack.pop()
-        if isinstance(node, S.Zero):
-            out.append(_T_ZERO)
-        elif isinstance(node, S.Succ):
-            out.append(_T_SUCC)
-            stack.append(node.arg)
-        elif isinstance(node, S.Add):
-            out.append(_T_ADD)
-            stack.append(node.right)
-            stack.append(node.left)
-        elif isinstance(node, S.Mul):
-            out.append(_T_MUL)
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            out.append(_T_VAR)
-            _put_name(out, node.name)
-
-
-def encode_formula(f: S.Formula, out: bytearray) -> None:
-    stack: list[object] = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, S.Eq):
-            out.append(_F_EQ)
-            encode_term(node.left, out)
-            stack.append(node.right)
-            continue
-        if isinstance(node, (S.Zero, S.Succ, S.Add, S.Mul, S.Var)):
-            encode_term(node, out)
-            continue
-        if isinstance(node, S.Le):
-            out.append(_F_LE)
-            encode_term(node.left, out)
-            stack.append(node.right)
-        elif isinstance(node, S.Not):
-            out.append(_F_NOT)
-            stack.append(node.body)
-        elif isinstance(node, (S.And, S.Or, S.Implies)):
-            out.append(
-                _F_AND
-                if isinstance(node, S.And)
-                else _F_OR if isinstance(node, S.Or) else _F_IMPLIES
-            )
-            stack.append(node.right)
-            stack.append(node.left)
-        elif isinstance(node, S.ForAll):
-            out.append(_F_FORALL)
-            _put_name(out, node.var)
-            stack.append(node.body)
-        elif isinstance(node, S.Exists):
-            out.append(_F_EXISTS)
-            _put_name(out, node.var)
-            stack.append(node.body)
-        elif isinstance(node, S.BoundedForAll):
-            out.append(_F_BFORALL)
-            _put_name(out, node.var)
-            encode_term(node.bound, out)
-            stack.append(node.body)
-        elif isinstance(node, S.BoundedExists):
-            out.append(_F_BEXISTS)
-            _put_name(out, node.var)
-            encode_term(node.bound, out)
-            stack.append(node.body)
-        else:
+        while node.__class__ is S.Succ:
+            out.append(_SUCC_TAG)
+            node = node.arg
+        tag = _TAGS.get(node.__class__)
+        if tag is None:
             raise ValueError(f"cannot encode {node!r}")
+        out.append(tag)
+        # A node has at most one name, and it comes before any child.
+        for name in reversed(node.__match_args__):
+            value = getattr(node, name)
+            if value.__class__ is str:
+                _put_name(out, value)
+            else:
+                stack.append(value)
 
 
 class Reader:
@@ -133,18 +113,10 @@ class Reader:
         return b
 
     def u16(self) -> int:
-        if self.pos + 2 > len(self.data):
-            raise MalformedEncoding("unexpected end of input")
-        v = int.from_bytes(self.data[self.pos : self.pos + 2], "big")
-        self.pos += 2
-        return v
+        return int.from_bytes(self.take(2), "big")
 
     def u32(self) -> int:
-        if self.pos + 4 > len(self.data):
-            raise MalformedEncoding("unexpected end of input")
-        v = int.from_bytes(self.data[self.pos : self.pos + 4], "big")
-        self.pos += 4
-        return v
+        return int.from_bytes(self.take(4), "big")
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
@@ -170,59 +142,65 @@ class Reader:
         return self.pos >= len(self.data)
 
 
-def decode_term(r: Reader) -> S.Term:
-    tag = r.u8()
-    if tag == _T_ZERO:
-        return S.ZERO
-    if tag == _T_SUCC:
-        return S.Succ(decode_term(r))
-    if tag == _T_ADD:
-        left = decode_term(r)
-        return S.Add(left, decode_term(r))
-    if tag == _T_MUL:
-        left = decode_term(r)
-        return S.Mul(left, decode_term(r))
-    if tag == _T_VAR:
-        return S.Var(r.name())
-    raise MalformedEncoding(f"bad term tag 0x{tag:02x}")
+def _decode(r: Reader, kind: str):
+    """Decode one term ("t") or formula ("f").
+
+    Iterative: every node with children is an open frame (class, field
+    kinds, fields so far) until its last child is done.
+    """
+    data = r.data
+    frames: list[tuple] = []
+    depth = 0  # open connectives and quantifiers
+    while True:
+        if r.pos >= len(data):
+            raise MalformedEncoding("unexpected end of input")
+        tag = data[r.pos]
+        r.pos += 1
+        if tag == _SUCC_TAG and kind == "t":
+            # A run of successors takes one frame: (number of successors,).
+            start = r.pos
+            while r.pos < len(data) and data[r.pos] == _SUCC_TAG:
+                r.pos += 1
+            frames.append((r.pos - start + 1,))
+            continue
+        nodes = _TERM_NODES if kind == "t" else _FORMULA_NODES
+        if tag not in nodes:
+            raise MalformedEncoding(f"bad {'term' if kind == 't' else 'formula'} tag 0x{tag:02x}")
+        cls, kinds = nodes[tag]
+        if "f" in kinds:
+            depth += 1
+            if depth > MAX_FORMULA_DEPTH:
+                raise MalformedEncoding(f"formula nesting deeper than {MAX_FORMULA_DEPTH}")
+        fields = [r.name()] if kinds[:1] == "n" else []
+        if len(fields) < len(kinds):
+            frames.append((cls, kinds, fields))
+            kind = kinds[len(fields)]
+            continue
+        node = S.ZERO if cls is S.Zero else cls(*fields)
+        # Hand the finished node to the frames it completes.
+        while frames:
+            if len(frames[-1]) == 1:
+                for _ in range(frames.pop()[0]):
+                    node = S.Succ(node)
+                continue
+            cls, kinds, fields = frames[-1]
+            fields.append(node)
+            if len(fields) < len(kinds):
+                kind = kinds[len(fields)]
+                break
+            frames.pop()
+            if "f" in kinds:
+                depth -= 1
+            try:
+                node = cls(*fields)
+            except ValueError as exc:  # a bound that mentions its variable
+                raise MalformedEncoding(str(exc)) from exc
+        else:
+            return node
 
 
 def decode_formula(r: Reader) -> S.Formula:
-    tag = r.u8()
-    if tag == _F_EQ:
-        left = decode_term(r)
-        return S.Eq(left, decode_term(r))
-    if tag == _F_LE:
-        left = decode_term(r)
-        return S.Le(left, decode_term(r))
-    if tag == _F_NOT:
-        return S.Not(decode_formula(r))
-    if tag == _F_AND:
-        left = decode_formula(r)
-        return S.And(left, decode_formula(r))
-    if tag == _F_OR:
-        left = decode_formula(r)
-        return S.Or(left, decode_formula(r))
-    if tag == _F_IMPLIES:
-        left = decode_formula(r)
-        return S.Implies(left, decode_formula(r))
-    if tag == _F_FORALL:
-        var = r.name()
-        return S.ForAll(var, decode_formula(r))
-    if tag == _F_EXISTS:
-        var = r.name()
-        return S.Exists(var, decode_formula(r))
-    if tag in (_F_BFORALL, _F_BEXISTS):
-        var = r.name()
-        bound = decode_term(r)
-        body = decode_formula(r)
-        try:
-            if tag == _F_BFORALL:
-                return S.BoundedForAll(var, bound, body)
-            return S.BoundedExists(var, bound, body)
-        except ValueError as exc:
-            raise MalformedEncoding(str(exc)) from exc
-    raise MalformedEncoding(f"bad formula tag 0x{tag:02x}")
+    return _decode(r, "f")
 
 
 def encode_step(step: K.ProofStep, out: bytearray) -> None:
@@ -238,12 +216,10 @@ def encode_step(step: K.ProofStep, out: bytearray) -> None:
         scheme, items = step.payload
         out.append(_SCHEME_IDS[scheme])
         for kind, item in zip(K.LOGIC_SCHEMES[scheme], items):
-            if kind == "f":
-                encode_formula(item, out)
-            elif kind == "t":
-                encode_term(item, out)
-            else:
+            if kind == "v":
                 _put_name(out, item)
+            else:
+                encode_formula(item, out)
     elif step.rule == K.RULE_INDUCTION:
         var, phi = step.payload
         _put_name(out, var)
@@ -255,7 +231,7 @@ def encode_step(step: K.ProofStep, out: bytearray) -> None:
         _put_name(out, step.payload)
         out += step.premises[0].to_bytes(2, "big")
     elif step.rule == K.RULE_INST:
-        encode_term(step.payload, out)
+        encode_formula(step.payload, out)
         out += step.premises[0].to_bytes(2, "big")
     encode_formula(step.conclusion, out)
 
@@ -273,15 +249,8 @@ def decode_step(r: Reader) -> K.ProofStep:
         scheme = _ID_SCHEMES.get(r.u8())
         if scheme is None:
             raise MalformedEncoding("bad scheme id")
-        items = []
-        for kind in K.LOGIC_SCHEMES[scheme]:
-            if kind == "f":
-                items.append(decode_formula(r))
-            elif kind == "t":
-                items.append(decode_term(r))
-            else:
-                items.append(r.name())
-        payload = (scheme, tuple(items))
+        kinds = K.LOGIC_SCHEMES[scheme]
+        payload = (scheme, tuple(r.name() if k == "v" else _decode(r, k) for k in kinds))
     elif rule == K.RULE_INDUCTION:
         var = r.name()
         payload = (var, decode_formula(r))
@@ -291,7 +260,7 @@ def decode_step(r: Reader) -> K.ProofStep:
         payload = r.name()
         premises = (r.u16(),)
     elif rule == K.RULE_INST:
-        payload = decode_term(r)
+        payload = _decode(r, "t")
         premises = (r.u16(),)
     conclusion = decode_formula(r)
     return K.ProofStep(conclusion, rule, premises, payload)

@@ -348,3 +348,26 @@ def test_analysis_failure_reported_as_encoding_limit(tmp_path, capsys):
     code, _, err = run_cli(capsys, "encode", str(walker), "0", "q1")
     assert code == 5
     assert "failed" in err or "overflow" in err
+
+
+SELF_BOUND = "forall x <= x. 0 = 0"
+
+
+@pytest.mark.parametrize("entry", ["target", "proof line", "gamma"])
+def test_bound_mentioning_its_variable_is_a_parse_error(tmp_path, capsys, entry):
+    proof = tmp_path / "p.proof"
+    target = "0 = 0"
+    argv = []
+    if entry == "target":
+        proof.write_text("1. 0 = 0 BY eval\n")
+        target = SELF_BOUND
+    elif entry == "proof line":
+        proof.write_text(f"1. {SELF_BOUND} BY eval\n")
+    else:
+        proof.write_text("1. 0 = 0 BY eval\n")
+        gamma = tmp_path / "gamma.txt"
+        gamma.write_text(SELF_BOUND + "\n")
+        argv = ["--gamma", str(gamma)]
+    code, _, err = run_cli(capsys, "check", str(proof), "--target", target, *argv)
+    assert code == 4
+    assert "bound of x mentions x (at position 12)" in err
