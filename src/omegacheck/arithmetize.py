@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Optional
 
+from . import wire
 from .machines import (
     Config,
     MachineDesc,
@@ -59,6 +60,11 @@ DEFAULT_MAX_TRACE_STEPS = 128
 DEFAULT_HORIZON = 5000
 
 LOOPS_VAR = "t"
+
+# Proofs put at most this many connectives and quantifiers around a tableau
+# (a loops certificate concludes `forall t. ~((u <= t & tableau) | ...)`), so
+# tableaux leave that much room under the wire format's nesting cap.
+_WRAPPING_DEPTH = 4
 
 
 class EncodingOverflow(Exception):
@@ -343,6 +349,25 @@ class _TableauBuilder:
             add([arrival, self._is_plain(b), self._eq_const(c, code)])
         return cases
 
+    def check_depth(self) -> None:
+        """Refuse a tableau that could nest deeper than the wire format reads.
+
+        Each digit quantifier adds two levels (itself and its `&`) above the
+        deeper of the accept disjunction (width * symbols atoms) and a pin.
+        A pin is an `|` of at most 2 + 2h cases (h head codes), each an `&`
+        of at most four conjuncts, each at most a `~` over an `|` of h
+        atoms, so a pin nests at most 3h + 4 deep.
+        """
+        heads = len(self.enc.states) * self.n_symbols
+        accept = self.width * self.n_symbols - 1
+        depth = 2 * (self.t - 1) * self.width + max(accept, 3 * heads + 4)
+        limit = wire.MAX_FORMULA_DEPTH - _WRAPPING_DEPTH
+        if depth > limit:
+            raise EncodingOverflow(
+                f"a {self.t}-step tableau over {self.width} cells may nest "
+                f"{depth} deep, beyond the coding limit of {limit}"
+            )
+
     def build(self, outcome: str) -> Formula:
         accept_state = (
             self.m.accept_yes if outcome == "yes" else self.m.accept_no
@@ -412,6 +437,9 @@ def halted_by_formula(
 ) -> Formula:
     """Closed bounded sentence: the run reaches the `outcome` accepting
     state within t observed steps (a history of at most t configurations).
+
+    Raises EncodingOverflow past `max_steps`, and when the tableau could
+    nest deeper than `wire.MAX_FORMULA_DEPTH` allows.
     """
     if outcome not in ("yes", "no"):
         raise ValueError("outcome must be 'yes' or 'no'")
@@ -423,7 +451,9 @@ def halted_by_formula(
         )
     if t == 0:
         return FALSE_SENTENCE
-    return _TableauBuilder(m, n, t).build(outcome)
+    builder = _TableauBuilder(m, n, t)
+    builder.check_depth()
+    return builder.build(outcome)
 
 
 # ---------------------------------------------------------------------------

@@ -177,9 +177,10 @@ def build_loops_certificate(
 ) -> OmegaStep:
     """Certificate whose conclusion is loops_formula(m, n).
 
-    Sound for any machine and input: building always succeeds, but the
-    instances only verify when the machine really has not halted by each
-    checked step bound.
+    Sound for any machine and input: building succeeds whenever the
+    halting bodies encode (else EncodingOverflow or RunAnalysisError), but
+    the instances only verify when the machine really has not halted by
+    each checked step bound.
     """
     body_yes = halting_body(m, n, "yes", var, horizon, max_steps)
     body_no = halting_body(m, n, "no", var, horizon, max_steps)

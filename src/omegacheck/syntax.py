@@ -348,10 +348,13 @@ def substitute(f: Formula, var: str, replacement: Term) -> Formula:
                 name = item[1]
                 bound = done.pop() if issubclass(cls, _Bounded) else None
                 body = done.pop()
-                if name == node.var and body is node.body and bound is getattr(node, "bound", None):
+                same = body is node.body and bound is getattr(node, "bound", None)
+                if same and name == node.var:
                     done.append(node)
+                elif bound is None:
+                    done.append(cls(name, body))
                 else:
-                    done.append(cls(name, body) if bound is None else cls(name, bound, body))
+                    done.append(cls(name, bound, body))
         elif cls is Var:
             done.append(replacement if item.name == var else item)
         elif cls is Zero:
@@ -464,7 +467,8 @@ def _render(root: Term | Formula, level: int) -> str:
                 stack.append(")")
             stack.append((node.body, 1))
             stack.append(". ")
-            out.append("forall " if cls is ForAll or cls is BoundedForAll else "exists ")
+            forall = cls is ForAll or cls is BoundedForAll
+            out.append("forall " if forall else "exists ")
             out.append(node.var)
             if issubclass(cls, _Bounded):
                 out.append(" <= ")
@@ -484,7 +488,9 @@ def print_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<sym>->|<=|[()=~&|.+*0])|(?P<ident>[A-Za-z_][A-Za-z0-9_]*))")
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<sym>->|<=|[()=~&|.+*0])|(?P<ident>[A-Za-z_][A-Za-z0-9_]*))"
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -499,7 +505,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 break
             raise SyntaxError_(f"unexpected character {text[pos]!r}", pos)
         group = m.lastgroup
-        tokens.append((group if group == "ident" else m[group], m[group], m.start(group)))
+        kind = group if group == "ident" else m[group]
+        tokens.append((kind, m[group], m.start(group)))
         pos = m.end()
     tokens.append(("eof", "", len(text)))
     return tokens

@@ -9,7 +9,7 @@ keeps encodings short and makes the encoding canonical.
 Decoding is total: any byte string either decodes or raises
 `MalformedEncoding`. The decoder keeps its own stack, so this does not
 depend on the interpreter's recursion limit; formula nesting is capped at
-`MAX_FORMULA_DEPTH`, and term nesting only by memory.
+`MAX_FORMULA_DEPTH` as part of the format, and term nesting only by memory.
 """
 
 from __future__ import annotations
@@ -61,14 +61,20 @@ _FORMULA_NODES = {
     0x18: (S.BoundedForAll, "ntf"),
     0x19: (S.BoundedExists, "ntf"),
 }
-_TAGS = {cls: tag for nodes in (_TERM_NODES, _FORMULA_NODES) for tag, (cls, _) in nodes.items()}
+_TAGS = {
+    cls: tag
+    for nodes in (_TERM_NODES, _FORMULA_NODES)
+    for tag, (cls, _) in nodes.items()
+}
 _SUCC_TAG = _TAGS[S.Succ]
 
 MAX_FORMULA_DEPTH = 1 << 16
-"""Deepest nesting of connectives and quantifiers the decoder accepts;
-deeper input is a `MalformedEncoding`. About twice the 33 279 of the deepest
-formula `encode` emits for a corpus machine at its 128-step limit (LOOP on
-input 0). Term depth is not capped: numerals grow with what they denote."""
+"""Deepest nesting of connectives and quantifiers in a valid encoding;
+deeper input is a `MalformedEncoding`. The decoder keeps its own stack, so
+this is a limit of the format, not a guard: `arithmetize` refuses any
+tableau that could nest deeper inside a proof, so what the program encodes
+decodes. At 128 steps that leaves tableaux windows of up to 255 cells.
+Term depth is not capped: numerals grow with what they denote."""
 
 
 def _put_name(out: bytearray, name: str) -> None:
@@ -165,12 +171,15 @@ def _decode(r: Reader, kind: str):
             continue
         nodes = _TERM_NODES if kind == "t" else _FORMULA_NODES
         if tag not in nodes:
-            raise MalformedEncoding(f"bad {'term' if kind == 't' else 'formula'} tag 0x{tag:02x}")
+            what = "term" if kind == "t" else "formula"
+            raise MalformedEncoding(f"bad {what} tag 0x{tag:02x}")
         cls, kinds = nodes[tag]
         if "f" in kinds:
             depth += 1
             if depth > MAX_FORMULA_DEPTH:
-                raise MalformedEncoding(f"formula nesting deeper than {MAX_FORMULA_DEPTH}")
+                raise MalformedEncoding(
+                    f"formula nesting deeper than {MAX_FORMULA_DEPTH}"
+                )
         fields = [r.name()] if kinds[:1] == "n" else []
         if len(fields) < len(kinds):
             frames.append((cls, kinds, fields))
@@ -250,7 +259,8 @@ def decode_step(r: Reader) -> K.ProofStep:
         if scheme is None:
             raise MalformedEncoding("bad scheme id")
         kinds = K.LOGIC_SCHEMES[scheme]
-        payload = (scheme, tuple(r.name() if k == "v" else _decode(r, k) for k in kinds))
+        items = tuple(r.name() if k == "v" else _decode(r, k) for k in kinds)
+        payload = (scheme, items)
     elif rule == K.RULE_INDUCTION:
         var = r.name()
         payload = (var, decode_formula(r))

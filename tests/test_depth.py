@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omegacheck import arithmetize, machines
+from omegacheck import arithmetize, machines, omega, wire
 from omegacheck.cli import main
+from omegacheck.dovetail import existence_proof
 from omegacheck.kernel import (
     ProofStep,
     RULE_EVAL_TRUE,
@@ -170,6 +171,48 @@ def test_halted_by_formula_roundtrips():
     assert decode_formula(Reader(bytes(data))) == f
     assert parse_formula(print_formula(f)) == f
     assert eval_bounded(f) is False
+
+
+def test_tableau_past_the_cap_is_an_overflow(tmp_path, capsys):
+    # At 128 steps LOOP's window is n + 2 cells, and 2 * 127 * 256 + 511
+    # levels for n = 254 are more than the cap leaves a tableau.
+    with pytest.raises(arithmetize.EncodingOverflow):
+        arithmetize.halted_by_formula(machines.LOOP, 254, 128, "yes")
+    path = tmp_path / "loop.tm"
+    path.write_text(machines.machine_to_text(machines.LOOP), encoding="utf-8")
+    argv = ["encode", str(path), "300", "haltedby", "--t", "128", "--outcome", "yes"]
+    assert main(argv) == 5
+    assert "coding limit" in capsys.readouterr().err
+
+
+def test_every_proof_around_a_tableau_decodes(monkeypatch):
+    # Under a small cap, halting runs on growing inputs cross it: each
+    # witness proof and loops certificate the program builds decodes, and
+    # the tableaux it refuses are the ones past the cap.
+    monkeypatch.setattr(wire, "MAX_FORMULA_DEPTH", 150)
+    built = refused = 0
+    for m in (machines.ALWAYS_YES, machines.EVEN, machines.BUSY3):
+        for n in range(90) if m is machines.ALWAYS_YES else range(12):
+            result = machines.run(m, n, 1000)
+            make_target = {
+                "yes": arithmetize.halts_yes_formula,
+                "no": arithmetize.halts_no_formula,
+            }[result.outcome]
+            try:
+                target = make_target(m, n)
+                cert = omega.build_loops_certificate(m, n)
+            except arithmetize.EncodingOverflow:
+                refused += 1
+                continue
+            built += 1
+            proof = existence_proof(target.body, target.var, result.steps)
+            assert deserialize_proof(serialize_proof(proof)) == proof
+            certificate = omega.OmegaProof((cert,), cert.conclusion)
+            data = omega.serialize_omega_proof(certificate)
+            assert omega.deserialize_omega_proof(data).target == cert.conclusion
+            instance = cert.premise_machine.generate(result.steps, 10**6).proof_bytes
+            deserialize_proof(instance)
+    assert built and refused
 
 
 # Nodes to nest, each around a leaf: terms nest inside `t <= t`, quantifiers
