@@ -19,25 +19,21 @@ Two layers:
   carry checkable arithmetic content; a non-halting run yields a body that
   is false at every instance.
 
-Quantifier bounds throughout are numeral constants computed here from the
-machine, input and step budget; the window of tape positions is trimmed to
-the cells the run actually visits (a sound bound, since heads move one
-cell per step).
+Runs are read from `machines.configs`, so "within t steps" means what it
+means there: among the first t configurations. Quantifier bounds are
+numeral constants computed here from the machine, input and step budget;
+the window of tape positions is trimmed to the cells the run actually
+visits (a sound bound, since heads move one cell per step).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Literal, Optional
 
 from . import wire
-from .machines import (
-    Config,
-    MachineDesc,
-    StuckConfiguration,
-    initial_config,
-    step,
-)
+from .machines import Config, MachineDesc, configs, initial_config
 from .syntax import (
     Add,
     And,
@@ -166,33 +162,22 @@ def trace_prefix(m: MachineDesc, n: int, t: int) -> tuple[list[Config], Optional
     """Up to t configurations of the run; second value is the outcome if the
     machine was observed halting within those t steps ('stuck' for a dead
     non-accepting configuration)."""
-    configs: list[Config] = []
-    if t <= 0:
-        return configs, None
-    c = initial_config(m, n)
-    configs.append(c)
-    while len(configs) < t:
-        if c.state in (m.accept_yes, m.accept_no):
-            break
-        try:
-            result = step(m, c)
-        except StuckConfiguration:
-            return configs, "stuck"
-        assert isinstance(result, Config)
-        c = result
-        configs.append(c)
-    if c.state == m.accept_yes:
-        return configs, "yes"
-    if c.state == m.accept_no:
-        return configs, "no"
-    return configs, None
+    history = list(islice(configs(m, n), max(t, 0)))
+    if not history:
+        return history, None
+    last = history[-1].state
+    if last == m.accept_yes:
+        return history, "yes"
+    if last == m.accept_no:
+        return history, "no"
+    return history, "stuck" if len(history) < t else None
 
 
 def trace_window(m: MachineDesc, n: int, t: int) -> tuple[int, int]:
     """Cell window covering every position the length-<=t run can touch,
     padded one cell on each side so neighbor lookups stay inside."""
-    configs, _ = trace_prefix(m, n, t)
-    heads = [c.head for c in configs] or [0]
+    history, _ = trace_prefix(m, n, t)
+    heads = [c.head for c in history] or [0]
     lo = min(0, min(heads)) - 1
     hi = max(max(heads), n - 1 if n > 0 else 0) + 1
     return lo, hi
@@ -475,11 +460,14 @@ def analyze_run(m: MachineDesc, n: int, horizon: int = DEFAULT_HORIZON) -> RunSu
     blank territory twice in the same state with every intervening move
     to the right, after which behavior repeats shifted forever).
     """
-    c = initial_config(m, n)
     seen: dict[tuple, int] = {}
     records: dict[str, tuple[int, int]] = {}  # state -> (step index, head)
     max_head = -1
-    for index in range(horizon):
+    for index, c in enumerate(configs(m, n)):
+        if index >= horizon:
+            raise RunAnalysisError(
+                f"no halt or repetition pattern within {horizon} steps"
+            )
         if c.state == m.accept_yes:
             return RunSummary("halts", "yes", index + 1)
         if c.state == m.accept_no:
@@ -495,53 +483,36 @@ def analyze_run(m: MachineDesc, n: int, horizon: int = DEFAULT_HORIZON) -> RunSu
                 if prior is not None and index - prior[0] == c.head - prior[1]:
                     return RunSummary("runner", steps=index)
                 records[c.state] = (index, c.head)
-        try:
-            result = step(m, c)
-        except StuckConfiguration:
-            return RunSummary("stuck", steps=index + 1)
-        assert isinstance(result, Config)
-        c = result
-    raise RunAnalysisError(
-        f"no halt or repetition pattern within {horizon} steps"
-    )
+    return RunSummary("stuck", steps=index + 1)
 
 
-def halting_body(
-    m: MachineDesc,
-    n: int,
-    outcome: str,
-    var: str = LOOPS_VAR,
-    horizon: int = DEFAULT_HORIZON,
-    max_steps: int = DEFAULT_MAX_TRACE_STEPS,
-) -> Formula:
-    """Open formula in `var`: the run halts with `outcome` within var steps.
+def halting_body(m: MachineDesc, n: int, outcome: str) -> Formula:
+    """Open formula in `t`: the run halts with `outcome` within t steps.
 
     For a run that halts this way at step u the body is
-    `u <= var & <digit tableau at u>`; otherwise it is `var + 1 <= var`,
-    false at every numeral.
+    `u <= t & <digit tableau at u>`; otherwise it is `t + 1 <= t`, false
+    at every numeral.
     """
-    summary = analyze_run(m, n, horizon)
+    summary = analyze_run(m, n)
+    t = Var(LOOPS_VAR)
     if summary.kind == "halts" and summary.outcome == outcome:
-        witness = And(
-            Le(numeral(summary.steps), Var(var)),
-            halted_by_formula(m, n, summary.steps, outcome, max_steps=max_steps),
+        return And(
+            Le(numeral(summary.steps), t),
+            halted_by_formula(m, n, summary.steps, outcome),
         )
-        return witness
-    return Le(Succ(Var(var)), Var(var))
+    return Le(Succ(t), t)
 
 
-def halts_yes_formula(m: MachineDesc, n: int, var: str = LOOPS_VAR) -> Formula:
+def halts_yes_formula(m: MachineDesc, n: int) -> Formula:
     """One unbounded exists over a bounded body: the run halts with yes."""
-    return Exists(var, halting_body(m, n, "yes", var))
+    return Exists(LOOPS_VAR, halting_body(m, n, "yes"))
 
 
-def halts_no_formula(m: MachineDesc, n: int, var: str = LOOPS_VAR) -> Formula:
-    return Exists(var, halting_body(m, n, "no", var))
+def halts_no_formula(m: MachineDesc, n: int) -> Formula:
+    return Exists(LOOPS_VAR, halting_body(m, n, "no"))
 
 
-def loops_formula(m: MachineDesc, n: int, var: str = LOOPS_VAR) -> Formula:
+def loops_formula(m: MachineDesc, n: int) -> Formula:
     """One unbounded forall over a bounded body: the run never halts."""
-    return ForAll(
-        var,
-        Not(Or(halting_body(m, n, "yes", var), halting_body(m, n, "no", var))),
-    )
+    yes, no = halting_body(m, n, "yes"), halting_body(m, n, "no")
+    return ForAll(LOOPS_VAR, Not(Or(yes, no)))

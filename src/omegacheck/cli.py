@@ -6,7 +6,7 @@ uniform so shell harnesses can assert outcomes:
     0  accepted / decided / emitted
     2  rejected / answered no
     3  budget or step limit exhausted / timeout
-    4  unparseable input (position reported where available)
+    4  unparseable input (position reported where available), usage errors
     5  encoding limits exceeded
 
 Reports are line oriented. With --format records every line is `key=value`
@@ -415,8 +415,17 @@ def cmd_omega_check(args) -> int:
     return EXIT_REJECTED if verdict.kind == "rejected" else EXIT_EXHAUSTED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are unparseable input (exit 4), not argparse's exit 2,
+    which would read as a rejection."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="omegacheck",
         description="Proof checking, machine arithmetization and halting search",
     )

@@ -13,8 +13,9 @@ deterministic round-robin over single verifier steps; anything calling
 itself parallel must be observationally identical to that. In pure mode
 each thread is the dovetailed search itself, which at desk scale never
 reaches interesting proofs and exists to demonstrate exactly that. In
-witness mode candidates are generated from simulation and the certificate
-builder, then pushed through the same unmodified verifier.
+witness mode candidates are generated from simulation (`machines.configs`,
+one unit per configuration) and the certificate builder, then pushed
+through the same unmodified verifier.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .kernel import (
     RULE_MP,
     check_units,
 )
-from .machines import Halted, MachineDesc, StuckConfiguration, initial_config, step
+from .machines import MachineDesc, configs
 from .omega import (
     DEFAULT_INSTANCE_BUDGET,
     DEFAULT_OMEGA_BOUND,
@@ -84,9 +85,6 @@ class RealProofOracle(VerifierOracle):
     """The kernel as a stepped oracle: one step to deserialize, one per
     proof step; the last step also settles the target comparison."""
 
-    def __init__(self, gamma=frozenset()):
-        self.gamma = frozenset(gamma)
-
     def open(self, candidate: bytes, target: Formula) -> OracleRun:
         return OracleRun(self._verify(candidate, target))
 
@@ -96,7 +94,7 @@ class RealProofOracle(VerifierOracle):
         except wire.MalformedEncoding:
             return False
         yield
-        return (yield from check_units(self.gamma, proof.steps, target)).accepted
+        return (yield from check_units(frozenset(), proof.steps, target)).accepted
 
 
 class OmegaVerifierOracle(VerifierOracle):
@@ -107,11 +105,9 @@ class OmegaVerifierOracle(VerifierOracle):
 
     def __init__(
         self,
-        gamma=frozenset(),
         k: int = DEFAULT_OMEGA_BOUND,
         per_instance_budget: int = DEFAULT_INSTANCE_BUDGET,
     ):
-        self.gamma = frozenset(gamma)
         self.k = k
         self.per_instance_budget = per_instance_budget
 
@@ -125,7 +121,7 @@ class OmegaVerifierOracle(VerifierOracle):
             return False
         yield
         verdict = yield from check_units(
-            self.gamma, proof.steps, target, self.k, self.per_instance_budget
+            frozenset(), proof.steps, target, self.k, self.per_instance_budget
         )
         return verdict.accepted
 
@@ -144,10 +140,10 @@ def _bfs_units(
     oracle: VerifierOracle,
     max_candidates: int,
     alphabet: tuple[int, ...],
-) -> Generator[int, None, Optional[tuple[int, bytes]]]:
+) -> Generator[int, None, Optional[tuple[bytes, int]]]:
     """Triangular dovetailing. Yields the current round number once per
     oracle step taken; the step that elicits a yes is reported by the
-    return value instead of a final yield."""
+    return value (the candidate and its index) instead of a final yield."""
     candidates: list[bytes] = []
     runs: list[OracleRun] = []
     active: list[int] = []
@@ -162,7 +158,7 @@ def _bfs_units(
         for i in active:
             answer = runs[i].step()
             if answer == "yes":
-                return (i, candidates[i])
+                return (candidates[i], i)
             yield round_index
             if answer == "running":
                 still.append(i)
@@ -195,7 +191,7 @@ def bfs_search(
             steps += 1
             if stop.value is None:
                 return SearchResult(False, rounds=rounds, steps=steps - 1)
-            index, data = stop.value
+            data, index = stop.value
             return SearchResult(True, index, data, rounds, steps)
         steps += 1
         rounds = seen_round + 1
@@ -251,23 +247,14 @@ def _witness_halt_thread(
     target: Formula,
     oracle: VerifierOracle,
 ) -> Generator[int, None, Optional[tuple[bytes, Optional[int]]]]:
-    """Simulate (one unit per observed step); on halting the wanted way,
-    assemble the instance-plus-introduction proof and verify it."""
-    config = initial_config(m, n)
-    used = 0
-    outcome: Optional[str] = None
-    while outcome is None:
-        try:
-            result = step(m, config)
-        except StuckConfiguration:
-            yield from _idle()
-        used += 1
-        if isinstance(result, Halted):
-            outcome = result.outcome
-        else:
-            config = result
+    """Simulate, one unit per non-accepting configuration; on halting the
+    wanted way, assemble the instance-plus-introduction proof and verify it.
+    A stuck run, or one that halts the other way, idles forever."""
+    accepting = (m.accept_yes, m.accept_no)
+    for used, config in enumerate(configs(m, n), 1):
+        if config.state not in accepting:
             yield used
-    if outcome != wanted:
+    if config.state != (m.accept_yes if wanted == "yes" else m.accept_no):
         yield from _idle()
     yield used  # the unit that observed the halt
     assert isinstance(target, Exists)
@@ -297,7 +284,7 @@ def _witness_loops_thread(
     verdict = yield from check_units(frozenset(), proof.steps, target, k, instance_budget)
     if not verdict.accepted:
         yield from _idle()
-    return (serialize_omega_proof(proof), k)
+    return (serialize_omega_proof(proof), None)
 
 
 def halting_search(
@@ -308,7 +295,6 @@ def halting_search(
     omega_bound: int = DEFAULT_OMEGA_BOUND,
     instance_budget: int = DEFAULT_INSTANCE_BUDGET,
     oracle_factory: Optional[Callable[[int, Formula], VerifierOracle]] = None,
-    alphabet: tuple[int, ...] = wire.DEFAULT_ALPHABET,
 ) -> HOutcome:
     """Search for a proof of one of the three halting statements for (m, n);
     the first thread to verify a candidate wins.
@@ -338,7 +324,7 @@ def halting_search(
                 targets[i],
                 oracle_factory(i + 1, targets[i]),
                 budget.max_candidates,
-                alphabet,
+                wire.DEFAULT_ALPHABET,
             )
             for i in range(3)
         ]
@@ -366,26 +352,16 @@ def halting_search(
                 finished[thread_index] = True
                 if stop.value is None:
                     continue
-                progress = tuple(
-                    ThreadProgress(units[i], finished[i]) for i in range(3)
-                )
-                if mode == "pure":
-                    index, data = stop.value
-                    return HOutcome(
-                        kinds[thread_index],
-                        proof=data,
-                        thread=thread_index + 1,
-                        candidate_index=index,
-                        omega_bound=omega_bound if thread_index == 2 else None,
-                        progress=progress,
-                    )
-                data, bound = stop.value
+                data, index = stop.value
                 return HOutcome(
                     kinds[thread_index],
                     proof=data,
                     thread=thread_index + 1,
-                    omega_bound=bound,
-                    progress=progress,
+                    candidate_index=index,
+                    omega_bound=omega_bound if thread_index == 2 else None,
+                    progress=tuple(
+                        ThreadProgress(units[i], finished[i]) for i in range(3)
+                    ),
                 )
     return HOutcome(
         "budget_exhausted",

@@ -6,6 +6,13 @@ An undefined transition on a non-accepting state counts as running forever:
 the machine is stuck and will never reach an accepting state, which keeps
 the yes/no/loops trichotomy exhaustive for arbitrary descriptions.
 
+`configs` is the one simulation loop; every other layer that follows a run
+(`run`, the trace encoding, the run analysis, the witness search) consumes
+it. It fixes the step-count convention: a run has halted within t steps
+when its first t configurations include an accepting one, so the step
+that observes the halt counts and the step count of a halting run is the
+length of its configuration history.
+
 File format (one transition per line, headers first):
 
     start: <state>
@@ -22,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional
+from itertools import islice
+from typing import Iterator, Mapping, Optional
 
 STROKE = "1"
 
@@ -128,26 +136,38 @@ def step(m: MachineDesc, c: Config) -> Config | Halted:
     return Config(nstate, tape, head, c.step_count + 1)
 
 
-def run(m: MachineDesc, n: int, budget: int) -> RunResult:
-    """Simulate up to `budget` steps; the step observing the halt counts.
+def configs(m: MachineDesc, n: int) -> Iterator[Config]:
+    """The run's configurations in order, starting from the initial one.
 
-    With this convention the reported step count equals the length of the
-    configuration history, which is what the trace encoding bounds.
+    Ends after an accepting configuration, or after a stuck one (no
+    transition applies); otherwise never ends.
+    """
+    c = initial_config(m, n)
+    accepting = (m.accept_yes, m.accept_no)
+    while True:
+        yield c
+        if c.state in accepting:
+            return
+        try:
+            c = step(m, c)
+        except StuckConfiguration:
+            return
+
+
+def run(m: MachineDesc, n: int, budget: int) -> RunResult:
+    """Simulate up to `budget` steps, counted as the module docstring says.
+
+    A stuck run never halts, so it is reported as a timeout. Only the last
+    configuration can be accepting, because the run ends there.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    c = initial_config(m, n)
-    used = 0
-    while used < budget:
-        try:
-            result = step(m, c)
-        except StuckConfiguration:
-            # Stuck means it will sit here forever: report as not halting.
-            return RunResult("timeout")
-        used += 1
-        if isinstance(result, Halted):
-            return RunResult(result.outcome, used)
-        c = result
+    for used, c in enumerate(islice(configs(m, n), budget), 1):
+        pass
+    if c.state == m.accept_yes:
+        return RunResult("yes", used)
+    if c.state == m.accept_no:
+        return RunResult("no", used)
     return RunResult("timeout")
 
 

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Protocol, Union, runtime_checkable
 
 from . import wire
-from .arithmetize import (
-    DEFAULT_HORIZON,
-    DEFAULT_MAX_TRACE_STEPS,
-    LOOPS_VAR,
-    halting_body,
-)
+from .arithmetize import loops_formula
 from .kernel import (
     Proof,
     ProofStep,
@@ -32,7 +27,7 @@ from .kernel import (
     check_units,
 )
 from .machines import MachineDesc, RunResult, run
-from .syntax import ForAll, Formula, Not, Or, free_vars, numeral, substitute
+from .syntax import ForAll, Formula, free_vars, numeral, substitute
 
 DEFAULT_OMEGA_BOUND = 50
 DEFAULT_INSTANCE_BUDGET = 10**6
@@ -168,13 +163,7 @@ def check_omega_bounded(
     return OmegaVerdict(kind, bound=verdict.bound, index=verdict.instance, reason=verdict.reason)
 
 
-def build_loops_certificate(
-    m: MachineDesc,
-    n: int,
-    var: str = LOOPS_VAR,
-    horizon: int = DEFAULT_HORIZON,
-    max_steps: int = DEFAULT_MAX_TRACE_STEPS,
-) -> OmegaStep:
+def build_loops_certificate(m: MachineDesc, n: int) -> OmegaStep:
     """Certificate whose conclusion is loops_formula(m, n).
 
     Sound for any machine and input: building succeeds whenever the
@@ -182,15 +171,13 @@ def build_loops_certificate(
     the instances only verify when the machine really has not halted by
     each checked step bound.
     """
-    body_yes = halting_body(m, n, "yes", var, horizon, max_steps)
-    body_no = halting_body(m, n, "no", var, horizon, max_steps)
-    phi = Not(Or(body_yes, body_no))
+    q = loops_formula(m, n)
     return OmegaStep(
         gamma=frozenset(),
-        var=var,
-        phi=phi,
-        premise_machine=LoopsPremiseMachine(m, n, var, phi),
-        conclusion=ForAll(var, phi),
+        var=q.var,
+        phi=q.body,
+        premise_machine=LoopsPremiseMachine(m, n, q.var, q.body),
+        conclusion=q,
     )
 
 

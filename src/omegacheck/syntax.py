@@ -390,7 +390,10 @@ def substitute(f: Formula, var: str, replacement: Term) -> Formula:
                 # free-variable scan entirely, which matters on encoder output.
                 # The fresh name goes into the body before `sub` does, as in
                 # the recursive definition, so later fresh names match it.
-                name = fresh_name(item.var, repl_vars | free_vars(item.body) | {var})
+                avoid = repl_vars | free_vars(item.body) | {var}
+                if bound is not None:
+                    avoid |= term_vars(bound)
+                name = fresh_name(item.var, avoid)
                 todo[-1] = (item, name)
                 if bound is not None:
                     todo.append(bound)

@@ -24,6 +24,7 @@ from omegacheck.machines import (
     MachineDesc,
     run,
 )
+from omegacheck.omega import build_loops_certificate, check_omega_bounded
 from omegacheck.syntax import (
     Exists,
     ForAll,
@@ -219,3 +220,27 @@ def test_loops_matrix_instances_spec_points():
     assert eval_bounded(substitute(q3.body, q3.var, numeral(10))) is True
     q3 = loops_formula(ALWAYS_YES, 0)
     assert eval_bounded(substitute(q3.body, q3.var, numeral(1))) is False
+
+
+@pytest.mark.parametrize(
+    "m", [*CORPUS.values(), STUCK, PACER], ids=[*CORPUS, "STUCK", "PACER"]
+)
+def test_every_layer_counts_steps_alike(m):
+    # "Halted within u steps": the simulator, the run analysis, the trace and
+    # the loops certificate all put a halting run's halt at the same u.
+    for n in range(6):
+        result = run(m, n, 100)
+        history, outcome = trace_prefix(m, n, 100)
+        summary = analyze_run(m, n)
+        verdict = check_omega_bounded(build_loops_certificate(m, n), 30)
+        if result.outcome == "timeout":
+            assert outcome in (None, "stuck") and summary.kind != "halts"
+            assert verdict.kind == "accepted_up_to"
+            continue
+        u = result.steps
+        assert [run(m, n, b) for b in range(u, u + 3)] == [result] * 3
+        assert u == 1 or run(m, n, u - 1).outcome == "timeout"
+        assert summary == RunSummary("halts", result.outcome, u)
+        assert (len(history), outcome) == (u, result.outcome)
+        assert len(trace_prefix(m, n, u)[0]) == u
+        assert (verdict.kind, verdict.index) == ("rejected", u)

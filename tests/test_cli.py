@@ -371,3 +371,26 @@ def test_bound_mentioning_its_variable_is_a_parse_error(tmp_path, capsys, entry)
     code, _, err = run_cli(capsys, "check", str(proof), "--target", target, *argv)
     assert code == 4
     assert "bound of x mentions x (at position 12)" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "p.proof", "--target", "0 = 0", "--k", "abc"],
+        ["simulate"],
+    ],
+    ids=["bad int value", "missing positional"],
+)
+def test_usage_errors_exit_4(capsys, argv):
+    # Exit 2 means "rejected"; a mistyped command line is unparseable input.
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 4
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["simulate", "--help"])
+    assert raised.value.code == 0
+    assert "usage:" in capsys.readouterr().out

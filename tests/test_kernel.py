@@ -10,6 +10,7 @@ from omegacheck.kernel import (
     ProofStep,
     RULE_EVAL_TRUE,
     RULE_GEN,
+    RULE_INST,
     RULE_LOGIC,
     RULE_MP,
     RULE_PA_AXIOM,
@@ -198,3 +199,15 @@ def test_proof_invariants():
         Proof((), TRUTH)
     with pytest.raises(ValueError):
         Proof((ProofStep(TRUTH, RULE_EVAL_TRUE),), parse_formula("0 <= 0"))
+
+
+def test_inst_renames_past_the_bound_variables():
+    premise = parse_formula("forall y. exists x <= x1. x = y")
+    conclusion = parse_formula("exists x2 <= x1. x2 = x")
+    proof = make_proof(
+        [
+            ProofStep(premise, RULE_PREMISE),
+            ProofStep(conclusion, RULE_INST, premises=(0,), payload=Var("x")),
+        ]
+    )
+    assert check_proof(frozenset({premise}), proof, conclusion).accepted

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from omegacheck.machines import (
@@ -11,6 +13,7 @@ from omegacheck.machines import (
     MachineDesc,
     MachineFormatError,
     StuckConfiguration,
+    configs,
     initial_config,
     machine_to_text,
     parse_machine,
@@ -121,3 +124,21 @@ def test_machine_validation():
             accept_yes="Y",
             accept_no="N",
         )
+
+
+def test_configs_ends_after_the_accepting_configuration():
+    history = list(configs(EVEN, 2))
+    assert [c.state for c in history] == ["e", "o", "e", "Y"]
+    assert [c.step_count for c in history] == [0, 1, 2, 3]
+    assert len(list(configs(ALWAYS_NO, 3))) == 1
+
+
+def test_configs_ends_at_a_stuck_configuration():
+    history = list(configs(STUCK, 0))
+    assert history == [initial_config(STUCK, 0)]
+
+
+def test_configs_is_unbounded_for_loop():
+    history = list(islice(configs(LOOP, 2), 1000))
+    assert len(history) == 1000
+    assert history[-1].head == 999 and history[-1].state == "q"

@@ -93,6 +93,13 @@ def test_substitute_renames_on_bound_term_capture():
     assert g.var != "x"
 
 
+def test_substitute_rename_avoids_the_bound_variables():
+    # The fresh name for x must avoid x1, which the bound mentions.
+    f = BoundedExists("x", Var("x1"), Eq(Var("x"), Var("y")))
+    g = substitute(f, "y", Var("x"))
+    assert g == BoundedExists("x2", Var("x1"), Eq(Var("x2"), Var("x")))
+
+
 def test_eval_examples():
     assert eval_bounded(parse_formula("S(0) + S(0) = S(S(0))")) is True
     # Witness 3 among x <= 4: 3 * 3 = 9.
