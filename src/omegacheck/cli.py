@@ -27,9 +27,11 @@ from .syntax import (
     Formula,
     SyntaxError_,
     free_vars,
+    is_identifier,
     parse_formula,
     parse_term,
     print_formula,
+    print_term,
 )
 
 ENV_K = "OMEGACHECK_K"
@@ -74,7 +76,7 @@ def _env_int(name: str, fallback: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        return fallback
+        raise CliError(f"{name}: not an integer: {raw!r}", EXIT_PARSE) from None
 
 
 def _read_file(path: str) -> bytes:
@@ -111,6 +113,12 @@ def _require_positive(report_name: str, value: int) -> int:
     return value
 
 
+def _require_natural(report_name: str, value: int) -> int:
+    if value < 0:
+        raise CliError(f"{report_name} must be a natural number", EXIT_PARSE)
+    return value
+
+
 def _load_gamma(path: Optional[str]) -> frozenset[Formula]:
     if path is None:
         return frozenset()
@@ -130,105 +138,100 @@ def _load_gamma(path: Optional[str]) -> frozenset[Formula]:
 # Human proof text
 
 
-_RULE_TO_TEXT = {
-    kernel.RULE_PA_AXIOM: "axiom",
-    kernel.RULE_EQ_AXIOM: "eq-axiom",
-    kernel.RULE_EVAL_TRUE: "eval",
-    kernel.RULE_PREMISE: "premise",
-}
+_TEXT_SHAPES = {s.layout.split()[0]: s for s in kernel.RULE_SHAPES.values()}
+
+
+def _field_text(kind: str, value) -> str:
+    if kind == "L":
+        scheme, items = value
+        kinds = kernel.LOGIC_SCHEMES[scheme]
+        return " ; ".join([scheme, *map(_field_text, kinds, items)])
+    if kind == "t":
+        return print_term(value)
+    if kind == "f":
+        return print_formula(value)
+    return str(value + 1 if kind == "p" else value)
+
+
+def _read_field(kind: str, word: str):
+    if kind == "t":
+        return parse_term(word)
+    if kind == "f":
+        return parse_formula(word)
+    if kind == "v":
+        if not is_identifier(word):
+            raise ValueError(f"bad name {word!r}")
+        return word
+    number = int(word)
+    return number - 1 if kind == "p" else number
 
 
 def proof_to_text(proof: kernel.Proof) -> str:
-    """One step per line: `k. <formula> BY <rule ...>`; step numbers and
-    premise references are 1-based in text."""
+    """One step per line: `k. <formula> BY <rule ...>`, the rule written in
+    its layout (see `kernel.RULE_SHAPES`); step numbers and premise
+    references are 1-based in text."""
     lines = []
     for i, s in enumerate(proof.steps, start=1):
-        formula = print_formula(s.conclusion)
-        if s.rule in (kernel.RULE_PA_AXIOM, kernel.RULE_EQ_AXIOM):
-            spec = f"{_RULE_TO_TEXT[s.rule]} {s.payload}"
-        elif s.rule == kernel.RULE_EVAL_TRUE:
-            spec = "eval"
-        elif s.rule == kernel.RULE_PREMISE:
-            spec = "premise"
-        elif s.rule == kernel.RULE_MP:
-            spec = f"mp {s.premises[0] + 1} {s.premises[1] + 1}"
-        elif s.rule == kernel.RULE_GEN:
-            spec = f"gen {s.payload} {s.premises[0] + 1}"
-        elif s.rule == kernel.RULE_INST:
-            from .syntax import print_term
-
-            spec = f"inst {print_term(s.payload)} ; {s.premises[0] + 1}"
-        elif s.rule == kernel.RULE_INDUCTION:
-            var, phi = s.payload
-            spec = f"induction {var} ; {print_formula(phi)}"
-        elif s.rule == kernel.RULE_LOGIC:
-            scheme, items = s.payload
-            parts = [f"logic {scheme}"]
-            for kind, item in zip(kernel.LOGIC_SCHEMES[scheme], items):
-                if kind == "v":
-                    parts.append(item)
-                elif kind == "t":
-                    from .syntax import print_term
-
-                    parts.append(print_term(item))
-                else:
-                    parts.append(print_formula(item))
-            spec = " ; ".join(parts)
-        else:
+        shape = kernel.RULE_SHAPES.get(s.rule)
+        if shape is None:
             raise ValueError(f"no text form for rule {s.rule!r}")
-        lines.append(f"{i}. {formula} BY {spec}")
+        keyword, *layout = shape.layout.split()
+        values = iter(shape.values(s))
+        words = [w if w == ";" else _field_text(w, next(values)) for w in layout]
+        spec = " ".join([keyword, *words])
+        lines.append(f"{i}. {print_formula(s.conclusion)} BY {spec}")
     return "\n".join(lines) + "\n"
 
 
-def _parse_step_spec(spec: str, lineno: int) -> tuple[str, tuple[int, ...], object]:
-    def err(msg: str) -> CliError:
-        return CliError(f"proof line {lineno}: {msg}", EXIT_PARSE)
-
-    parts = [p.strip() for p in spec.split(";")]
-    head = parts[0].split()
+def _parse_step(line: str) -> kernel.ProofStep:
+    """Read `k. <formula> BY <rule ...>`, the rule by its layout: `;`
+    separates groups; within a group a field is one word, except that a term
+    or a formula takes the rest of the group; a logic scheme's items follow
+    it, one group each."""
+    number, dot, body = line.partition(".")
+    if not dot or not number.strip().isdigit():
+        raise ValueError("expected `k. ...`")
+    formula_text, by, spec = body.strip().rpartition(" BY ")
+    if not by:
+        raise ValueError("missing BY")
+    conclusion = parse_formula(formula_text.strip())
+    unreadable = f"cannot read rule specification {spec.strip()!r}"
+    head = spec.split(None, 1)
     if not head:
-        raise err("missing rule")
-    name = head[0]
-    try:
-        if name == "eval" and len(head) == 1 and len(parts) == 1:
-            return kernel.RULE_EVAL_TRUE, (), None
-        if name == "premise" and len(head) == 1 and len(parts) == 1:
-            return kernel.RULE_PREMISE, (), None
-        if name == "axiom" and len(head) == 2:
-            return kernel.RULE_PA_AXIOM, (), int(head[1])
-        if name == "eq-axiom" and len(head) == 2:
-            return kernel.RULE_EQ_AXIOM, (), int(head[1])
-        if name == "mp" and len(head) == 3:
-            return kernel.RULE_MP, (int(head[1]) - 1, int(head[2]) - 1), None
-        if name == "gen" and len(head) == 3:
-            return kernel.RULE_GEN, (int(head[2]) - 1,), head[1]
-        if name == "inst" and len(parts) == 2:
-            term_text = parts[0][len("inst") :].strip()
-            return kernel.RULE_INST, (int(parts[1]) - 1,), parse_term(term_text)
-        if name == "induction" and len(head) == 2 and len(parts) == 2:
-            return kernel.RULE_INDUCTION, (), (head[1], parse_formula(parts[1]))
-        if name == "logic" and len(head) == 2:
-            scheme = head[1]
-            kinds = kernel.LOGIC_SCHEMES.get(scheme)
-            if kinds is None:
-                raise err(f"unknown scheme {scheme!r}")
-            items = parts[1:]
-            if len(items) != len(kinds):
-                raise err(f"scheme {scheme!r} takes {len(kinds)} items")
-            done = []
-            for kind, item in zip(kinds, items):
-                if kind == "v":
-                    done.append(item)
-                elif kind == "t":
-                    done.append(parse_term(item))
-                else:
-                    done.append(parse_formula(item))
-            return kernel.RULE_LOGIC, (), (scheme, tuple(done))
-    except SyntaxError_ as exc:
-        raise err(str(exc))
-    except ValueError as exc:
-        raise err(str(exc))
-    raise err(f"cannot read rule specification {spec!r}")
+        raise ValueError("missing rule")
+    shape = _TEXT_SHAPES.get(head[0])
+    if shape is None:
+        raise ValueError(unreadable)
+    groups = iter([group.strip() for group in "".join(head[1:]).split(";")])
+
+    def read_group(kinds) -> list:
+        text = next(groups, None)
+        if text is None:
+            raise ValueError(unreadable)
+        values = []
+        for kind in kinds:
+            if not text:
+                raise ValueError(unreadable)
+            if kind in "tf":
+                word, text = text, ""
+            else:
+                word, text = (text.split(None, 1) + [""])[:2]
+            if kind != "L":
+                values.append(_read_field(kind, word))
+            elif word in kernel.LOGIC_SCHEMES:
+                items = [v for k in kernel.LOGIC_SCHEMES[word] for v in read_group(k)]
+                values.append((word, tuple(items)))
+            else:
+                raise ValueError(f"unknown scheme {word!r}")
+        if text:
+            raise ValueError(unreadable)
+        return values
+
+    first, *others = [group.split() for group in shape.layout.split(" ; ")]
+    values = [v for kinds in [first[1:], *others] for v in read_group(kinds)]
+    if next(groups, None) is not None:
+        raise ValueError(unreadable)
+    return shape.step(values, conclusion)
 
 
 def parse_proof_text(text: str) -> kernel.Proof:
@@ -237,41 +240,35 @@ def parse_proof_text(text: str) -> kernel.Proof:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        number, dot, rest = line.partition(".")
-        if not dot or not number.strip().isdigit():
-            raise CliError(f"proof line {lineno}: expected `k. ...`", EXIT_PARSE)
-        body = rest.strip()
-        split_at = body.rfind(" BY ")
-        if split_at < 0:
-            raise CliError(f"proof line {lineno}: missing BY", EXIT_PARSE)
-        formula_text = body[:split_at].strip()
-        spec = body[split_at + len(" BY ") :].strip()
         try:
-            conclusion = parse_formula(formula_text)
-        except SyntaxError_ as exc:
+            steps.append(_parse_step(line))
+        except (SyntaxError_, ValueError) as exc:
             raise CliError(f"proof line {lineno}: {exc}", EXIT_PARSE)
-        rule, premises, payload = _parse_step_spec(spec, lineno)
-        steps.append(kernel.ProofStep(conclusion, rule, premises, payload))
     if not steps:
         raise CliError("proof file has no steps", EXIT_PARSE)
     return kernel.Proof(tuple(steps), steps[-1].conclusion)
 
 
-def _load_omega_proof(path: str) -> omega.OmegaProof:
+_STEP_TAGS = {s.tag for s in kernel.RULE_SHAPES.values()} | {wire.OMEGA_STEP_TAG}
+
+
+def _load_omega_proof(path: str) -> kernel.Proof:
+    """Read a proof file as binary if it starts with a step tag, and as text
+    if it does not or if it does not decode."""
     data = _read_file(path)
-    first = data[:1]
-    binary_tags = set(wire.TAG_TO_RULE) | {wire.OMEGA_STEP_TAG}
-    if first and first[0] in binary_tags:
+    binary_error = None
+    if data and data[0] in _STEP_TAGS:
         try:
             return omega.deserialize_omega_proof(data)
         except wire.MalformedEncoding as exc:
-            raise CliError(f"proof file: {exc}", EXIT_PARSE)
+            binary_error = CliError(f"proof file: {exc}", EXIT_PARSE)
     try:
-        text = data.decode("utf-8")
+        return parse_proof_text(data.decode("utf-8"))
     except UnicodeDecodeError:
-        raise CliError("proof file: neither valid binary nor text", EXIT_PARSE)
-    proof = parse_proof_text(text)
-    return omega.OmegaProof(proof.steps, proof.target)
+        text_error = CliError("proof file: neither valid binary nor text", EXIT_PARSE)
+    except CliError as exc:
+        text_error = exc
+    raise binary_error or text_error
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +276,7 @@ def _load_omega_proof(path: str) -> omega.OmegaProof:
 
 
 def cmd_check(args) -> int:
-    _require_positive("--k", args.k + 1)  # k = 0 is a legal instance bound
+    _require_natural("--k", args.k)
     _require_positive("--instance-budget", args.instance_budget)
     report = Report(args.format)
     gamma = _load_gamma(args.gamma)
@@ -294,7 +291,7 @@ def cmd_check(args) -> int:
     )
     if verdict.accepted:
         report.add("verdict", "accepted")
-        if proof.omega_step_count:
+        if any(isinstance(s, omega.OmegaStep) for s in proof.steps):
             report.add("conditional", f"conditional on k={args.k}")
         report.emit()
         return EXIT_OK
@@ -312,6 +309,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    _require_natural("n", args.n)
     m = _load_machine(args.machine)
     try:
         if args.which == "q1":
@@ -336,6 +334,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _require_natural("n", args.n)
     _require_positive("--budget", args.budget)
     m = _load_machine(args.machine)
     result = machines.run(m, args.n, args.budget)
@@ -355,9 +354,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_hsearch(args) -> int:
+    _require_natural("n", args.n)
     _require_positive("--budget-steps", args.budget_steps)
     _require_positive("--budget-candidates", args.budget_candidates)
-    _require_positive("--k", args.k + 1)
+    _require_natural("--k", args.k)
     _require_positive("--instance-budget", args.instance_budget)
     m = _load_machine(args.machine)
     budget = dovetail.SearchBudget(args.budget_steps, args.budget_candidates)
@@ -393,7 +393,8 @@ def cmd_hsearch(args) -> int:
 
 
 def cmd_omega_check(args) -> int:
-    _require_positive("--k", args.k + 1)
+    _require_natural("n", args.n)
+    _require_natural("--k", args.k)
     _require_positive("--instance-budget", args.instance_budget)
     m = _load_machine(args.machine)
     cert = omega.build_loops_certificate(m, args.n)
@@ -433,7 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     default_k = _env_int(ENV_K, omega.DEFAULT_OMEGA_BOUND)
     default_ib = _env_int(ENV_INSTANCE_BUDGET, omega.DEFAULT_INSTANCE_BUDGET)
-    default_steps = _env_int(ENV_SEARCH_STEPS, dovetail.DEFAULT_BUDGET.max_total_oracle_steps)
+    default_steps = _env_int(
+        ENV_SEARCH_STEPS, dovetail.DEFAULT_BUDGET.max_total_oracle_steps
+    )
     default_cand = _env_int(
         ENV_SEARCH_CANDIDATES, dovetail.DEFAULT_BUDGET.max_candidates
     )
@@ -495,9 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)

@@ -37,7 +37,6 @@ from .machines import MachineDesc, configs
 from .omega import (
     DEFAULT_INSTANCE_BUDGET,
     DEFAULT_OMEGA_BOUND,
-    OmegaProof,
     build_loops_certificate,
     deserialize_omega_proof,
     serialize_omega_proof,
@@ -280,8 +279,8 @@ def _witness_loops_thread(
     """Check the loops certificate one instance per unit; instances still
     flow through the unmodified kernel."""
     cert = build_loops_certificate(m, n)
-    proof = OmegaProof((cert,), cert.conclusion)
-    verdict = yield from check_units(frozenset(), proof.steps, target, k, instance_budget)
+    proof = Proof((cert,), cert.conclusion)
+    verdict = yield from check_units(frozenset(), (cert,), target, k, instance_budget)
     if not verdict.accepted:
         yield from _idle()
     return (serialize_omega_proof(proof), None)

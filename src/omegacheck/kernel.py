@@ -6,18 +6,8 @@ total: every byte sequence that deserializes at all gets a verdict. The
 walks over terms and formulas that checking uses run on explicit stacks, so
 this holds at any depth without raising the interpreter's recursion limit.
 
-Rules:
-  pa-axiom i      cite the i-th arithmetic axiom
-  eq-axiom i      cite the i-th equality axiom
-  logic name ...  instance of a propositional/quantifier scheme
-  induction v phi the induction instance for phi along v
-  mp i j          modus ponens: step i is A -> B, step j is A
-  gen v i         universal generalization (v must not be free in any
-                  assumption the step depends on)
-  inst t i        universal instantiation of step i's forall with term t
-  eval-true       any true closed bounded sentence (truth is decided by
-                  eval_bounded, which is total on that fragment)
-  premise         member of the ambient assumption set
+The rules, and the binary and text forms of their steps, are listed in
+`RULE_SHAPES`.
 
 There is one stepped checker, `check_units`, and every verifier in the
 package drains or wraps it. It checks steps in order and yields once
@@ -31,7 +21,7 @@ no bound it is rejected, never accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Iterable, Optional, Sequence
+from typing import Generator, Iterable, NamedTuple, Optional, Sequence
 
 from .syntax import (
     And,
@@ -81,7 +71,7 @@ class ProofStep:
 
 @dataclass(frozen=True)
 class Proof:
-    steps: tuple[ProofStep, ...]
+    steps: tuple  # ProofSteps, and any machine-premise steps (see check_units)
     target: Formula
 
     def __post_init__(self):
@@ -225,6 +215,60 @@ LOGIC_SCHEMES: dict[str, str] = {
 }
 
 
+# ---------------------------------------------------------------------------
+# Step shapes
+
+
+class StepShape(NamedTuple):
+    """How one rule's steps are written; see RULE_SHAPES."""
+
+    rule: str
+    tag: int
+    layout: str
+    kinds: str  # field kinds in layout order: the payload's, then premises
+    premises: int
+
+    def values(self, step: ProofStep) -> tuple:
+        """The step's fields in layout order."""
+        n = len(self.kinds) - self.premises
+        payload = (step.payload,) if n == 1 else tuple(step.payload or ())
+        return payload + tuple(step.premises)
+
+    def step(self, values: list, conclusion: Formula) -> ProofStep:
+        """The step with these fields, in layout order, and this conclusion."""
+        n = len(self.kinds) - self.premises
+        payload = values[0] if n == 1 else tuple(values[:n]) or None
+        return ProofStep(conclusion, self.rule, tuple(values[n:]), payload)
+
+
+def _shape(rule: str, tag: int, layout: str) -> StepShape:
+    kinds = "".join(layout.split()[1:]).replace(";", "")
+    return StepShape(rule, tag, layout, kinds, kinds.count("p"))
+
+
+# The one definition of both forms of a step. Its text form is the layout:
+# the rule's keyword, then fields, with ` ; ` between groups of fields. Field
+# kinds: i an axiom index, v a variable name, t a term, f a formula, L a logic
+# scheme and then its items, one group each, and p a premise. Premises come
+# last; the fields before them are the payload: nothing, the bare value of
+# one field, or a tuple of two. The binary form is the tag, the fields in
+# layout order (premises as big-endian u16), then the conclusion.
+RULE_SHAPES: dict[str, StepShape] = {
+    rule: _shape(rule, tag, layout)
+    for rule, tag, layout in (
+        (RULE_PA_AXIOM, 0x20, "axiom i"),  # the i-th arithmetic axiom
+        (RULE_EQ_AXIOM, 0x21, "eq-axiom i"),  # the i-th equality axiom
+        (RULE_LOGIC, 0x22, "logic L"),  # an instance of a logical axiom scheme
+        (RULE_INDUCTION, 0x23, "induction v ; f"),  # induction on v for f
+        (RULE_MP, 0x24, "mp p p"),  # modus ponens: from A -> B and A, B
+        (RULE_GEN, 0x25, "gen v p"),  # forall v, if no assumption has v free
+        (RULE_INST, 0x26, "inst t ; p"),  # a forall's body at the term t
+        (RULE_EVAL_TRUE, 0x27, "eval"),  # a true closed bounded sentence
+        (RULE_PREMISE, 0x28, "premise"),  # a member of the assumption set
+    )
+}
+
+
 def logical_axiom_instance(scheme: str, items: tuple) -> Formula:
     """Build the scheme instance; raises ValueError on a malformed payload."""
     kinds = LOGIC_SCHEMES.get(scheme)
@@ -279,19 +323,6 @@ def logical_axiom_instance(scheme: str, items: tuple) -> Formula:
 # ---------------------------------------------------------------------------
 # Step checking
 
-_PREMISE_ARITY = {
-    RULE_PA_AXIOM: 0,
-    RULE_EQ_AXIOM: 0,
-    RULE_LOGIC: 0,
-    RULE_INDUCTION: 0,
-    RULE_MP: 2,
-    RULE_GEN: 1,
-    RULE_INST: 1,
-    RULE_EVAL_TRUE: 0,
-    RULE_PREMISE: 0,
-}
-
-
 def check_step(
     step: ProofStep,
     index: int,
@@ -305,10 +336,10 @@ def check_step(
     gamma members the step transitively rests on (used by `gen`), or a
     rejection verdict.
     """
-    arity = _PREMISE_ARITY.get(step.rule)
-    if arity is None:
+    shape = RULE_SHAPES.get(step.rule)
+    if shape is None:
         return Verdict.reject(index, REASON_RULE_MISMATCH, "unknown rule"), frozenset()
-    if len(step.premises) != arity:
+    if len(step.premises) != shape.premises:
         return (
             Verdict.reject(index, REASON_RULE_MISMATCH, "wrong premise count"),
             frozenset(),
@@ -316,7 +347,7 @@ def check_step(
     for p in step.premises:
         if not (0 <= p < index):
             return Verdict.reject(index, REASON_BAD_PREMISE), frozenset()
-    deps = frozenset().union(*(dependencies[p] for p in step.premises)) if step.premises else frozenset()
+    deps = frozenset().union(*(dependencies[p] for p in step.premises))
 
     def mismatch(detail: str) -> tuple[Verdict, frozenset[Formula]]:
         return Verdict.reject(index, REASON_RULE_MISMATCH, detail), frozenset()

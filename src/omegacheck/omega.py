@@ -12,7 +12,8 @@ budget. That shape is deliberate and load-bearing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol, Union, runtime_checkable
+from functools import partial
+from typing import Optional, Protocol, runtime_checkable
 
 from . import wire
 from .arithmetize import loops_formula
@@ -26,7 +27,14 @@ from .kernel import (
     check_proof,
     check_units,
 )
-from .machines import MachineDesc, RunResult, run
+from .machines import (
+    MachineDesc,
+    MachineFormatError,
+    RunResult,
+    machine_to_text,
+    parse_machine,
+    run,
+)
 from .syntax import ForAll, Formula, free_vars, numeral, substitute
 
 DEFAULT_OMEGA_BOUND = 50
@@ -157,10 +165,12 @@ def check_omega_bounded(
     it reports the smallest failing instance, which is what the sequential
     `OmegaStep.instance_units` does by construction.
     """
-    proof = OmegaProof((s,), s.conclusion)
+    proof = Proof((s,), s.conclusion)
     verdict = check_omega_proof(s.gamma, proof, s.conclusion, k, per_instance_budget)
     kind = "accepted_up_to" if verdict.kind == "accepted_conditional" else verdict.kind
-    return OmegaVerdict(kind, bound=verdict.bound, index=verdict.instance, reason=verdict.reason)
+    return OmegaVerdict(
+        kind, bound=verdict.bound, index=verdict.instance, reason=verdict.reason
+    )
 
 
 def build_loops_certificate(m: MachineDesc, n: int) -> OmegaStep:
@@ -184,21 +194,7 @@ def build_loops_certificate(m: MachineDesc, n: int) -> OmegaStep:
 # ---------------------------------------------------------------------------
 # Proofs mixing finitary steps with omega steps
 
-
-@dataclass(frozen=True)
-class OmegaProof:
-    steps: tuple[Union[ProofStep, OmegaStep], ...]
-    target: Formula
-
-    def __post_init__(self):
-        if not self.steps:
-            raise ValueError("a proof has at least one step")
-        if self.steps[-1].conclusion != self.target:
-            raise ValueError("target must equal the last step's conclusion")
-
-    @property
-    def omega_step_count(self) -> int:
-        return sum(1 for s in self.steps if isinstance(s, OmegaStep))
+OmegaProof = Proof  # a proof whose steps may include omega steps
 
 
 @dataclass(frozen=True)
@@ -218,7 +214,7 @@ class OmegaProofVerdict:
 
 def check_omega_proof(
     gamma,
-    proof: OmegaProof,
+    proof: Proof,
     target: Formula,
     k: int = DEFAULT_OMEGA_BOUND,
     per_instance_budget: int = DEFAULT_INSTANCE_BUDGET,
@@ -229,93 +225,69 @@ def check_omega_proof(
     if verdict.accepted:
         return OmegaProofVerdict("accepted_conditional", bound=k)
     if verdict.reason == REASON_BUDGET_EXHAUSTED:
-        return OmegaProofVerdict("budget_exhausted", step=verdict.step, instance=verdict.instance)
+        return OmegaProofVerdict(
+            "budget_exhausted", step=verdict.step, instance=verdict.instance
+        )
     return OmegaProofVerdict(
         "rejected", step=verdict.step, instance=verdict.instance, reason=verdict.reason
     )
 
 
 # ---------------------------------------------------------------------------
-# Wire format: finitary step tags plus one omega tag
+# Wire format: the finitary steps' codec plus one omega step, tag 0x30:
+# gamma's formulas (u16 count, then in strictly increasing order of their
+# encodings, so that a step has one encoding), the variable, phi, the premise
+# machine's kind (u8, 0 for loops), its subject machine's text (u32 length,
+# then UTF-8) and its input (u32).
 
 _PM_LOOPS = 0
 
 
-def serialize_omega_proof(proof: OmegaProof) -> bytes:
-    from .machines import machine_to_text
-
-    out = bytearray()
-    for s in proof.steps:
-        if isinstance(s, OmegaStep):
-            if not isinstance(s.premise_machine, LoopsPremiseMachine):
-                raise ValueError(
-                    "only the loops premise machine has a wire representation"
-                )
-            out.append(wire.OMEGA_STEP_TAG)
-            gamma_bytes = sorted(
-                bytes(_encode_formula(g)) for g in s.gamma
-            )
-            out += len(gamma_bytes).to_bytes(2, "big")
-            for chunk in gamma_bytes:
-                out += chunk
-            data = bytearray()
-            wire.encode_formula(s.phi, data)
-            name = s.var.encode("ascii")
-            out.append(len(name))
-            out += name
-            out += data
-            text = machine_to_text(s.premise_machine.machine).encode("utf-8")
-            out.append(_PM_LOOPS)
-            out += len(text).to_bytes(4, "big")
-            out += text
-            out += s.premise_machine.input_n.to_bytes(4, "big")
-        else:
-            wire.encode_step(s, out)
-    return bytes(out)
+def _encode_step(s, out: bytearray) -> None:
+    if not isinstance(s, OmegaStep):
+        return wire.encode_step(s, out)
+    if not isinstance(s.premise_machine, LoopsPremiseMachine):
+        raise ValueError("only the loops premise machine has a wire representation")
+    out.append(wire.OMEGA_STEP_TAG)
+    gamma = sorted(wire.encode_formula(g, bytearray()) for g in s.gamma)
+    out += len(gamma).to_bytes(2, "big") + b"".join(gamma)
+    wire.put_field(out, "v", s.var)
+    wire.put_field(out, "f", s.phi)
+    text = machine_to_text(s.premise_machine.machine).encode("utf-8")
+    out.append(_PM_LOOPS)
+    out += len(text).to_bytes(4, "big")
+    out += text
+    out += s.premise_machine.input_n.to_bytes(4, "big")
 
 
-def _encode_formula(f: Formula) -> bytearray:
-    buf = bytearray()
-    wire.encode_formula(f, buf)
-    return buf
+def _decode_step(r: wire.Reader):
+    if r.data[r.pos] != wire.OMEGA_STEP_TAG:
+        return wire.decode_step(r)
+    r.pos += 1
+    gamma = []
+    previous = b""
+    for _ in range(r.u16()):
+        start = r.pos
+        gamma.append(r.field("f"))
+        if r.data[start : r.pos] <= previous:
+            raise wire.MalformedEncoding("gamma is not in increasing order")
+        previous = r.data[start : r.pos]
+    var = r.field("v")
+    phi = r.field("f")
+    kind = r.u8()
+    if kind != _PM_LOOPS:
+        raise wire.MalformedEncoding(f"unknown premise machine kind {kind}")
+    try:
+        machine = parse_machine(r.take(r.u32()).decode("utf-8"))
+    except (MachineFormatError, UnicodeDecodeError) as exc:
+        raise wire.MalformedEncoding(str(exc)) from exc
+    premise_machine = LoopsPremiseMachine(machine, r.u32(), var, phi)
+    try:
+        return OmegaStep(frozenset(gamma), var, phi, premise_machine, ForAll(var, phi))
+    except ValueError as exc:
+        raise wire.MalformedEncoding(str(exc)) from exc
 
 
-def deserialize_omega_proof(data: bytes) -> OmegaProof:
-    from .machines import MachineFormatError, parse_machine
-
-    r = wire.Reader(data)
-    if r.at_end():
-        raise wire.MalformedEncoding("empty input")
-    steps: list[Union[ProofStep, OmegaStep]] = []
-    while not r.at_end():
-        if r.data[r.pos] == wire.OMEGA_STEP_TAG:
-            r.u8()
-            gamma = []
-            for _ in range(r.u16()):
-                gamma.append(wire.decode_formula(r))
-            var = r.name()
-            phi = wire.decode_formula(r)
-            kind = r.u8()
-            if kind != _PM_LOOPS:
-                raise wire.MalformedEncoding(f"unknown premise machine kind {kind}")
-            text = r.take(r.u32())
-            try:
-                machine = parse_machine(text.decode("utf-8"))
-            except (MachineFormatError, UnicodeDecodeError) as exc:
-                raise wire.MalformedEncoding(str(exc)) from exc
-            input_n = r.u32()
-            try:
-                steps.append(
-                    OmegaStep(
-                        gamma=frozenset(gamma),
-                        var=var,
-                        phi=phi,
-                        premise_machine=LoopsPremiseMachine(machine, input_n, var, phi),
-                        conclusion=ForAll(var, phi),
-                    )
-                )
-            except ValueError as exc:
-                raise wire.MalformedEncoding(str(exc)) from exc
-        else:
-            steps.append(wire.decode_step(r))
-    return OmegaProof(tuple(steps), steps[-1].conclusion)
+# The finitary proof codec, reading and writing omega steps as well.
+serialize_omega_proof = partial(wire.serialize_proof, write_step=_encode_step)
+deserialize_omega_proof = partial(wire.deserialize_proof, read_step=_decode_step)

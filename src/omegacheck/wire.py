@@ -22,19 +22,8 @@ class MalformedEncoding(Exception):
     """Bytes that do not decode; search treats these as rejections."""
 
 
-# Step tags
-STEP_TAGS = {
-    K.RULE_PA_AXIOM: 0x20,
-    K.RULE_EQ_AXIOM: 0x21,
-    K.RULE_LOGIC: 0x22,
-    K.RULE_INDUCTION: 0x23,
-    K.RULE_MP: 0x24,
-    K.RULE_GEN: 0x25,
-    K.RULE_INST: 0x26,
-    K.RULE_EVAL_TRUE: 0x27,
-    K.RULE_PREMISE: 0x28,
-}
-TAG_TO_RULE = {v: k for k, v in STEP_TAGS.items()}
+# Step tag -> shape; `omega` reads and writes the one other step.
+_STEPS = {shape.tag: shape for shape in K.RULE_SHAPES.values()}
 OMEGA_STEP_TAG = 0x30
 
 _SCHEME_IDS = {name: i for i, name in enumerate(sorted(K.LOGIC_SCHEMES))}
@@ -85,8 +74,9 @@ def _put_name(out: bytearray, name: str) -> None:
     out += data
 
 
-def encode_formula(f: S.Formula | S.Term, out: bytearray) -> None:
-    """Append the encoding of a formula or a term: its tag, then its fields."""
+def encode_formula(f: S.Formula | S.Term, out: bytearray) -> bytearray:
+    """Append the encoding of a formula or a term (its tag, then its fields)
+    to `out`, and return `out`."""
     stack = [f]
     while stack:
         node = stack.pop()
@@ -104,6 +94,26 @@ def encode_formula(f: S.Formula | S.Term, out: bytearray) -> None:
                 _put_name(out, value)
             else:
                 stack.append(value)
+    return out
+
+
+def put_field(out: bytearray, kind: str, value) -> None:
+    """Append one step field of the given kind (see `kernel.RULE_SHAPES`)."""
+    if kind == "i":
+        if not isinstance(value, int) or not 0 <= value < 256:
+            raise ValueError("axiom index out of range")
+        out.append(value)
+    elif kind == "v":
+        _put_name(out, value)
+    elif kind == "p":
+        out += value.to_bytes(2, "big")
+    elif kind == "L":
+        scheme, items = value
+        out.append(_SCHEME_IDS[scheme])
+        for item_kind, item in zip(K.LOGIC_SCHEMES[scheme], items):
+            put_field(out, item_kind, item)
+    else:
+        encode_formula(value, out)
 
 
 class Reader:
@@ -146,6 +156,21 @@ class Reader:
 
     def at_end(self) -> bool:
         return self.pos >= len(self.data)
+
+    def field(self, kind: str):
+        """Read one step field of the given kind (see `kernel.RULE_SHAPES`)."""
+        if kind == "i":
+            return self.u8()
+        if kind == "v":
+            return self.name()
+        if kind == "p":
+            return self.u16()
+        if kind == "L":
+            scheme = _ID_SCHEMES.get(self.u8())
+            if scheme is None:
+                raise MalformedEncoding("bad scheme id")
+            return scheme, tuple([self.field(k) for k in K.LOGIC_SCHEMES[scheme]])
+        return _decode(self, kind)
 
 
 def _decode(r: Reader, kind: str):
@@ -213,83 +238,42 @@ def decode_formula(r: Reader) -> S.Formula:
 
 
 def encode_step(step: K.ProofStep, out: bytearray) -> None:
-    tag = STEP_TAGS.get(step.rule)
-    if tag is None:
+    """Append a step: its tag, fields, then conclusion (`kernel.RULE_SHAPES`)."""
+    shape = K.RULE_SHAPES.get(step.rule)
+    if shape is None:
         raise ValueError(f"unknown rule {step.rule!r}")
-    out.append(tag)
-    if step.rule in (K.RULE_PA_AXIOM, K.RULE_EQ_AXIOM):
-        if not isinstance(step.payload, int) or not 0 <= step.payload < 256:
-            raise ValueError("axiom index out of range")
-        out.append(step.payload)
-    elif step.rule == K.RULE_LOGIC:
-        scheme, items = step.payload
-        out.append(_SCHEME_IDS[scheme])
-        for kind, item in zip(K.LOGIC_SCHEMES[scheme], items):
-            if kind == "v":
-                _put_name(out, item)
-            else:
-                encode_formula(item, out)
-    elif step.rule == K.RULE_INDUCTION:
-        var, phi = step.payload
-        _put_name(out, var)
-        encode_formula(phi, out)
-    elif step.rule == K.RULE_MP:
-        out += step.premises[0].to_bytes(2, "big")
-        out += step.premises[1].to_bytes(2, "big")
-    elif step.rule == K.RULE_GEN:
-        _put_name(out, step.payload)
-        out += step.premises[0].to_bytes(2, "big")
-    elif step.rule == K.RULE_INST:
-        encode_formula(step.payload, out)
-        out += step.premises[0].to_bytes(2, "big")
+    out.append(shape.tag)
+    for kind, value in zip(shape.kinds, shape.values(step), strict=True):
+        put_field(out, kind, value)
     encode_formula(step.conclusion, out)
 
 
 def decode_step(r: Reader) -> K.ProofStep:
+    """Read a step: its tag, fields, then conclusion (`kernel.RULE_SHAPES`)."""
     tag = r.u8()
-    rule = TAG_TO_RULE.get(tag)
-    if rule is None:
+    shape = _STEPS.get(tag)
+    if shape is None:
         raise MalformedEncoding(f"bad step tag 0x{tag:02x}")
-    premises: tuple[int, ...] = ()
-    payload: object = None
-    if rule in (K.RULE_PA_AXIOM, K.RULE_EQ_AXIOM):
-        payload = r.u8()
-    elif rule == K.RULE_LOGIC:
-        scheme = _ID_SCHEMES.get(r.u8())
-        if scheme is None:
-            raise MalformedEncoding("bad scheme id")
-        kinds = K.LOGIC_SCHEMES[scheme]
-        items = tuple(r.name() if k == "v" else _decode(r, k) for k in kinds)
-        payload = (scheme, items)
-    elif rule == K.RULE_INDUCTION:
-        var = r.name()
-        payload = (var, decode_formula(r))
-    elif rule == K.RULE_MP:
-        premises = (r.u16(), r.u16())
-    elif rule == K.RULE_GEN:
-        payload = r.name()
-        premises = (r.u16(),)
-    elif rule == K.RULE_INST:
-        payload = _decode(r, "t")
-        premises = (r.u16(),)
-    conclusion = decode_formula(r)
-    return K.ProofStep(conclusion, rule, premises, payload)
+    values = [r.field(kind) for kind in shape.kinds]
+    return shape.step(values, decode_formula(r))
 
 
-def serialize_proof(proof: K.Proof) -> bytes:
+def serialize_proof(proof: K.Proof, *, write_step=encode_step) -> bytes:
+    """The steps back to back; `omega` passes a `write_step` of its own."""
     out = bytearray()
     for step in proof.steps:
-        encode_step(step, out)
+        write_step(step, out)
     return bytes(out)
 
 
-def deserialize_proof(data: bytes) -> K.Proof:
+def deserialize_proof(data: bytes, *, read_step=decode_step) -> K.Proof:
+    """Steps back to back; `omega` passes a `read_step` of its own."""
     r = Reader(data)
-    steps: list[K.ProofStep] = []
+    steps = []
     if r.at_end():
         raise MalformedEncoding("empty input")
     while not r.at_end():
-        steps.append(decode_step(r))
+        steps.append(read_step(r))
     return K.Proof(tuple(steps), steps[-1].conclusion)
 
 

@@ -394,3 +394,85 @@ def test_help_exits_0(capsys):
         main(["simulate", "--help"])
     assert raised.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# a comment line\n1. 0 = 0 BY eval\n",
+        "  1. 0 = 0 BY eval\n",
+        "0. 0 = 0 BY eval\n",
+    ],
+    ids=["comment first", "indented first line", "first step numbered 0"],
+)
+def test_text_proof_starting_with_a_step_tag_byte(tmp_path, capsys, text):
+    # '#', ' ' and '0' are binary step tags; the file is still a text proof.
+    proof = tmp_path / "p.proof"
+    proof.write_text(text)
+    code, out, err = run_cli(capsys, "check", str(proof), "--target", "0 = 0")
+    assert (code, err) == (0, "")
+    assert "verdict: accepted" in out
+
+
+def test_unreadable_file_keeps_the_binary_error(tmp_path, capsys):
+    # Neither reading works, and the file starts with a step tag ('#').
+    proof = tmp_path / "p.proof"
+    proof.write_text("# a comment line\nnot a proof\n")
+    code, _, err = run_cli(capsys, "check", str(proof), "--target", "0 = 0")
+    assert code == 4
+    assert err == "proof file: unexpected end of input\n"
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ("axiom 0 ; this is ignored", "cannot read rule specification"),
+        ("gen x 1 ; 2", "cannot read rule specification"),
+        ("mp 1 2 ; 3", "cannot read rule specification"),
+        ("gen 1x 1", "bad name '1x'"),
+        ("induction forall ; 0 = 0", "bad name 'forall'"),
+    ],
+)
+def test_rule_text_is_read_as_strictly_as_binary(tmp_path, capsys, spec, message):
+    proof = tmp_path / "p.proof"
+    proof.write_text(f"1. forall x. ~S(x) = 0 BY {spec}\n")
+    code, _, err = run_cli(
+        capsys, "check", str(proof), "--target", "forall x. ~S(x) = 0"
+    )
+    assert code == 4
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "{loop}", "-1"],
+        ["encode", "{loop}", "-1", "q3"],
+        ["omega-check", "{loop}", "-1"],
+        ["hsearch", "{loop}", "-1"],
+    ],
+    ids=["simulate", "encode", "omega-check", "hsearch"],
+)
+def test_negative_input_is_a_usage_error(machine_files, capsys, argv):
+    argv = [a.format(loop=machine_files["loop"]) for a in argv]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert "n must be a natural number" in err
+
+
+@pytest.mark.parametrize(
+    "variable",
+    [
+        "OMEGACHECK_K",
+        "OMEGACHECK_INSTANCE_BUDGET",
+        "OMEGACHECK_SEARCH_STEPS",
+        "OMEGACHECK_SEARCH_CANDIDATES",
+    ],
+)
+def test_malformed_environment_value_is_refused(
+    machine_files, capsys, monkeypatch, variable
+):
+    monkeypatch.setenv(variable, "abc")
+    code, out, err = run_cli(capsys, "omega-check", machine_files["loop"], "0")
+    assert (code, out) == (4, "")
+    assert variable in err

@@ -254,7 +254,7 @@ def test_omega_wire_roundtrip():
     data = serialize_omega_proof(proof)
     back = deserialize_omega_proof(data)
     assert back.target == proof.target
-    assert back.omega_step_count == 1
+    assert [type(s) for s in back.steps] == [OmegaStep]
     verdict = check_omega_proof(frozenset(), back, cert.conclusion, k=12)
     assert verdict.kind == "accepted_conditional"
     with pytest.raises(MalformedEncoding):

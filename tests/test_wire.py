@@ -231,3 +231,13 @@ def test_golden_omega_step_bytes():
     back = deserialize_omega_proof(data)
     assert back == _golden_omega_proof()
     assert serialize_omega_proof(back) == data
+
+
+def test_omega_decoder_is_canonical():
+    gamma = "0002" "100101" "11010201"
+    assert gamma in GOLDEN_OMEGA
+    for bad in ("0002" "11010201" "100101", "0002" "100101" "100101"):
+        with pytest.raises(MalformedEncoding, match="gamma"):
+            deserialize_omega_proof(bytes.fromhex(GOLDEN_OMEGA.replace(gamma, bad)))
+    data = bytes.fromhex(GOLDEN_OMEGA)
+    assert serialize_omega_proof(deserialize_omega_proof(data)) == data
