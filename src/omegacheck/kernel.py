@@ -261,9 +261,9 @@ RULE_SHAPES: dict[str, StepShape] = {
         (RULE_LOGIC, 0x22, "logic L"),  # an instance of a logical axiom scheme
         (RULE_INDUCTION, 0x23, "induction v ; f"),  # induction on v for f
         (RULE_MP, 0x24, "mp p p"),  # modus ponens: from A -> B and A, B
-        (RULE_GEN, 0x25, "gen v p"),  # forall v, if no assumption has v free
+        (RULE_GEN, 0x25, "gen v p"),  # forall v, if v is free in no assumption used
         (RULE_INST, 0x26, "inst t ; p"),  # a forall's body at the term t
-        (RULE_EVAL_TRUE, 0x27, "eval"),  # a true closed bounded sentence
+        (RULE_EVAL_TRUE, 0x27, "eval"),  # a closed bounded sentence that evaluates true
         (RULE_PREMISE, 0x28, "premise"),  # a member of the assumption set
     )
 }
