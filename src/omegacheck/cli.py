@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -153,6 +154,11 @@ def _field_text(kind: str, value) -> str:
     return str(value + 1 if kind == "p" else value)
 
 
+# The one spelling of a number in proof text, so that printing what was read
+# gives back the same text.
+_NUMBER_RE = re.compile(r"0|[1-9][0-9]*")
+
+
 def _read_field(kind: str, word: str):
     if kind == "t":
         return parse_term(word)
@@ -162,6 +168,8 @@ def _read_field(kind: str, word: str):
         if not is_identifier(word):
             raise ValueError(f"bad name {word!r}")
         return word
+    if not _NUMBER_RE.fullmatch(word):
+        raise ValueError(f"bad number {word!r}")
     number = int(word)
     return number - 1 if kind == "p" else number
 

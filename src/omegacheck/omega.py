@@ -12,7 +12,7 @@ budget. That shape is deliberate and load-bearing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Optional, Protocol, runtime_checkable
 
 from . import wire
@@ -35,7 +35,7 @@ from .machines import (
     parse_machine,
     run,
 )
-from .syntax import ForAll, Formula, free_vars, numeral, substitute
+from .syntax import ForAll, Formula, free_vars, is_closed, numeral, substitute
 
 DEFAULT_OMEGA_BOUND = 50
 DEFAULT_INSTANCE_BUDGET = 10**6
@@ -83,8 +83,25 @@ class LoopsPremiseMachine:
         if cost > budget:
             return GenResult(None, budget, exhausted=True)
         instance = substitute(self.phi, self.var, numeral(index))
-        proof = Proof((ProofStep(instance, RULE_EVAL_TRUE),), instance)
-        return GenResult(wire.serialize_proof(proof), cost)
+        out = bytearray()
+        wire.encode_step(ProofStep(instance, RULE_EVAL_TRUE), out, self._closed_bytes)
+        return GenResult(bytes(out), cost)
+
+    @cached_property
+    def _closed_bytes(self) -> dict:
+        """The encodings of phi's maximal closed subtrees, which every
+        instance shares with phi: `substitute` leaves them as they are."""
+        known = {}
+        stack = [self.phi]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):  # a variable's or a binder's name
+                continue
+            if is_closed(node):
+                known[node] = bytes(wire.encode_formula(node, bytearray()))
+            else:
+                stack.extend(getattr(node, name) for name in node.__match_args__)
+        return known
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ the propositional connectives, and both unbounded and bounded quantifiers.
 Bounded quantifiers are their own node types so that the decidable class
 (every quantifier bounded) is a syntactic check, not a semantic one.
 
+Nodes are hash-consed (see `_Node`): equal trees are one object, and each
+node records its free variables and whether it is bounded.
+
 Truth is only ever computed for closed bounded sentences; `eval_bounded`
 refuses anything else.
 """
@@ -12,7 +15,8 @@ refuses anything else.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import weakref
+from functools import lru_cache
 from typing import Union
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -39,161 +43,230 @@ class NotBounded(Exception):
 # Nodes
 
 
+class _Ref(weakref.ref):
+    """The table's entry for one node: a weak reference that knows its key."""
+
+    __slots__ = ("key",)
+
+
+# (class, fields with child nodes by id) -> the one live node with them.
+_INTERNED: dict[tuple, _Ref] = {}
+
+
+def _forget(ref: _Ref, table: dict = _INTERNED) -> None:
+    # CPython calls this as the node dies, before the node lets go of its
+    # children, so dropping the entry (a key of classes, names and ints)
+    # frees no other node and no callback runs inside another.
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+_EMPTY: frozenset[str] = frozenset()
+_set = object.__setattr__
+
+
+def _intern(cls, key: tuple, fv: frozenset[str], d0: bool, *fields):
+    """Build the node of class `cls` with these fields and record it."""
+    node = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, fields):
+        _set(node, name, value)
+    _set(node, "_fv", fv)
+    _set(node, "_d0", d0)
+    ref = _INTERNED[key] = _Ref(node, _forget)
+    ref.key = key
+    return node
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    """a | b, as one of the operands when that one already is the union."""
+    if b <= a:
+        return a
+    return b if a <= b else a | b
+
+
+def _bind(var: str, fv: frozenset[str]) -> frozenset[str]:
+    """fv without var."""
+    return (fv - {var} or _EMPTY) if var in fv else fv
+
+
 class _Node:
-    """Base of every term and formula node. Equality and hashing walk the
-    tree on an explicit stack, so they work at any depth. The hash covers
-    the first 32 nodes of a depth-first walk, which equal trees share; the
-    sets nodes go into (assumptions, dependencies) are small, so collisions
-    between trees that differ further down cost little. Fields are read by
-    the names in `__match_args__`: reading `__dict__` would make CPython
-    build a dict for every node it touches."""
+    """Base of every term and formula node.
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        stack = [self, other]  # pairs of same-class nodes still to compare
-        while stack:
-            b = stack.pop()
-            a = stack.pop()
-            for name in a.__match_args__:
-                x = getattr(a, name)
-                y = getattr(b, name)
-                while x.__class__ is Succ and y.__class__ is Succ:
-                    x = x.arg
-                    y = y.arg
-                if x is y:
-                    continue
-                if x.__class__ is not y.__class__:
-                    return False
-                if isinstance(x, _Node):
-                    stack.append(x)
-                    stack.append(y)
-                elif x != y:
-                    return False
-        return True
+    Nodes are hash-consed: a constructor looks its class and fields (child
+    nodes by identity) up in one weak table and returns the live node with
+    those fields when there is one. Structurally equal trees are therefore
+    one object, so `==` is `is` and the hash is the identity's. The table
+    holds its nodes weakly and has one entry per live node; nodes are built
+    from one thread at a time (the package starts none). Each node also
+    records, when it is built, its free variables (`_fv`: closed nodes share
+    one empty set, and a node whose set is a child's shares that child's)
+    and whether every quantifier in it is bounded (`_d0`). Nodes are
+    immutable, and `repr` renders them without recursion."""
 
-    def __hash__(self):
-        parts: list[object] = []
-        stack: list[object] = [self]
-        while stack and len(parts) < 32:
-            item = stack.pop()
-            if isinstance(item, _Node):
-                parts.append(item.__class__)
-                stack.extend(getattr(item, name) for name in item.__match_args__)
-            else:
-                parts.append(item)
-        return hash(tuple(parts))
+    __slots__ = ("__weakref__", "_fv", "_d0")
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __repr__(self):
+        return f"{type(self).__name__}<{_render(self, 1)}>"
+
+
+def _not_a_node(cls) -> TypeError:
+    return TypeError(f"the children of {cls.__name__} are nodes")
+
+
+class _Unary(_Node):
+    __slots__ = ()
+
+    def __new__(cls, child):
+        key = (cls, id(child))
+        ref = _INTERNED.get(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        if not isinstance(child, _Node):
+            raise _not_a_node(cls)
+        return _intern(cls, key, child._fv, child._d0, child)
+
+
+class _Binary(_Node):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left, right):
+        key = (cls, id(left), id(right))
+        ref = _INTERNED.get(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        if not (isinstance(left, _Node) and isinstance(right, _Node)):
+            raise _not_a_node(cls)
+        fv = _union(left._fv, right._fv)
+        return _intern(cls, key, fv, left._d0 and right._d0, left, right)
 
 
 # ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True, eq=False)
 class Zero(_Node):
-    pass
+    __slots__ = ()
+
+    def __new__(cls):
+        return ZERO
 
 
-@dataclass(frozen=True, eq=False)
-class Succ(_Node):
-    arg: "Term"
+class Succ(_Unary):
+    __slots__ = ("arg",)
+    __match_args__ = ("arg",)
 
 
-@dataclass(frozen=True, eq=False)
-class Add(_Node):
-    left: "Term"
-    right: "Term"
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Mul(_Node):
-    left: "Term"
-    right: "Term"
+class Mul(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Var(_Node):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
 
-    def __post_init__(self):
-        if not _IDENT_RE.match(self.name) or self.name in _KEYWORDS:
-            raise ValueError(f"bad variable name: {self.name!r}")
+    def __new__(cls, name: str):
+        key = (cls, name)
+        ref = _INTERNED.get(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        if not _IDENT_RE.match(name) or name in _KEYWORDS:
+            raise ValueError(f"bad variable name: {name!r}")
+        return _intern(cls, key, frozenset((name,)), True, name)
 
 
 Term = Union[Zero, Succ, Add, Mul, Var]
 
-ZERO = Zero()
+ZERO = object.__new__(Zero)
+_set(ZERO, "_fv", _EMPTY)
+_set(ZERO, "_d0", True)
 
 
 # ---------------------------------------------------------------------------
 # Formulas
 
 
-@dataclass(frozen=True, eq=False)
-class Eq(_Node):
-    left: Term
-    right: Term
+class Eq(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Le(_Node):
-    left: Term
-    right: Term
+class Le(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Not(_Node):
-    body: "Formula"
+class Not(_Unary):
+    __slots__ = ("body",)
+    __match_args__ = ("body",)
 
 
-@dataclass(frozen=True, eq=False)
-class And(_Node):
-    left: "Formula"
-    right: "Formula"
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Or(_Node):
-    left: "Formula"
-    right: "Formula"
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Implies(_Node):
-    left: "Formula"
-    right: "Formula"
+class Implies(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class ForAll(_Node):
-    var: str
-    body: "Formula"
+class _Unbounded(_Node):
+    __slots__ = ("var", "body")
+    __match_args__ = ("var", "body")
+
+    def __new__(cls, var: str, body):
+        key = (cls, var, id(body))
+        ref = _INTERNED.get(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        if not isinstance(body, _Node):
+            raise _not_a_node(cls)
+        return _intern(cls, key, _bind(var, body._fv), False, var, body)
 
 
-@dataclass(frozen=True, eq=False)
-class Exists(_Node):
-    var: str
-    body: "Formula"
+class ForAll(_Unbounded):
+    __slots__ = ()
+
+
+class Exists(_Unbounded):
+    __slots__ = ()
 
 
 class _Bounded(_Node):
-    def __post_init__(self):
-        if self.var in term_vars(self.bound):
-            raise ValueError(f"bound of {self.var} mentions {self.var}")
+    __slots__ = ("var", "bound", "body")
+    __match_args__ = ("var", "bound", "body")
+
+    def __new__(cls, var: str, bound, body):
+        key = (cls, var, id(bound), id(body))
+        ref = _INTERNED.get(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        if not (isinstance(bound, _Node) and isinstance(body, _Node)):
+            raise _not_a_node(cls)
+        if var in bound._fv:
+            raise ValueError(f"bound of {var} mentions {var}")
+        fv = _union(bound._fv, _bind(var, body._fv))
+        return _intern(cls, key, fv, body._d0, var, bound, body)
 
 
-@dataclass(frozen=True, eq=False)
 class BoundedForAll(_Bounded):
-    var: str
-    bound: Term
-    body: "Formula"
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class BoundedExists(_Bounded):
-    var: str
-    bound: Term
-    body: "Formula"
+    __slots__ = ()
 
 
 Formula = Union[
@@ -205,8 +278,10 @@ Formula = Union[
 # Numerals
 
 
+@lru_cache(maxsize=1 << 12)
 def numeral(n: int) -> Term:
-    """The closed term with n successors over zero."""
+    """The closed term with n successors over zero (the most recent 4096
+    are kept)."""
     if n < 0:
         raise ValueError("numerals encode naturals only")
     t: Term = ZERO
@@ -225,64 +300,21 @@ def numeral_value(t: Term) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# Variables
-
-def term_vars(t: Term) -> frozenset[str]:
-    out: set[str] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.name)
-        elif isinstance(node, Succ):
-            stack.append(node.arg)
-        elif isinstance(node, (Add, Mul)):
-            stack.append(node.left)
-            stack.append(node.right)
-    return frozenset(out)
+# Variables and the bounded fragment: reads of what each node records
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    """Free variables of a formula (iterative; trees can be very deep)."""
-    out: set[str] = set()
-    # Each stack entry is (node, bound-variable frozenset).
-    stack: list[tuple[Formula, frozenset[str]]] = [(f, frozenset())]
-    while stack:
-        node, bound = stack.pop()
-        if isinstance(node, (Eq, Le)):
-            out |= (term_vars(node.left) | term_vars(node.right)) - bound
-        elif isinstance(node, Not):
-            stack.append((node.body, bound))
-        elif isinstance(node, (And, Or, Implies)):
-            stack.append((node.left, bound))
-            stack.append((node.right, bound))
-        elif isinstance(node, (ForAll, Exists)):
-            stack.append((node.body, bound | {node.var}))
-        else:
-            out |= term_vars(node.bound) - bound
-            stack.append((node.body, bound | {node.var}))
-    return frozenset(out)
+    """Free variables of a formula (or of a term)."""
+    return f._fv
 
 
 def is_closed(f: Formula) -> bool:
-    return not free_vars(f)
+    return not f._fv
 
 
 def is_delta0(f: Formula) -> bool:
     """True when every quantifier in the formula is bounded."""
-    stack: list[Formula] = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ForAll, Exists)):
-            return False
-        if isinstance(node, Not):
-            stack.append(node.body)
-        elif isinstance(node, (And, Or, Implies)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, _Bounded):
-            stack.append(node.body)
-    return True
+    return f._d0
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
@@ -304,10 +336,13 @@ _BINARY = frozenset({Add, Mul, Eq, Le, And, Or, Implies})
 def substitute(f: Formula, var: str, replacement: Term) -> Formula:
     """Capture-avoiding substitution of `replacement` for free `var`.
 
-    Untouched subtrees are returned as-is, so trees that barely mention the
-    variable (encoder output, mostly) are shared, not copied.
+    A subtree in which `var` is not free is returned as it is, after one
+    look at its recorded free variables, so the closed parts of a tree
+    (encoder output, mostly) cost nothing and stay shared.
     """
-    repl_vars = term_vars(replacement)
+    if not isinstance(replacement, _TERMS):
+        raise TypeError("only a term can be substituted")
+    repl_vars = replacement._fv
     sub = (var, replacement, repl_vars)
     done: list = []  # finished subtrees, popped by the rebuild that needs them
     # Subtrees to substitute into under `sub`, and rebuilds from `done`: of a
@@ -326,39 +361,29 @@ def substitute(f: Formula, var: str, replacement: Term) -> Formula:
                 continue
             cls = node.__class__
             if cls is Succ:
-                # A successor chain over item[1], rebuilt if its base changed.
+                # A successor chain over item[1], rebuilt on its new base.
                 base = done.pop()
-                if base is not item[1]:
-                    while node.__class__ is Succ:
-                        node = node.arg
-                        base = Succ(base)
-                    node = base
-                done.append(node)
+                while node.__class__ is Succ:
+                    node = node.arg
+                    base = Succ(base)
+                done.append(base)
             elif cls is Not:
-                body = done.pop()
-                done.append(node if body is node.body else Not(body))
+                done.append(Not(done.pop()))
             elif cls in _BINARY:
                 right = done.pop()
-                left = done.pop()
-                if left is node.left and right is node.right:
-                    done.append(node)
-                else:
-                    done.append(cls(left, right))
+                done.append(cls(done.pop(), right))
             else:
                 name = item[1]
                 bound = done.pop() if issubclass(cls, _Bounded) else None
                 body = done.pop()
-                same = body is node.body and bound is getattr(node, "bound", None)
-                if same and name == node.var:
-                    done.append(node)
-                elif bound is None:
+                if bound is None:
                     done.append(cls(name, body))
                 else:
                     done.append(cls(name, bound, body))
-        elif cls is Var:
-            done.append(replacement if item.name == var else item)
-        elif cls is Zero:
+        elif var not in item._fv:
             done.append(item)
+        elif cls is Var:
+            done.append(replacement)
         elif cls is Succ:
             base = item.arg
             while base.__class__ is Succ:
@@ -373,26 +398,17 @@ def substitute(f: Formula, var: str, replacement: Term) -> Formula:
             todo.append(item.right)
             todo.append(item.left)
         else:
-            # Binders.
+            # A binder in which `var` is free, so it binds another name.
             bound = getattr(item, "bound", None)
             todo.append((item, item.var))
-            if item.var == var:
-                # Shadowed: only the bound term (which never mentions
-                # item.var) is open to substitution.
-                done.append(item.body)
-            elif item.var in repl_vars and (
-                var in free_vars(item.body)
-                or (bound is not None and var in term_vars(bound))
-            ):
+            if item.var in repl_vars:
                 # Renaming needed to avoid capturing a variable of `replacement`
                 # (or violating the bound-term invariant of bounded binders).
-                # Reached only for open replacements; closed terms skip the
-                # free-variable scan entirely, which matters on encoder output.
                 # The fresh name goes into the body before `sub` does, as in
                 # the recursive definition, so later fresh names match it.
-                avoid = repl_vars | free_vars(item.body) | {var}
+                avoid = repl_vars | item.body._fv | {var}
                 if bound is not None:
-                    avoid |= term_vars(bound)
+                    avoid |= bound._fv
                 name = fresh_name(item.var, avoid)
                 todo[-1] = (item, name)
                 if bound is not None:
@@ -404,8 +420,7 @@ def substitute(f: Formula, var: str, replacement: Term) -> Formula:
                 continue
             if bound is not None:
                 todo.append(bound)
-            if item.var != var:
-                todo.append(item.body)
+            todo.append(item.body)
     return done[0]
 
 
@@ -624,7 +639,7 @@ def _parse(text: str, term: bool) -> Term | Formula:
             # `.` ends a bound: the quantifier becomes a prefix operator.
             keyword, var = what
             bound = _sorted(node, node_pos, True)
-            if var in term_vars(bound):
+            if var in bound._fv:
                 raise SyntaxError_(f"bound of {var} mentions {var}", node_pos)
             cls = BoundedForAll if keyword == "forall" else BoundedExists
             operators.append((0, cls, open_pos, (var, bound)))

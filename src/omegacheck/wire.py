@@ -56,6 +56,7 @@ _TAGS = {
     for tag, (cls, _) in nodes.items()
 }
 _SUCC_TAG = _TAGS[S.Succ]
+_ZERO_TAG = _TAGS[S.Zero]
 
 MAX_FORMULA_DEPTH = 1 << 16
 """Deepest nesting of connectives and quantifiers in a valid encoding;
@@ -74,12 +75,18 @@ def _put_name(out: bytearray, name: str) -> None:
     out += data
 
 
-def encode_formula(f: S.Formula | S.Term, out: bytearray) -> bytearray:
+def encode_formula(
+    f: S.Formula | S.Term, out: bytearray, known: dict | None = None
+) -> bytearray:
     """Append the encoding of a formula or a term (its tag, then its fields)
-    to `out`, and return `out`."""
+    to `out`, and return `out`. `known` maps nodes to their encodings, which
+    are copied instead of walked."""
     stack = [f]
     while stack:
         node = stack.pop()
+        if known is not None and node in known:
+            out += known[node]
+            continue
         while node.__class__ is S.Succ:
             out.append(_SUCC_TAG)
             node = node.arg
@@ -141,7 +148,9 @@ class Reader:
         self.pos += n
         return chunk
 
-    def name(self) -> str:
+    def var(self) -> S.Var:
+        """Read a name as its variable. Building the variable checks the
+        name, once for as long as that variable lives."""
         n = self.u8()
         if n == 0:
             raise MalformedEncoding("empty name")
@@ -150,9 +159,13 @@ class Reader:
             text = raw.decode("ascii")
         except UnicodeDecodeError as exc:
             raise MalformedEncoding("non-ascii name") from exc
-        if not S.is_identifier(text):
-            raise MalformedEncoding(f"bad name {text!r}")
-        return text
+        try:
+            return S.Var(text)
+        except ValueError:
+            raise MalformedEncoding(f"bad name {text!r}") from None
+
+    def name(self) -> str:
+        return self.var().name
 
     def at_end(self) -> bool:
         return self.pos >= len(self.data)
@@ -177,40 +190,70 @@ def _decode(r: Reader, kind: str):
     """Decode one term ("t") or formula ("f").
 
     Iterative: every node with children is an open frame (class, field
-    kinds, fields so far) until its last child is done.
+    kinds, fields so far) until its last child is done. Nodes are built
+    through the intern table, so bytes that encode a live tree give back
+    that tree's nodes rather than a copy. Every byte is still read: a name
+    is compared with the names already read, and checked when it is new.
     """
     data = r.data
+    end = len(data)
+    pos = r.pos
+    names: dict[bytes, S.Var] = {}
+    numerals: dict[int, S.Term] = {}  # by number of successors
+
+    def read_var(pos: int) -> tuple[S.Var, int]:
+        """The variable named at `pos`, and the position after the name."""
+        stop = pos + 1 + data[pos] if pos < end else end + 1
+        var = names.get(data[pos + 1 : stop]) if stop <= end else None
+        if var is None:
+            r.pos = pos
+            var = names[data[pos + 1 : stop]] = r.var()
+        return var, stop
+
     frames: list[tuple] = []
     depth = 0  # open connectives and quantifiers
     while True:
-        if r.pos >= len(data):
+        if pos >= end:
             raise MalformedEncoding("unexpected end of input")
-        tag = data[r.pos]
-        r.pos += 1
+        tag = data[pos]
+        pos += 1
         if tag == _SUCC_TAG and kind == "t":
-            # A run of successors takes one frame: (number of successors,).
-            start = r.pos
-            while r.pos < len(data) and data[r.pos] == _SUCC_TAG:
-                r.pos += 1
-            frames.append((r.pos - start + 1,))
-            continue
-        nodes = _TERM_NODES if kind == "t" else _FORMULA_NODES
-        if tag not in nodes:
-            what = "term" if kind == "t" else "formula"
-            raise MalformedEncoding(f"bad {what} tag 0x{tag:02x}")
-        cls, kinds = nodes[tag]
-        if "f" in kinds:
-            depth += 1
-            if depth > MAX_FORMULA_DEPTH:
-                raise MalformedEncoding(
-                    f"formula nesting deeper than {MAX_FORMULA_DEPTH}"
-                )
-        fields = [r.name()] if kinds[:1] == "n" else []
-        if len(fields) < len(kinds):
-            frames.append((cls, kinds, fields))
-            kind = kinds[len(fields)]
-            continue
-        node = S.ZERO if cls is S.Zero else cls(*fields)
+            start = pos
+            while pos < end and data[pos] == _SUCC_TAG:
+                pos += 1
+            if pos < end and data[pos] == _ZERO_TAG:
+                pos += 1
+                node = numerals.get(pos - start)
+                if node is None:
+                    node = numerals[pos - start] = S.numeral(pos - start)
+            else:
+                # A run of successors takes one frame: (number of successors,).
+                frames.append((pos - start + 1,))
+                continue
+        else:
+            nodes = _TERM_NODES if kind == "t" else _FORMULA_NODES
+            if tag not in nodes:
+                what = "term" if kind == "t" else "formula"
+                raise MalformedEncoding(f"bad {what} tag 0x{tag:02x}")
+            cls, kinds = nodes[tag]
+            if kinds == "n":
+                node, pos = read_var(pos)
+            elif kinds:
+                if "f" in kinds:
+                    depth += 1
+                    if depth > MAX_FORMULA_DEPTH:
+                        raise MalformedEncoding(
+                            f"formula nesting deeper than {MAX_FORMULA_DEPTH}"
+                        )
+                fields = []
+                if kinds[0] == "n":
+                    var, pos = read_var(pos)
+                    fields.append(var.name)
+                frames.append((cls, kinds, fields))
+                kind = kinds[len(fields)]
+                continue
+            else:
+                node = S.ZERO
         # Hand the finished node to the frames it completes.
         while frames:
             if len(frames[-1]) == 1:
@@ -230,6 +273,7 @@ def _decode(r: Reader, kind: str):
             except ValueError as exc:  # a bound that mentions its variable
                 raise MalformedEncoding(str(exc)) from exc
         else:
+            r.pos = pos
             return node
 
 
@@ -237,15 +281,16 @@ def decode_formula(r: Reader) -> S.Formula:
     return _decode(r, "f")
 
 
-def encode_step(step: K.ProofStep, out: bytearray) -> None:
-    """Append a step: its tag, fields, then conclusion (`kernel.RULE_SHAPES`)."""
+def encode_step(step: K.ProofStep, out: bytearray, known: dict | None = None) -> None:
+    """Append a step: its tag, fields, then conclusion (`kernel.RULE_SHAPES`);
+    `known` is passed to `encode_formula` for the conclusion."""
     shape = K.RULE_SHAPES.get(step.rule)
     if shape is None:
         raise ValueError(f"unknown rule {step.rule!r}")
     out.append(shape.tag)
     for kind, value in zip(shape.kinds, shape.values(step), strict=True):
         put_field(out, kind, value)
-    encode_formula(step.conclusion, out)
+    encode_formula(step.conclusion, out, known)
 
 
 def decode_step(r: Reader) -> K.ProofStep:

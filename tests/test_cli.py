@@ -444,6 +444,21 @@ def test_rule_text_is_read_as_strictly_as_binary(tmp_path, capsys, spec, message
 
 
 @pytest.mark.parametrize(
+    "spec",
+    ["axiom +0_0", "axiom 00", "axiom ٠", "mp 1_0 1", "mp 1 ١"],
+)
+def test_numbers_in_proof_text_have_one_spelling(tmp_path, capsys, spec):
+    # Only 0 and [1-9][0-9]* in ASCII: what is read prints back the same.
+    proof = tmp_path / "p.proof"
+    proof.write_text(f"1. forall x. ~S(x) = 0 BY {spec}\n", encoding="utf-8")
+    code, _, err = run_cli(
+        capsys, "check", str(proof), "--target", "forall x. ~S(x) = 0"
+    )
+    assert code == 4
+    assert "bad number" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["simulate", "{loop}", "-1"],

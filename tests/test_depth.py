@@ -4,6 +4,7 @@ depends on the interpreter's recursion limit, which stays at its default."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,7 @@ from omegacheck.syntax import (
     Var,
     ZERO,
     eval_bounded,
+    free_vars,
     numeral,
     parse_formula,
     parse_term,
@@ -142,6 +144,33 @@ def test_deep_text_roundtrips():
     assert t == numeral(50000)
     assert print_term(t) == text
     assert parse_term(print_term(t)) == t
+
+
+def test_deep_repr():
+    text = repr(_nots(100000))
+    assert text == "Not<" + "~" * 100000 + "0 = 0>"
+    assert repr(numeral(2)) == "Succ<S(S(0))>"
+
+
+def test_free_variables_of_a_deep_binder_chain_are_cheap():
+    # exists v0 <= 0. exists v1 <= 0. (v0 = v1 & ... exists v3000 <= 0.
+    # (v2999 = v3000 & v3000 = 0)): each binder's free set has one name,
+    # while a walk that copies the bound set at every binder is quadratic.
+    tracemalloc.start()
+    try:
+        depth = 3000
+        f = Eq(Var(f"v{depth}"), ZERO)
+        for i in range(depth, 0, -1):
+            link = Eq(Var(f"v{i - 1}"), Var(f"v{i}"))
+            f = BoundedExists(f"v{i}", ZERO, And(link, f))
+        assert free_vars(f) == {"v0"}
+        f = BoundedExists("v0", ZERO, f)
+        assert free_vars(f) == frozenset()
+        assert eval_bounded(f) is True
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20
 
 
 def _binder_chain(names, lhs):
