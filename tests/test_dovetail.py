@@ -1,12 +1,16 @@
+import itertools
 import random
 
 import pytest
 
 from omegacheck.arithmetize import halts_no_formula, halts_yes_formula, loops_formula
 from omegacheck.dovetail import (
+    HOutcome,
     OracleRun,
     RealProofOracle,
     SearchBudget,
+    SearchResult,
+    ThreadProgress,
     VerifierOracle,
     bfs_search,
     existence_proof,
@@ -234,3 +238,71 @@ def test_witness_outcomes_match_simulator_semantics():
                 assert kind == "loops", (name, n)
             else:
                 assert kind == f"halts_{simulated.outcome}", (name, n)
+
+
+# ---------------------------------------------------------------------------
+# Golden values: what the searches find, and where, must not change.
+
+
+@pytest.mark.parametrize("name", ["ALWAYS_YES", "ALWAYS_NO", "LOOP", "EVEN", "BUSY3"])
+@pytest.mark.parametrize("n", range(4))
+def test_pure_halting_search_golden(name, n):
+    from omegacheck.machines import CORPUS
+
+    outcome = halting_search(CORPUS[name], n, SearchBudget(3000, 3000), mode="pure")
+    assert outcome == HOutcome(
+        "budget_exhausted", progress=(ThreadProgress(1000, False),) * 3
+    )
+
+
+@pytest.mark.parametrize(
+    "text, alphabet, index, rounds, steps",
+    [
+        ("S(0) = S(0)", (0x01, 0x02, 0x10, 0x27), 5017, 5018, 5023),
+        ("0 + 0 = 0", (0x01, 0x03, 0x10, 0x27), 5013, 5014, 5017),
+        ("0 * 0 = 0", (0x01, 0x04, 0x10, 0x27), 5013, 5014, 5017),
+        ("0 <= 0 + 0", (0x01, 0x03, 0x11, 0x27), 4965, 4966, 4968),
+        ("0 + 0 <= 0", (0x01, 0x03, 0x11, 0x27), 5013, 5014, 5017),
+        ("S(0) <= S(0)", (0x01, 0x02, 0x11, 0x27), 5017, 5018, 5023),
+    ],
+)
+def test_bfs_search_golden(text, alphabet, index, rounds, steps):
+    target = parse_formula(text)
+    canonical = serialize_proof(make_proof([ProofStep(target, RULE_EVAL_TRUE)]))
+    assert tuple(sorted(set(canonical))) == alphabet
+    result = bfs_search(
+        target, RealProofOracle(), SearchBudget(400_000, 50_000), alphabet=alphabet
+    )
+    assert result == SearchResult(True, index, canonical, rounds, steps)
+
+
+def triangular_order(latency, max_candidates, max_steps):
+    """Candidate indices in the order a triangular dovetail steps them: in
+    round r candidate r joins, then every undecided candidate is stepped
+    once, lowest index first. `latency[i]` is the number of steps candidate
+    i takes to be decided (None: never)."""
+    order, active, taken = [], [], {}
+    for r in itertools.count():
+        if r < max_candidates:
+            active.append(r)
+        elif not active:
+            return order
+        for i in list(active):
+            if len(order) == max_steps:
+                return order
+            order.append(i)
+            taken[i] = taken.get(i, 0) + 1
+            if taken[i] == latency[i]:
+                active.remove(i)
+    return order
+
+
+def test_bfs_search_steps_in_triangular_order():
+    rng = random.Random(7)
+    latency = [rng.choice([1, 1, 2, 3, 5, None]) for _ in range(40)]
+    script = {proof_at_index(i): ("no", n) for i, n in enumerate(latency)}
+    log = []
+    result = bfs_search(TRUTH, ScriptedOracle(script, log=log), SearchBudget(500, 40))
+    assert not result.found and result.steps == 500
+    order = [index_of_string(candidate) for _, candidate in log]
+    assert order == triangular_order(latency, 40, 500)
