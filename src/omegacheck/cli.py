@@ -262,21 +262,22 @@ _STEP_TAGS = {s.tag for s in kernel.RULE_SHAPES.values()} | {wire.OMEGA_STEP_TAG
 
 def _load_omega_proof(path: str) -> kernel.Proof:
     """Read a proof file as binary if it starts with a step tag, and as text
-    if it does not or if it does not decode."""
+    if it does not or if it does not decode; when both readings fail, the
+    error gives both."""
     data = _read_file(path)
-    binary_error = None
+    tried = ""
     if data and data[0] in _STEP_TAGS:
         try:
             return omega.deserialize_omega_proof(data)
         except wire.MalformedEncoding as exc:
-            binary_error = CliError(f"proof file: {exc}", EXIT_PARSE)
+            tried = f"proof file: as binary: {exc}; as text: "
     try:
         return parse_proof_text(data.decode("utf-8"))
     except UnicodeDecodeError:
-        text_error = CliError("proof file: neither valid binary nor text", EXIT_PARSE)
+        error = "not UTF-8" if tried else "proof file: neither valid binary nor text"
     except CliError as exc:
-        text_error = exc
-    raise binary_error or text_error
+        error = exc
+    raise CliError(f"{tried}{error}", EXIT_PARSE)
 
 
 # ---------------------------------------------------------------------------

@@ -143,27 +143,25 @@ def _bfs_units(
     """Triangular dovetailing. Yields the current round number once per
     oracle step taken; the step that elicits a yes is reported by the
     return value (the candidate and its index) instead of a final yield."""
-    candidates: list[bytes] = []
-    runs: list[OracleRun] = []
-    active: list[int] = []
+    fresh = wire.shortlex(alphabet)
+    live: list[tuple[int, bytes, OracleRun]] = []  # the undecided candidates
     round_index = 0
     while True:
         if round_index < max_candidates:
-            data = wire.proof_at_index(round_index, alphabet)
-            candidates.append(data)
-            runs.append(oracle.open(data, target))
-            active.append(round_index)
+            data = next(fresh)
+            live.append((round_index, data, oracle.open(data, target)))
         still = []
-        for i in active:
-            answer = runs[i].step()
+        for entry in live:
+            answer = entry[2].step()
             if answer == "yes":
-                return (candidates[i], i)
+                return (entry[1], entry[0])
             yield round_index
             if answer == "running":
-                still.append(i)
-        active = still
+                still.append(entry)
+        live = still
+        del entry  # it may be decided, and only undecided runs are kept
         round_index += 1
-        if not active and round_index >= max_candidates:
+        if not live and round_index >= max_candidates:
             return None
 
 

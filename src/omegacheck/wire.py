@@ -14,6 +14,8 @@ depend on the interpreter's recursion limit; formula nesting is capped at
 
 from __future__ import annotations
 
+from itertools import count, product
+
 from . import syntax as S
 from . import kernel as K
 
@@ -332,6 +334,13 @@ def _check_alphabet(alphabet: tuple[int, ...]) -> tuple[int, ...]:
     if len(alphabet) < 2 or sorted(set(alphabet)) != list(alphabet):
         raise ValueError("alphabet must be >= 2 distinct sorted byte values")
     return alphabet
+
+
+def shortlex(alphabet: tuple[int, ...] = DEFAULT_ALPHABET):
+    """All byte strings over `alphabet` in shortlex order, from b'': what
+    `string_at_index` gives for 0, 1, 2, ..., with the alphabet checked once."""
+    alphabet = _check_alphabet(alphabet)
+    return (bytes(t) for n in count() for t in product(alphabet, repeat=n))
 
 
 def string_at_index(i: int, alphabet: tuple[int, ...] = DEFAULT_ALPHABET) -> bytes:

@@ -41,7 +41,13 @@ from omegacheck.omega import (
     check_omega_proof,
     deserialize_omega_proof,
 )
-from omegacheck.syntax import eval_bounded, is_closed, is_delta0, parse_formula, print_formula
+from omegacheck.syntax import (
+    eval_bounded,
+    is_closed,
+    is_delta0,
+    parse_formula,
+    print_formula,
+)
 from omegacheck.wire import (
     MalformedEncoding,
     deserialize_proof,

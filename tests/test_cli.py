@@ -125,7 +125,15 @@ def test_check_mixed_proof_reports_detail(tmp_path, capsys):
     path = tmp_path / "mixed.oob"
     path.write_bytes(serialize_omega_proof(OmegaProof((cert, bad), bad.conclusion)))
     code, out, _ = run_cli(
-        capsys, "check", str(path), "--target", "0 = 0", "--k", "3", "--format", "records"
+        capsys,
+        "check",
+        str(path),
+        "--target",
+        "0 = 0",
+        "--k",
+        "3",
+        "--format",
+        "records",
     )
     assert code == 2
     assert out.splitlines()[-4:] == [
@@ -414,13 +422,37 @@ def test_text_proof_starting_with_a_step_tag_byte(tmp_path, capsys, text):
     assert "verdict: accepted" in out
 
 
-def test_unreadable_file_keeps_the_binary_error(tmp_path, capsys):
-    # Neither reading works, and the file starts with a step tag ('#').
+def check_error(tmp_path, capsys, data: bytes):
     proof = tmp_path / "p.proof"
-    proof.write_text("# a comment line\nnot a proof\n")
+    proof.write_bytes(data)
     code, _, err = run_cli(capsys, "check", str(proof), "--target", "0 = 0")
     assert code == 4
-    assert err == "proof file: unexpected end of input\n"
+    return err
+
+
+def test_unreadable_file_reports_both_readings(tmp_path, capsys):
+    # Neither reading works, and the file starts with a step tag ('#').
+    err = check_error(tmp_path, capsys, b"# a comment line\nnot a proof\n")
+    assert err == (
+        "proof file: as binary: unexpected end of input;"
+        " as text: proof line 2: expected `k. ...`\n"
+    )
+
+
+def test_unreadable_file_points_at_the_bad_line(tmp_path, capsys):
+    err = check_error(tmp_path, capsys, b"# c\n1. 0 = 0 BY eval\n2. 0 = 0 BY mp 1 x\n")
+    assert err == (
+        "proof file: as binary: bad name 'c\\n1. 0 = 0 BY eval\\n2. 0 = 0 BY m';"
+        " as text: proof line 3: bad number 'x'\n"
+    )
+
+
+def test_unreadable_file_that_is_not_text(tmp_path, capsys):
+    err = check_error(tmp_path, capsys, b"#\xff")
+    assert err.startswith("proof file: as binary: ")
+    assert err.endswith("; as text: not UTF-8\n")
+    err = check_error(tmp_path, capsys, b"\xff")
+    assert err == "proof file: neither valid binary nor text\n"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -306,3 +307,46 @@ def test_bfs_search_steps_in_triangular_order():
     assert not result.found and result.steps == 500
     order = [index_of_string(candidate) for _, candidate in log]
     assert order == triangular_order(latency, 40, 500)
+
+
+@pytest.mark.parametrize(
+    "alphabet", [(0x10, 0x01, 0x27), (0x01, 0x01, 0x27), (0x27,)],
+    ids=["unsorted", "duplicated", "single byte"],
+)
+def test_bfs_search_refuses_a_bad_alphabet(alphabet):
+    with pytest.raises(ValueError, match="alphabet"):
+        bfs_search(TRUTH, RealProofOracle(), SearchBudget(100, 10), alphabet=alphabet)
+
+
+class TrackedOracle(VerifierOracle):
+    """Decides candidate i after 1 + i % 7 steps, or never when i % 5 == 4,
+    and checks at each new candidate that the search holds no run that is
+    already decided."""
+
+    def __init__(self):
+        self.runs = weakref.WeakSet()
+        self.undecided = 0
+        self.most_live = 0
+
+    def open(self, candidate, target):
+        assert len(self.runs) <= self.undecided
+        self.most_live = max(self.most_live, len(self.runs))
+        index = index_of_string(candidate)
+        self.undecided += 1
+
+        def work():
+            for _ in itertools.count() if index % 5 == 4 else range(index % 7):
+                yield
+            self.undecided -= 1
+            return False
+
+        run_ = OracleRun(work())
+        self.runs.add(run_)
+        return run_
+
+
+def test_bfs_search_keeps_only_undecided_runs():
+    oracle = TrackedOracle()
+    result = bfs_search(TRUTH, oracle, SearchBudget(20_000, 2_000))
+    assert not result.found and result.steps == 20_000
+    assert 0 < oracle.most_live <= oracle.undecided < 2_000

@@ -47,7 +47,8 @@ def certificate_bytes(m, n):
 def test_real_oracle_units():
     data, target = witness_bytes()
     assert calls_until_final(RealProofOracle(), data, target) == (4, "yes")
-    assert calls_until_final(RealProofOracle(), data, parse_formula("0 = 0")) == (4, "no")
+    wrong = parse_formula("0 = 0")
+    assert calls_until_final(RealProofOracle(), data, wrong) == (4, "no")
     assert calls_until_final(RealProofOracle(), b"\x99", target) == (1, "no")
 
 
@@ -82,4 +83,5 @@ def test_bfs_search_units():
         SearchBudget(100_000, 2_000),
         alphabet=(0x01, 0x10, 0x27),
     )
-    assert (result.found, result.index, result.rounds, result.steps) == (True, 103, 104, 105)
+    counts = (result.found, result.index, result.rounds, result.steps)
+    assert counts == (True, 103, 104, 105)

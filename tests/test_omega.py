@@ -212,7 +212,8 @@ def test_check_proof_rejects_omega_steps():
     cert = build_loops_certificate(LOOP, 0)
     truth = ProofStep(parse_formula("0 = 0"), RULE_EVAL_TRUE)
     for steps in ((cert,), (truth, cert)):
-        verdict = check_proof(frozenset(), Proof(steps, cert.conclusion), cert.conclusion)
+        proof = Proof(steps, cert.conclusion)
+        verdict = check_proof(frozenset(), proof, cert.conclusion)
         assert not verdict.accepted
         assert (verdict.step, verdict.reason) == (len(steps) - 1, "rule-mismatch")
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -36,7 +37,9 @@ from omegacheck.wire import (
     encode_formula,
     index_of_string,
     proof_at_index,
+    DEFAULT_ALPHABET,
     serialize_proof,
+    shortlex,
     string_at_index,
 )
 
@@ -70,6 +73,15 @@ def test_shortlex_order_and_inversion():
         if previous is not None:
             assert (len(previous), previous) < (len(s), s)
         previous = s
+
+
+@pytest.mark.parametrize(
+    "alphabet, count", [((0x01, 0x10, 0x27, 0xFF), 70_000), (DEFAULT_ALPHABET, 2_000)]
+)
+def test_shortlex_enumerates_what_string_at_index_gives(alphabet, count):
+    strings = list(itertools.islice(shortlex(alphabet), count))
+    assert strings == [string_at_index(i, alphabet) for i in range(count)]
+    assert [index_of_string(s, alphabet) for s in strings] == list(range(count))
 
 
 def test_canonical_proof_index_identity():
