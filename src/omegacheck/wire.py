@@ -15,6 +15,7 @@ depend on the interpreter's recursion limit; formula nesting is capped at
 from __future__ import annotations
 
 from itertools import count, product
+from typing import Iterator
 
 from . import syntax as S
 from . import kernel as K
@@ -336,7 +337,7 @@ def _check_alphabet(alphabet: tuple[int, ...]) -> tuple[int, ...]:
     return alphabet
 
 
-def shortlex(alphabet: tuple[int, ...] = DEFAULT_ALPHABET):
+def shortlex(alphabet: tuple[int, ...] = DEFAULT_ALPHABET) -> Iterator[bytes]:
     """All byte strings over `alphabet` in shortlex order, from b'': what
     `string_at_index` gives for 0, 1, 2, ..., with the alphabet checked once."""
     alphabet = _check_alphabet(alphabet)
