@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import weakref
@@ -17,9 +18,20 @@ from omegacheck.dovetail import (
     existence_proof,
     halting_search,
 )
-from omegacheck.kernel import ProofStep, RULE_EVAL_TRUE, check_proof, make_proof
-from omegacheck.machines import ALWAYS_NO, ALWAYS_YES, EVEN, LOOP, run
-from omegacheck.omega import check_omega_proof, deserialize_omega_proof
+from omegacheck.kernel import (
+    Proof,
+    ProofStep,
+    RULE_EVAL_TRUE,
+    check_proof,
+    make_proof,
+)
+from omegacheck.machines import ALWAYS_NO, ALWAYS_YES, CORPUS, EVEN, LOOP, run
+from omegacheck.omega import (
+    build_loops_certificate,
+    check_omega_proof,
+    deserialize_omega_proof,
+    serialize_omega_proof,
+)
 from omegacheck.syntax import parse_formula
 from omegacheck.wire import (
     deserialize_proof,
@@ -229,8 +241,6 @@ def test_oracle_state_is_final_once_decided():
 
 
 def test_witness_outcomes_match_simulator_semantics():
-    from omegacheck.machines import CORPUS
-
     for name, m in CORPUS.items():
         for n in (0, 2):
             kind = halting_search(m, n).kind
@@ -248,8 +258,6 @@ def test_witness_outcomes_match_simulator_semantics():
 @pytest.mark.parametrize("name", ["ALWAYS_YES", "ALWAYS_NO", "LOOP", "EVEN", "BUSY3"])
 @pytest.mark.parametrize("n", range(4))
 def test_pure_halting_search_golden(name, n):
-    from omegacheck.machines import CORPUS
-
     outcome = halting_search(CORPUS[name], n, SearchBudget(3000, 3000), mode="pure")
     assert outcome == HOutcome(
         "budget_exhausted", progress=(ThreadProgress(1000, False),) * 3
@@ -350,3 +358,116 @@ def test_bfs_search_keeps_only_undecided_runs():
     result = bfs_search(TRUTH, oracle, SearchBudget(20_000, 2_000))
     assert not result.found and result.steps == 20_000
     assert 0 < oracle.most_live <= oracle.undecided < 2_000
+
+
+# Witness-mode outcomes of every corpus machine on n <= 3 at the default
+# budget and k = 50: the kind, the winning thread, the omega bound, each
+# thread's (units, done) and the sha256 of the winning proof. Holding a
+# conditional loops answer while a halting thread is still live (ROADMAP
+# item 1) will change the LOOP rows on purpose.
+WITNESS_GOLDEN = [
+    (
+        "ALWAYS_YES", 0, "halts_yes", 1, None, ((5, True), (4, False), (4, False)),
+        "05357d0b3514b7a3a4f50cab4486c0e1191148e67566fc2ca6000c230850599b",
+    ),
+    (
+        "ALWAYS_YES", 1, "halts_yes", 1, None, ((5, True), (4, False), (4, False)),
+        "08a8043f1e10e6edac3e98d20ff5fa45f82170cd18ffc2746ae6b118078f515d",
+    ),
+    (
+        "ALWAYS_YES", 2, "halts_yes", 1, None, ((5, True), (4, False), (4, False)),
+        "36c5d5cdb03b075cfe063c1724b27c0bc2b20abb742d0eee2938658fdc07a263",
+    ),
+    (
+        "ALWAYS_YES", 3, "halts_yes", 1, None, ((5, True), (4, False), (4, False)),
+        "55e1b0374993e87b656e1885382ba2ecd0a120364cba9d863c66c82716e92efb",
+    ),
+    (
+        "ALWAYS_NO", 0, "halts_no", 2, None, ((5, False), (5, True), (4, False)),
+        "bf4a9528eed2aeddda9f9b9d843e7b701929def78a9a7f39cefba956cba8d761",
+    ),
+    (
+        "ALWAYS_NO", 1, "halts_no", 2, None, ((5, False), (5, True), (4, False)),
+        "2040b00d0de739fcf834e8bc56ba5c00a401e84d0e1941905736096acc30554c",
+    ),
+    (
+        "ALWAYS_NO", 2, "halts_no", 2, None, ((5, False), (5, True), (4, False)),
+        "30ae54f93540ddd812f9e190548632e350f6646b66adc2a1d3747b89016b93a0",
+    ),
+    (
+        "ALWAYS_NO", 3, "halts_no", 2, None, ((5, False), (5, True), (4, False)),
+        "62db397e84c6fe39411c2ace747a5999bb7b1416c4a5c4bcf8d3a684dce972a1",
+    ),
+    (
+        "LOOP", 0, "loops", 3, 50, ((51, False), (51, False), (51, True)),
+        "7f6f82fbf5570089e1af3a90966b43bf553102bab975b46454331ef6efc62241",
+    ),
+    (
+        "LOOP", 1, "loops", 3, 50, ((51, False), (51, False), (51, True)),
+        "17982e4c1aa386b893796805100fd4df885d1f63d656865291e39f50dd829993",
+    ),
+    (
+        "LOOP", 2, "loops", 3, 50, ((51, False), (51, False), (51, True)),
+        "30245fcefa05ec3ade34e7e7a5b6f2ad7b7975c3759212cd797830c0d31de51e",
+    ),
+    (
+        "LOOP", 3, "loops", 3, 50, ((51, False), (51, False), (51, True)),
+        "c0ef423477bddecfce8eb5783f21c73bc87a0946fa318d1001df5e5c8ee63321",
+    ),
+    (
+        "EVEN", 0, "halts_yes", 1, None, ((6, True), (5, False), (5, False)),
+        "1d0024996e6a4ba5b0b39924b49211b0c2f3b30bb584e043c3a7e11a87bfed56",
+    ),
+    (
+        "EVEN", 1, "halts_no", 2, None, ((7, False), (7, True), (6, False)),
+        "b03dab87a4cafb2074ece3837f8ff39c420b350f7f3f05f6a13893b39d821635",
+    ),
+    (
+        "EVEN", 2, "halts_yes", 1, None, ((8, True), (7, False), (7, False)),
+        "5a31a409f364a87a2171803bc1a28c4cdb614391fdd1c1695b388225b8ff2ec4",
+    ),
+    (
+        "EVEN", 3, "halts_no", 2, None, ((9, False), (9, True), (8, False)),
+        "d4dad41f9e0530e9b1aaf2c5fb2719ed5bd31e09e0321d10083350dd60e1459a",
+    ),
+    (
+        "BUSY3", 0, "halts_yes", 1, None, ((9, True), (8, False), (8, False)),
+        "61c7a3e8854ba7efbb1622d15d09044206593221df86522a47b828d0602a537a",
+    ),
+    (
+        "BUSY3", 1, "halts_yes", 1, None, ((12, True), (11, False), (11, False)),
+        "be6c77ebcaa36cd8151800d6b20c971d746fddd0f3dcbe2e1c85f1b5b9b69a5b",
+    ),
+    (
+        "BUSY3", 2, "halts_yes", 1, None, ((15, True), (14, False), (14, False)),
+        "458bb964c8f7693f0627a561e4b3ab8ad65303a68ccf2dc906722173383159cf",
+    ),
+    (
+        "BUSY3", 3, "halts_yes", 1, None, ((18, True), (17, False), (17, False)),
+        "74fc22e536317c26cc1b1ea48d9a5ba36142c27e9f19cd61ed61c0b6b7c75fd2",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, n, kind, thread, omega_bound, progress, digest",
+    WITNESS_GOLDEN,
+    ids=[f"{row[0]}-{row[1]}" for row in WITNESS_GOLDEN],
+)
+def test_witness_halting_search_golden(
+    name, n, kind, thread, omega_bound, progress, digest
+):
+    outcome = halting_search(CORPUS[name], n, omega_bound=50)
+    assert (outcome.kind, outcome.thread) == (kind, thread)
+    assert outcome.omega_bound == omega_bound
+    assert tuple((p.units, p.done) for p in outcome.progress) == progress
+    assert hashlib.sha256(outcome.proof).hexdigest() == digest
+
+
+def test_finitary_oracle_refuses_a_loops_certificate_when_decoding():
+    # The finitary decoder does not know the omega step's tag, 0x30.
+    cert = build_loops_certificate(LOOP, 0)
+    data = serialize_omega_proof(Proof((cert,), cert.conclusion))
+    assert data[0] == 0x30
+    run_ = RealProofOracle().open(data, cert.conclusion)
+    assert run_.step() == "no"
