@@ -318,20 +318,14 @@ class _TableauBuilder:
         add([d_copy, stay])
         # The head arrives from the left (it moved right) or from the right.
         s = self.n_symbols
-        for code, nstate_idx in self.deliver_right:
-            offset = s * (1 + nstate_idx)
-            if b_kind == _CONST:
-                arrival = Eq(d, numeral(offset + b_val))
-            else:
-                arrival = Eq(d, Add(numeral(offset), Var(b_val)))
-            add([arrival, self._is_plain(b), self._eq_const(a, code)])
-        for code, nstate_idx in self.deliver_left:
-            offset = s * (1 + nstate_idx)
-            if b_kind == _CONST:
-                arrival = Eq(d, numeral(offset + b_val))
-            else:
-                arrival = Eq(d, Add(numeral(offset), Var(b_val)))
-            add([arrival, self._is_plain(b), self._eq_const(c, code)])
+        for deliveries, neighbour in ((self.deliver_right, a), (self.deliver_left, c)):
+            for code, nstate_idx in deliveries:
+                offset = s * (1 + nstate_idx)
+                if b_kind == _CONST:
+                    arrival = Eq(d, numeral(offset + b_val))
+                else:
+                    arrival = Eq(d, Add(numeral(offset), Var(b_val)))
+                add([arrival, self._is_plain(b), self._eq_const(neighbour, code)])
         return cases
 
     def check_depth(self) -> None:

@@ -123,8 +123,12 @@ def _require_natural(report_name: str, value: int) -> int:
 def _load_gamma(path: Optional[str]) -> frozenset[Formula]:
     if path is None:
         return frozenset()
+    try:
+        text = _read_file(path).decode("utf-8")
+    except UnicodeDecodeError:
+        raise CliError("gamma file: not UTF-8", EXIT_PARSE) from None
     out = []
-    for lineno, line in enumerate(_read_file(path).decode("utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -330,6 +334,7 @@ def cmd_encode(args) -> int:
         else:
             if args.t is None or args.outcome is None:
                 raise CliError("haltedby needs --t and --outcome", EXIT_PARSE)
+            _require_natural("--t", args.t)
             f = arithmetize.halted_by_formula(m, args.n, args.t, args.outcome)
     except arithmetize.EncodingOverflow as exc:
         print(f"encoding overflow: {exc}", file=sys.stderr)

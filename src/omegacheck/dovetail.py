@@ -80,31 +80,19 @@ class VerifierOracle:
         raise NotImplementedError
 
 
-class RealProofOracle(VerifierOracle):
-    """The kernel as a stepped oracle: one step to deserialize, one per
-    proof step; the last step also settles the target comparison."""
-
-    def open(self, candidate: bytes, target: Formula) -> OracleRun:
-        return OracleRun(self._verify(candidate, target))
-
-    def _verify(self, candidate: bytes, target: Formula):
-        try:
-            proof = wire.deserialize_proof(candidate)
-        except wire.MalformedEncoding:
-            return False
-        yield
-        return (yield from check_units(frozenset(), proof.steps, target)).accepted
-
-
 class OmegaVerifierOracle(VerifierOracle):
-    """Verifier that also understands omega steps, metering them one
-    instance per oracle step. A yes on a proof containing an omega step
-    means "all instances up to k verified" and nothing more; the oracle
-    interface has no way to say anything stronger, which is the point."""
+    """The kernel as a stepped oracle: one step to deserialize, one per
+    proof step, and one more between consecutive instances of an omega
+    step; the last step also settles the target comparison.
+
+    With k None it is the finitary kernel, whose decoder refuses omega
+    steps. With a k, a yes on a proof containing an omega step means "all
+    instances up to k verified" and nothing more; the oracle interface has
+    no way to say anything stronger, which is the point."""
 
     def __init__(
         self,
-        k: int = DEFAULT_OMEGA_BOUND,
+        k: Optional[int] = DEFAULT_OMEGA_BOUND,
         per_instance_budget: int = DEFAULT_INSTANCE_BUDGET,
     ):
         self.k = k
@@ -114,8 +102,9 @@ class OmegaVerifierOracle(VerifierOracle):
         return OracleRun(self._verify(candidate, target))
 
     def _verify(self, candidate: bytes, target: Formula):
+        decode = wire.deserialize_proof if self.k is None else deserialize_omega_proof
         try:
-            proof = deserialize_omega_proof(candidate)
+            proof = decode(candidate)
         except wire.MalformedEncoding:
             return False
         yield
@@ -123,6 +112,11 @@ class OmegaVerifierOracle(VerifierOracle):
             frozenset(), proof.steps, target, self.k, self.per_instance_budget
         )
         return verdict.accepted
+
+
+def RealProofOracle() -> OmegaVerifierOracle:
+    """The finitary kernel as a stepped oracle."""
+    return OmegaVerifierOracle(k=None)
 
 
 @dataclass(frozen=True)
@@ -307,14 +301,9 @@ def halting_search(
     q_loops = loops_formula(m, n)
     targets = (q_yes, q_no, q_loops)
     if oracle_factory is None:
-
-        def oracle_factory(thread: int, _target: Formula) -> VerifierOracle:
-            if thread == 3:
-                return OmegaVerifierOracle(
-                    k=omega_bound, per_instance_budget=instance_budget
-                )
-            return RealProofOracle()
-
+        oracle_factory = lambda thread, _target: OmegaVerifierOracle(
+            omega_bound if thread == 3 else None, instance_budget
+        )
     if mode == "pure":
         threads = [
             _bfs_units(

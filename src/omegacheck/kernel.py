@@ -13,9 +13,10 @@ There is one stepped checker, `check_units`, and every verifier in the
 package drains or wraps it. It checks steps in order and yields once
 between metered units: each proof step is one unit, and a machine-premise
 step (see `omega`) takes one more unit between consecutive instances 0..k.
-The stepped oracles add one unit in front for deserializing the candidate.
-A machine-premise step is only ever checked up to an instance bound k; with
-no bound it is rejected, never accepted.
+The one stepped oracle, `dovetail.OmegaVerifierOracle`, adds one unit in
+front for deserializing the candidate; with no instance bound it decodes
+finitary proofs only. A machine-premise step is only ever checked up to an
+instance bound k; with no bound it is rejected, never accepted.
 """
 
 from __future__ import annotations

@@ -6,12 +6,14 @@ An undefined transition on a non-accepting state counts as running forever:
 the machine is stuck and will never reach an accepting state, which keeps
 the yes/no/loops trichotomy exhaustive for arbitrary descriptions.
 
-`configs` is the one simulation loop; every other layer that follows a run
-(`run`, the trace encoding, the run analysis, the witness search) consumes
-it. It fixes the step-count convention: a run has halted within t steps
-when its first t configurations include an accepting one, so the step
-that observes the halt counts and the step count of a halting run is the
-length of its configuration history.
+`configs` is the one simulation loop and the only code that applies a
+transition; every other layer that follows a run (`run`, the trace
+encoding, the run analysis, the witness search and the loops premise
+machine) consumes it. A stuck run simply ends there. It fixes the
+step-count convention: a run has halted within t steps when its first t
+configurations include an accepting one, so the step that observes the
+halt counts and the step count of a halting run is the length of its
+configuration history.
 
 File format (one transition per line, headers first):
 
@@ -39,10 +41,6 @@ Rule = tuple[str, str, str, str, str]  # state, read, next state, write, move
 
 class MachineFormatError(Exception):
     """Unparseable machine text."""
-
-
-class StuckConfiguration(Exception):
-    """No transition applies and the state is not accepting."""
 
 
 @dataclass(frozen=True)
@@ -100,11 +98,6 @@ class Config:
 
 
 @dataclass(frozen=True)
-class Halted:
-    outcome: str  # "yes" or "no"
-
-
-@dataclass(frozen=True)
 class RunResult:
     outcome: str  # "yes", "no" or "timeout"
     steps: Optional[int] = None
@@ -115,25 +108,6 @@ def initial_config(m: MachineDesc, n: int) -> Config:
     if n < 0:
         raise ValueError("input must be a natural number")
     return Config(m.start, {i: STROKE for i in range(n)}, 0, 0)
-
-
-def step(m: MachineDesc, c: Config) -> Config | Halted:
-    if c.state == m.accept_yes:
-        return Halted("yes")
-    if c.state == m.accept_no:
-        return Halted("no")
-    symbol = c.tape.get(c.head, m.blank)
-    move = m.transition.get((c.state, symbol))
-    if move is None:
-        raise StuckConfiguration(f"no transition on ({c.state!r}, {symbol!r})")
-    nstate, write, direction = move
-    tape = dict(c.tape)
-    if write == m.blank:
-        tape.pop(c.head, None)
-    else:
-        tape[c.head] = write
-    head = c.head + (1 if direction == "R" else -1)
-    return Config(nstate, tape, head, c.step_count + 1)
 
 
 def configs(m: MachineDesc, n: int) -> Iterator[Config]:
@@ -148,10 +122,17 @@ def configs(m: MachineDesc, n: int) -> Iterator[Config]:
         yield c
         if c.state in accepting:
             return
-        try:
-            c = step(m, c)
-        except StuckConfiguration:
+        move = m.transition.get((c.state, c.tape.get(c.head, m.blank)))
+        if move is None:
             return
+        nstate, write, direction = move
+        tape = dict(c.tape)
+        if write == m.blank:
+            tape.pop(c.head, None)
+        else:
+            tape[c.head] = write
+        head = c.head + (1 if direction == "R" else -1)
+        c = Config(nstate, tape, head, c.step_count + 1)
 
 
 def run(m: MachineDesc, n: int, budget: int) -> RunResult:

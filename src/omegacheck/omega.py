@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Optional, Protocol, runtime_checkable
+from typing import Optional
 
 from . import wire
 from .arithmetize import loops_formula
@@ -45,16 +45,9 @@ REASON_MALFORMED = "malformed-encoding"
 
 @dataclass(frozen=True)
 class GenResult:
-    proof_bytes: Optional[bytes]
+    proof_bytes: Optional[bytes]  # None exactly when exhausted
     steps_used: int
     exhausted: bool = False
-
-
-@runtime_checkable
-class PremiseMachine(Protocol):
-    """Deterministic generator: instance index in, proof bytes out, metered."""
-
-    def generate(self, index: int, budget: int) -> GenResult: ...
 
 
 @dataclass(frozen=True)
@@ -109,7 +102,7 @@ class OmegaStep:
     gamma: frozenset[Formula]
     var: str
     phi: Formula
-    premise_machine: PremiseMachine
+    premise_machine: LoopsPremiseMachine
     conclusion: Formula
 
     def __post_init__(self):
@@ -158,8 +151,6 @@ def check_instance(
     produced = s.premise_machine.generate(index, per_instance_budget)
     if produced.exhausted:
         return OmegaVerdict("budget_exhausted", index=index)
-    if produced.proof_bytes is None:
-        return OmegaVerdict("rejected", index=index, reason=REASON_MALFORMED)
     try:
         proof = wire.deserialize_proof(produced.proof_bytes)
     except wire.MalformedEncoding:

@@ -332,7 +332,11 @@ DEFAULT_ALPHABET: tuple[int, ...] = tuple(range(256))
 
 
 def _check_alphabet(alphabet: tuple[int, ...]) -> tuple[int, ...]:
-    if len(alphabet) < 2 or sorted(set(alphabet)) != list(alphabet):
+    if (
+        not all(isinstance(b, int) and 0 <= b <= 255 for b in alphabet)
+        or len(alphabet) < 2
+        or sorted(set(alphabet)) != list(alphabet)
+    ):
         raise ValueError("alphabet must be >= 2 distinct sorted byte values")
     return alphabet
 

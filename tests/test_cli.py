@@ -507,6 +507,24 @@ def test_negative_input_is_a_usage_error(machine_files, capsys, argv):
     assert "n must be a natural number" in err
 
 
+def test_negative_haltedby_step_bound_is_a_usage_error(machine_files, capsys):
+    argv = ["encode", machine_files["loop"], "0", "haltedby", "--t", "-1"]
+    code, _, err = run_cli(capsys, *argv, "--outcome", "yes")
+    assert code == 4
+    assert "--t must be a natural number" in err
+
+
+def test_gamma_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    proof = tmp_path / "p.txt"
+    proof.write_text("1. 0 = 0 BY eval\n")
+    gamma = tmp_path / "g.bin"
+    gamma.write_bytes(b"0 = 0\n\xff\xfe\n")
+    argv = ["check", str(proof), "--target", "0 = 0", "--gamma", str(gamma)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert "gamma file: not UTF-8" in err
+
+
 @pytest.mark.parametrize(
     "variable",
     [

@@ -8,6 +8,7 @@ import pytest
 from omegacheck.arithmetize import halts_no_formula, halts_yes_formula, loops_formula
 from omegacheck.dovetail import (
     HOutcome,
+    OmegaVerifierOracle,
     OracleRun,
     RealProofOracle,
     SearchBudget,
@@ -326,6 +327,27 @@ def test_bfs_search_refuses_a_bad_alphabet(alphabet):
         bfs_search(TRUTH, RealProofOracle(), SearchBudget(100, 10), alphabet=alphabet)
 
 
+class CountingOracle(VerifierOracle):
+    """Counts the candidates opened; every one is refused in one step."""
+
+    def __init__(self):
+        self.opened = 0
+
+    def open(self, candidate, target):
+        self.opened += 1
+        return OracleRun(iter(()))
+
+
+@pytest.mark.parametrize(
+    "alphabet", [(0, 300), (-1, 3)], ids=["above a byte", "negative"]
+)
+def test_bfs_search_checks_the_alphabet_before_opening_a_candidate(alphabet):
+    oracle = CountingOracle()
+    with pytest.raises(ValueError, match="alphabet"):
+        bfs_search(TRUTH, oracle, SearchBudget(100, 10), alphabet=alphabet)
+    assert oracle.opened == 0
+
+
 class TrackedOracle(VerifierOracle):
     """Decides candidate i after 1 + i % 7 steps, or never when i % 5 == 4,
     and checks at each new candidate that the search holds no run that is
@@ -471,3 +493,13 @@ def test_finitary_oracle_refuses_a_loops_certificate_when_decoding():
     assert data[0] == 0x30
     run_ = RealProofOracle().open(data, cert.conclusion)
     assert run_.step() == "no"
+
+
+def test_omega_oracle_without_a_bound_is_the_finitary_kernel():
+    cert = build_loops_certificate(LOOP, 0)
+    data = serialize_omega_proof(Proof((cert,), cert.conclusion))
+    assert OmegaVerifierOracle(k=None).open(data, cert.conclusion).step() == "no"
+    assert OmegaVerifierOracle(k=7).open(data, cert.conclusion).step() == "running"
+    for oracle in (RealProofOracle(), OmegaVerifierOracle(k=None)):
+        run_ = oracle.open(CANONICAL, TRUTH)
+        assert [run_.step() for _ in range(2)] == ["running", "yes"]

@@ -9,16 +9,13 @@ from omegacheck.machines import (
     CORPUS,
     EVEN,
     LOOP,
-    Halted,
     MachineDesc,
     MachineFormatError,
-    StuckConfiguration,
     configs,
     initial_config,
     machine_to_text,
     parse_machine,
     run,
-    step,
 )
 
 STUCK = MachineDesc((), start="q", accept_yes="Y", accept_no="N")
@@ -31,28 +28,35 @@ def test_initial_config_unary():
     assert c.tape == {0: "1", 1: "1", 2: "1"}
 
 
-def test_step_on_accepting_state_halts():
-    c = initial_config(ALWAYS_YES, 5)
-    assert step(ALWAYS_YES, c) == Halted("yes")
+def second_config(m, n):
+    return list(islice(configs(m, n), 2))[1]
+
+
+def test_configs_stop_at_an_accepting_start_state():
+    assert list(configs(ALWAYS_YES, 5)) == [initial_config(ALWAYS_YES, 5)]
 
 
 def test_loop_step_moves_head():
-    c = initial_config(LOOP, 0)
-    after = step(LOOP, c)
+    after = second_config(LOOP, 0)
     assert after.state == "q" and after.head == 1 and after.step_count == 1
 
 
 def test_even_one_step_on_input_two():
     # Hand simulation: reading the first stroke flips parity and moves right.
     c = initial_config(EVEN, 2)
-    after = step(EVEN, c)
+    after = second_config(EVEN, 2)
     assert after.head == c.head + 1
     assert after.state == "o"
 
 
-def test_step_raises_when_stuck():
-    with pytest.raises(StuckConfiguration):
-        step(STUCK, initial_config(STUCK, 0))
+def test_configs_stop_when_a_run_gets_stuck():
+    # Walks right over the strokes, then has no transition on the blank.
+    walker = MachineDesc(
+        (("q", "1", "q", "1", "R"),), start="q", accept_yes="Y", accept_no="N"
+    )
+    history = list(configs(walker, 2))
+    assert [c.head for c in history] == [0, 1, 2]
+    assert run(walker, 2, 100).outcome == "timeout"
 
 
 def test_run_examples():

@@ -84,6 +84,18 @@ def test_shortlex_enumerates_what_string_at_index_gives(alphabet, count):
     assert [index_of_string(s, alphabet) for s in strings] == list(range(count))
 
 
+@pytest.mark.parametrize(
+    "alphabet", [(0, 300), (-1, 3), (0, 1.5)], ids=["above", "negative", "float"]
+)
+def test_alphabet_values_must_be_bytes(alphabet):
+    with pytest.raises(ValueError, match="alphabet"):
+        shortlex(alphabet)
+    with pytest.raises(ValueError, match="alphabet"):
+        string_at_index(0, alphabet)
+    with pytest.raises(ValueError, match="alphabet"):
+        index_of_string(b"", alphabet)
+
+
 def test_canonical_proof_index_identity():
     # Independent shortlex arithmetic over the full byte alphabet: count of
     # shorter strings, plus the base-256 rank of the string itself.
