@@ -318,15 +318,6 @@ def test_bfs_search_steps_in_triangular_order():
     assert order == triangular_order(latency, 40, 500)
 
 
-@pytest.mark.parametrize(
-    "alphabet", [(0x10, 0x01, 0x27), (0x01, 0x01, 0x27), (0x27,)],
-    ids=["unsorted", "duplicated", "single byte"],
-)
-def test_bfs_search_refuses_a_bad_alphabet(alphabet):
-    with pytest.raises(ValueError, match="alphabet"):
-        bfs_search(TRUTH, RealProofOracle(), SearchBudget(100, 10), alphabet=alphabet)
-
-
 class CountingOracle(VerifierOracle):
     """Counts the candidates opened; every one is refused in one step."""
 
@@ -339,9 +330,12 @@ class CountingOracle(VerifierOracle):
 
 
 @pytest.mark.parametrize(
-    "alphabet", [(0, 300), (-1, 3)], ids=["above a byte", "negative"]
+    "alphabet",
+    [(0x10, 0x01, 0x27), (0x01, 0x01, 0x27), (0x27,), (0, 300), (-1, 3)],
+    ids=["unsorted", "duplicated", "single byte", "above a byte", "negative"],
 )
-def test_bfs_search_checks_the_alphabet_before_opening_a_candidate(alphabet):
+def test_bfs_search_refuses_a_bad_alphabet(alphabet):
+    # The alphabet is refused before any candidate is opened.
     oracle = CountingOracle()
     with pytest.raises(ValueError, match="alphabet"):
         bfs_search(TRUTH, oracle, SearchBudget(100, 10), alphabet=alphabet)
@@ -500,6 +494,5 @@ def test_omega_oracle_without_a_bound_is_the_finitary_kernel():
     data = serialize_omega_proof(Proof((cert,), cert.conclusion))
     assert OmegaVerifierOracle(k=None).open(data, cert.conclusion).step() == "no"
     assert OmegaVerifierOracle(k=7).open(data, cert.conclusion).step() == "running"
-    for oracle in (RealProofOracle(), OmegaVerifierOracle(k=None)):
-        run_ = oracle.open(CANONICAL, TRUTH)
-        assert [run_.step() for _ in range(2)] == ["running", "yes"]
+    run_ = OmegaVerifierOracle(k=None).open(CANONICAL, TRUTH)
+    assert [run_.step() for _ in range(2)] == ["running", "yes"]
