@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from omegacheck import wire
 from omegacheck.arithmetize import (
     EncodingOverflow,
     RunAnalysisError,
@@ -244,3 +247,33 @@ def test_every_layer_counts_steps_alike(m):
         assert (len(history), outcome) == (u, result.outcome)
         assert len(trace_prefix(m, n, u)[0]) == u
         assert (verdict.kind, verdict.index) == ("rejected", u)
+
+
+TABLEAU_DIGEST = "cee9388001ea0beee39049b31334ea9677d63e473e29ed4a0f854ab8468cbea6"
+
+
+def test_tableau_encodings_golden():
+    # One digest over the wire encoding of every halting statement for the
+    # corpus plus STUCK and PACER on n <= 5: halted_by at t <= 12 with both
+    # outcomes, then q1, q2 and q3. A refused run analysis hashes a marker.
+    # Any change to the tableau's shape or conjunct order moves the digest.
+    statements = (halts_yes_formula, halts_no_formula, loops_formula)
+    digest = hashlib.sha256()
+    count = 0
+    for m in (*CORPUS.values(), PACER, STUCK):
+        for n in range(6):
+            for t in range(13):
+                for outcome in ("yes", "no"):
+                    f = halted_by_formula(m, n, t, outcome)
+                    digest.update(wire.encode_formula(f, bytearray()))
+                    count += 1
+            for statement in statements:
+                try:
+                    f = statement(m, n)
+                except RunAnalysisError:
+                    digest.update(b"RunAnalysisError")
+                else:
+                    digest.update(wire.encode_formula(f, bytearray()))
+                count += 1
+    assert count == 1218
+    assert digest.hexdigest() == TABLEAU_DIGEST
