@@ -29,6 +29,7 @@ visits (a sound bound, since heads move one cell per step).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
 from typing import Literal, Optional
 
@@ -186,29 +187,41 @@ def trace_window(m: MachineDesc, n: int, t: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # The bounded "halted within t steps" sentence
 
-_CONST = "const"
-_VAR = "var"
-
 
 def _digit_name(row: int, col: int) -> str:
     return f"d{row}_{col}"
 
 
+def _term(cell: int | Var) -> Term:
+    return numeral(cell) if isinstance(cell, int) else cell
+
+
+def _negate(item):
+    return not item if isinstance(item, bool) else Not(item)
+
+
 class _TableauBuilder:
+    """Builds the digit tableau row by row.
+
+    A cell of the previous row is an `int` when its digit is known at build
+    time (row 0 and the blank padding) and otherwise the `Var` of its digit
+    quantifier. Each helper partially evaluates: it returns a `bool` for a
+    known digit and a formula for a `Var`.
+    """
+
     def __init__(self, m: MachineDesc, n: int, t: int):
         self.m = m
         self.enc = TraceEncoding(m)
-        self.lo, self.hi = trace_window(m, n, t)
+        lo, hi = trace_window(m, n, t)
         self.t = t
-        self.width = self.hi - self.lo + 1
+        self.width = hi - lo + 1
         self.n_symbols = len(self.enc.symbols)
-        init = initial_config(m, n)
-        self.row0 = self.enc.config_digits(init, self.lo, self.hi)
-        # Head codes, by what they mean for a neighboring cell.
-        self.deliver_right: list[tuple[int, int]] = []  # (head code, new state idx)
-        self.deliver_left: list[tuple[int, int]] = []
+        self.row0 = self.enc.config_digits(initial_config(m, n), lo, hi)
         self.stay_codes: list[int] = []  # accepting heads: row copies itself
         self.center_next: list[tuple[int, int]] = []  # (head code, written cell code)
+        # Heads that leave their cell, by move direction: (head code, offset
+        # of the head digit it puts over the symbol of the cell it enters).
+        moves: dict[str, list[tuple[int, int]]] = {"L": [], "R": []}
         s = self.n_symbols
         for state in self.enc.states:
             for sym in self.enc.symbols:
@@ -221,66 +234,34 @@ class _TableauBuilder:
                     continue  # stuck head: no successor case at all
                 nstate, write, direction = move
                 self.center_next.append((code, self.enc.cell_code(write)))
-                if direction == "R":
-                    self.deliver_right.append((code, self.enc.states.index(nstate)))
-                else:
-                    self.deliver_left.append((code, self.enc.states.index(nstate)))
-        self.deliver_right_codes = sorted(code for code, _ in self.deliver_right)
-        self.deliver_left_codes = sorted(code for code, _ in self.deliver_left)
+                offset = s * (1 + self.enc.states.index(nstate))
+                moves[direction].append((code, offset))
+        # Per direction, those pairs and then their head codes, sorted.
+        self.moves = {
+            direction: (pairs, sorted(code for code, _ in pairs))
+            for direction, pairs in moves.items()
+        }
 
-    # Cells are (kind, value): kind 'const' carries an int, 'var' a name.
-
-    def prev_cell(self, row_vars: list[tuple[str, object]], col: int):
-        if 0 <= col < self.width:
-            return row_vars[col]
-        return (_CONST, self.enc.cell_code(self.m.blank))
-
-    @staticmethod
-    def _cell_term(cell) -> Term:
-        kind, value = cell
-        return numeral(value) if kind == _CONST else Var(value)
+    def _is_plain(self, cell: int | Var):
+        if isinstance(cell, int):
+            return cell < self.n_symbols
+        return Le(cell, numeral(self.n_symbols - 1))
 
     @staticmethod
-    def _eq_const(cell, value: int):
-        """Partial-evaluated `cell == value`: a bool for constants."""
-        kind, cur = cell
-        if kind == _CONST:
-            return cur == value
-        return Eq(Var(cur), numeral(value))
-
-    def _is_plain(self, cell):
-        kind, cur = cell
-        if kind == _CONST:
-            return cur < self.n_symbols
-        return Le(Var(cur), numeral(self.n_symbols - 1))
-
-    def _member(self, cell, codes: list[int]):
+    def _member(cell: int | Var, codes: list[int]):
         """Partial-evaluated disjunction `cell in codes`."""
-        kind, cur = cell
-        if kind == _CONST:
-            return cur in codes
-        out = None
-        for code in codes:
-            atom = Eq(Var(cur), numeral(code))
-            out = atom if out is None else Or(out, atom)
-        return out if out is not None else False
+        if isinstance(cell, int):
+            return cell in codes
+        if not codes:
+            return False
+        return reduce(Or, [Eq(cell, numeral(code)) for code in codes])
 
-    def _no_incoming(self, cell, side: str):
-        """The neighbor does not hand the head to this cell."""
-        kind, cur = cell
-        codes = (
-            self.deliver_right_codes if side == "left" else self.deliver_left_codes
-        )
-        if kind == _CONST:
-            return cur not in codes
-        member = self._member(cell, codes)
-        if member is False:
-            return True
-        return Not(member)
+    def pin_cases(
+        self, a: int | Var, b: int | Var, c: int | Var, d_name: str
+    ) -> list[list[Formula]]:
+        """All ways the digit below the cells (a, b, c) can be justified.
 
-    def pin_cases(self, a, b, c, d_name: str) -> list[list[Formula]]:
-        """All ways the digit below (a, b, c) can be justified.
-
+        Each cell is an `int` digit or the `Var` of its digit quantifier.
         Each case is a conjunct list whose first element mentions the new
         digit variable, so enumeration rejects wrong values immediately.
         Statically false cases are dropped; statically true conjuncts are
@@ -290,42 +271,34 @@ class _TableauBuilder:
         cases: list[list[Formula]] = []
 
         def add(conjuncts) -> None:
-            out = []
-            for item in conjuncts:
-                if item is True:
-                    continue
-                if item is False:
-                    return
-                out.append(item)
-            cases.append(out)
+            if False not in conjuncts:
+                cases.append([item for item in conjuncts if item is not True])
 
+        rightward, right_codes = self.moves["R"]
+        leftward, left_codes = self.moves["L"]
         # Plain cell keeps its symbol: nothing moves in.
-        b_kind, b_val = b
-        d_copy = Eq(d, self._cell_term(b))
+        d_copy = Eq(d, _term(b))
         add(
             [
                 d_copy,
                 self._is_plain(b),
-                self._no_incoming(a, "left"),
-                self._no_incoming(c, "right"),
+                _negate(self._member(a, right_codes)),
+                _negate(self._member(c, left_codes)),
             ]
         )
         # The head sits here and fires a transition: cell gets the write.
         for code, write_code in self.center_next:
-            add([Eq(d, numeral(write_code)), self._eq_const(b, code)])
+            add([Eq(d, numeral(write_code)), self._member(b, [code])])
         # The head sits here in an accepting state: the row repeats.
-        stay = self._member(b, self.stay_codes)
-        add([d_copy, stay])
+        add([d_copy, self._member(b, self.stay_codes)])
         # The head arrives from the left (it moved right) or from the right.
-        s = self.n_symbols
-        for deliveries, neighbour in ((self.deliver_right, a), (self.deliver_left, c)):
-            for code, nstate_idx in deliveries:
-                offset = s * (1 + nstate_idx)
-                if b_kind == _CONST:
-                    arrival = Eq(d, numeral(offset + b_val))
+        for neighbour, pairs in ((a, rightward), (c, leftward)):
+            for code, offset in pairs:
+                if isinstance(b, int):
+                    arrival = Eq(d, numeral(offset + b))
                 else:
-                    arrival = Eq(d, Add(numeral(offset), Var(b_val)))
-                add([arrival, self._is_plain(b), self._eq_const(neighbour, code)])
+                    arrival = Eq(d, Add(numeral(offset), b))
+                add([arrival, self._is_plain(b), self._member(neighbour, [code])])
         return cases
 
     def check_depth(self) -> None:
@@ -348,59 +321,28 @@ class _TableauBuilder:
             )
 
     def build(self, outcome: str) -> Formula:
-        accept_state = (
-            self.m.accept_yes if outcome == "yes" else self.m.accept_no
-        )
+        accept_state = self.m.accept_yes if outcome == "yes" else self.m.accept_no
         accept_codes = [
             self.enc.head_code(accept_state, sym) for sym in self.enc.symbols
         ]
-        rows: list[list[tuple[str, object]]] = [
-            [(_CONST, v) for v in self.row0]
-        ]
+        blank = self.enc.cell_code(self.m.blank)
+        row: list[int | Var] = list(self.row0)
         # Pins, in quantifier order (row major, rows 1 .. t-1).
         pinned: list[tuple[str, Formula]] = []
-        dead = False
-        for row in range(1, self.t):
-            prev = rows[-1]
-            current: list[tuple[str, object]] = []
+        for r in range(1, self.t):
+            prev = [blank, *row, blank]
+            row = []
             for col in range(self.width):
-                name = _digit_name(row, col)
-                cases = self.pin_cases(
-                    self.prev_cell(prev, col - 1),
-                    self.prev_cell(prev, col),
-                    self.prev_cell(prev, col + 1),
-                    name,
-                )
+                name = _digit_name(r, col)
+                cases = self.pin_cases(prev[col], prev[col + 1], prev[col + 2], name)
                 if not cases:
-                    dead = True
-                    break
-                pin: Formula | None = None
-                for conjuncts in cases:
-                    clause: Formula | None = None
-                    for item in conjuncts:
-                        clause = item if clause is None else And(clause, item)
-                    if clause is None:
-                        continue
-                    pin = clause if pin is None else Or(pin, clause)
-                if pin is None:
-                    dead = True
-                    break
+                    return FALSE_SENTENCE
+                pin = reduce(Or, [reduce(And, conjuncts) for conjuncts in cases])
                 pinned.append((name, pin))
-                current.append((_VAR, name))
-            if dead:
-                break
-            rows.append(current)
-        if dead:
-            return FALSE_SENTENCE
+                row.append(Var(name))
         # The last row's head digit must be an accepting head of the right kind.
-        final = rows[-1]
-        accept: Formula | None = None
-        for cell in final:
-            for code in accept_codes:
-                atom = Eq(self._cell_term(cell), numeral(code))
-                accept = atom if accept is None else Or(accept, atom)
-        assert accept is not None
-        body = accept
+        atoms = [Eq(_term(x), numeral(code)) for x in row for code in accept_codes]
+        body = reduce(Or, atoms)
         bound = numeral(self.enc.base - 1)
         for name, pin in reversed(pinned):
             body = BoundedExists(name, bound, And(pin, body))
