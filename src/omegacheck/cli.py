@@ -61,13 +61,9 @@ class Report:
     def add(self, key: str, value) -> None:
         self.pairs.append((key, str(value)))
 
-    def emit(self, out=None) -> None:
-        out = out or sys.stdout
+    def emit(self) -> None:
         for key, value in self.pairs:
-            if self.fmt == "records":
-                print(f"{key}={value}", file=out)
-            else:
-                print(f"{key}: {value}", file=out)
+            print(f"{key}={value}" if self.fmt == "records" else f"{key}: {value}")
 
 
 def _env_int(name: str, fallback: int) -> int:
@@ -400,7 +396,10 @@ def cmd_hsearch(args) -> int:
     for i, progress in enumerate(outcome.progress, start=1):
         report.add(f"thread{i}-units", progress.units)
     if outcome.proof is not None and args.out:
-        Path(args.out).write_bytes(outcome.proof)
+        try:
+            Path(args.out).write_bytes(outcome.proof)
+        except OSError as exc:
+            raise CliError(f"--out: {exc}", EXIT_PARSE) from None
         report.add("proof-file", args.out)
     report.emit()
     return EXIT_OK if outcome.kind != "budget_exhausted" else EXIT_EXHAUSTED

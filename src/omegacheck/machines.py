@@ -23,8 +23,11 @@ File format (one transition per line, headers first):
     blank: <symbol>
     <state> <symbol> -> <state> <symbol> <L|R>
 
-Printing sorts transitions, so parse and print are mutually inverse on
-normalized text; downstream numbering relies on that being bit-exact.
+A state or symbol name is a non-empty token without whitespace, `#` or
+`->`; `MachineDesc` refuses any other, so every machine prints to text
+that reads back. Printing sorts transitions, so parse and print are
+mutually inverse on normalized text; downstream numbering relies on that
+being bit-exact.
 """
 
 from __future__ import annotations
@@ -52,6 +55,12 @@ class MachineDesc:
     blank: str = "_"
 
     def __post_init__(self):
+        names = [self.start, self.accept_yes, self.accept_no, self.blank]
+        for rule in self.rules:
+            names += rule[:4]
+        for name in names:
+            if name.split() != [name] or "#" in name or "->" in name:
+                raise ValueError(f"bad state or symbol name {name!r}")
         if self.accept_yes == self.accept_no:
             raise ValueError("yes and no states must differ")
         seen: set[tuple[str, str]] = set()

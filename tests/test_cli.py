@@ -254,6 +254,16 @@ def test_hsearch_witness_reports_thread(machine_files, capsys):
     assert "thread: 1" in out
 
 
+def test_hsearch_out_in_a_missing_directory_exits_4(machine_files, tmp_path, capsys):
+    target = tmp_path / "nodir" / "x.bin"
+    code, out, err = run_cli(
+        capsys, "hsearch", machine_files["ay"], "0", "--out", str(target)
+    )
+    assert code == 4
+    assert err.startswith("--out: ") and "x.bin" in err
+    assert out == "" and not target.exists()
+
+
 def test_hsearch_budget_exhausted_exit(machine_files, capsys):
     code, out, _ = run_cli(
         capsys,

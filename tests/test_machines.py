@@ -1,6 +1,7 @@
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegacheck.machines import (
     ALWAYS_NO,
@@ -128,7 +129,46 @@ def test_machine_validation():
             accept_yes="Y",
             accept_no="N",
         )
+    # Names the machine text format cannot carry.
+    for bad in ("", " ", "a b", "\t", "a\nb", "#", "a#", "->", "a->b"):
+        with pytest.raises(ValueError):
+            MachineDesc((), start="q", accept_yes="Y", accept_no="N", blank=bad)
+        with pytest.raises(ValueError):
+            MachineDesc((), start=bad, accept_yes="Y", accept_no="N")
+        with pytest.raises(ValueError):
+            MachineDesc(
+                (("q", "_", "q", bad, "R"),),
+                start="q",
+                accept_yes="Y",
+                accept_no="N",
+            )
 
+
+_TOKENS = st.sampled_from(["a", "b", "1", "_", "q:", "-", ">", "a-", ">b"])
+
+
+@st.composite
+def machine_fields(draw):
+    """Fields for MachineDesc from a few names, at most one of them free
+    text that may hold whitespace, `#` or `->`."""
+    pool = draw(st.lists(_TOKENS, min_size=3, max_size=5, unique=True))
+    pool += draw(st.lists(st.text(alphabet="ab_:#->\t ", max_size=3), max_size=1))
+    name = st.sampled_from(pool)
+    yes, no = draw(st.lists(name, min_size=2, max_size=2, unique=True))
+    state = st.sampled_from([s for s in pool if s not in (yes, no)])
+    rule = st.tuples(state, name, name, name, st.sampled_from("LR"))
+    rules = draw(st.lists(rule, max_size=3, unique_by=lambda r: r[:2]))
+    return tuple(rules), draw(name), yes, no, draw(name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(machine_fields())
+def test_every_machine_that_constructs_reads_back_from_its_text(fields):
+    try:
+        m = MachineDesc(*fields)
+    except ValueError:
+        return
+    assert parse_machine(machine_to_text(m)) == m
 
 def test_configs_ends_after_the_accepting_configuration():
     history = list(configs(EVEN, 2))
