@@ -222,7 +222,6 @@ class _TableauBuilder:
         # Heads that leave their cell, by move direction: (head code, offset
         # of the head digit it puts over the symbol of the cell it enters).
         moves: dict[str, list[tuple[int, int]]] = {"L": [], "R": []}
-        s = self.n_symbols
         for state in self.enc.states:
             for sym in self.enc.symbols:
                 code = self.enc.head_code(state, sym)
@@ -234,7 +233,7 @@ class _TableauBuilder:
                     continue  # stuck head: no successor case at all
                 nstate, write, direction = move
                 self.center_next.append((code, self.enc.cell_code(write)))
-                offset = s * (1 + self.enc.states.index(nstate))
+                offset = self.n_symbols * (1 + self.enc.states.index(nstate))
                 moves[direction].append((code, offset))
         # Per direction, those pairs and then their head codes, sorted.
         self.moves = {
@@ -321,7 +320,9 @@ class _TableauBuilder:
             )
 
     def build(self, outcome: str) -> Formula:
-        accept_state = self.m.accept_yes if outcome == "yes" else self.m.accept_no
+        accept_state = (
+            self.m.accept_yes if outcome == "yes" else self.m.accept_no
+        )
         accept_codes = [
             self.enc.head_code(accept_state, sym) for sym in self.enc.symbols
         ]
