@@ -119,7 +119,7 @@ def random_formula(rng: random.Random, depth: int, free_vars=VARS) -> Formula:
             random_formula(rng, depth - 1, free_vars),
         )
     var = rng.choice(VARS)
-    inner_free = tuple(set(free_vars) | {var})
+    inner_free = tuple(sorted(set(free_vars) | {var}))
     if pick == 4:
         return ForAll(var, random_formula(rng, depth - 1, inner_free))
     if pick == 5:

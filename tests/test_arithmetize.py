@@ -1,7 +1,9 @@
 import hashlib
+import random
 
 import pytest
 
+from conftest import VARS, random_formula, random_term
 from omegacheck import wire
 from omegacheck.arithmetize import (
     EncodingOverflow,
@@ -29,15 +31,22 @@ from omegacheck.machines import (
 )
 from omegacheck.omega import build_loops_certificate, check_omega_bounded
 from omegacheck.syntax import (
+    Add,
     Exists,
     ForAll,
+    Mul,
     Not,
     Or,
+    Succ,
+    Var,
+    ZERO,
     eval_bounded,
     free_vars,
     is_closed,
     is_delta0,
     numeral,
+    print_formula,
+    print_term,
     substitute,
 )
 
@@ -277,3 +286,51 @@ def test_tableau_encodings_golden():
                 count += 1
     assert count == 1218
     assert digest.hexdigest() == TABLEAU_DIGEST
+
+
+PRINT_DIGEST = "ee5688ca3c96d809886cc42c2fc40a878b27b6fb782ae7d0ca2e11eeda21f470"
+
+# Terms substituted into the random formulas: closed ones, and open ones
+# whose variables the formulas also bind, so that binders get renamed.
+SUBSTITUTED = (
+    ZERO,
+    numeral(2),
+    Var("x"),
+    Var("y"),
+    Add(Var("x"), Var("y")),
+    Succ(Var("z")),
+    Mul(Var("u"), numeral(1)),
+)
+
+
+def test_printed_text_golden():
+    # One digest over the printed text of every statement that
+    # test_tableau_encodings_golden hashes, of the numeral 300, and of seeded
+    # random terms and formulas and the formulas' substitutions. Any change
+    # to a bracket, a space or a renamed binder moves the digest.
+    statements = (halts_yes_formula, halts_no_formula, loops_formula)
+    digest = hashlib.sha256()
+
+    def put(text: str) -> None:
+        digest.update(text.encode() + b"\n")
+
+    for m in (*CORPUS.values(), PACER, STUCK):
+        for n in range(6):
+            for t in range(13):
+                for outcome in ("yes", "no"):
+                    put(print_formula(halted_by_formula(m, n, t, outcome)))
+            for statement in statements:
+                try:
+                    put(print_formula(statement(m, n)))
+                except RunAnalysisError:
+                    put("RunAnalysisError")
+    put(print_term(numeral(300)))
+    rng = random.Random(1414)
+    for _ in range(1000):
+        put(print_term(random_term(rng, rng.randrange(4))))
+        f = random_formula(rng, rng.randrange(1, 5))
+        put(print_formula(f))
+        for var in VARS:
+            for term in SUBSTITUTED:
+                put(print_formula(substitute(f, var, term)))
+    assert digest.hexdigest() == PRINT_DIGEST

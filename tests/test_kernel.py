@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_true_delta0, random_valid_proof
+from omegacheck import wire
 from omegacheck.kernel import (
     LOGIC_SCHEMES,
     Proof,
@@ -164,6 +166,54 @@ def test_vacuous_forall_rejects_free_occurrence():
     phi = Eq(Var("x"), ZERO)
     with pytest.raises(ValueError):
         logical_axiom_instance("vacuous-forall", ("x", phi))
+
+
+KERNEL_DIGEST = "39a977cfab5697d0ba3bbfb564934400fce484c92b0f592199ea1d9e9a683245"
+
+
+def test_kernel_data_golden():
+    # One digest over the wire encoding of the 21 axioms and of an instance
+    # of each logic scheme, one with a renamed binder, and over the verdicts
+    # on malformed logic payloads.
+    a, b = parse_formula("x = 0"), parse_formula("0 <= y")
+    c = parse_formula("exists y. x = y + z")
+    instances = {
+        "k": (a, b),
+        "s": (a, b, c),
+        "contra": (b, c),
+        "and-intro": (c, a),
+        "and-left": (a, b),
+        "and-right": (b, a),
+        "or-left": (a, c),
+        "or-right": (c, b),
+        "or-elim": (c, b, a),
+        "exists-intro": ("z", c, Var("y")),
+        "vacuous-forall": ("z", a),
+        "forall-mono": ("x", a, c),
+    }
+    malformed = [
+        ("nope", (a, b)),
+        ("k", (a,)),
+        ("s", (a, b)),
+        ("vacuous-forall", ("x", a)),
+        ("exists-intro", ("x", a, b)),
+        ("k", (1, 2)),
+        ("k", 5),
+        (["k"], (a, b)),
+        ("k",),
+        None,
+    ]
+    digest = hashlib.sha256()
+    for f in (*pa_axioms(), *equality_axioms()):
+        digest.update(wire.encode_formula(f, bytearray()))
+    for scheme in sorted(instances):
+        f = logical_axiom_instance(scheme, instances[scheme])
+        digest.update(wire.encode_formula(f, bytearray()))
+    for payload in malformed:
+        proof = make_proof([ProofStep(a, RULE_LOGIC, payload=payload)])
+        verdict = check_proof(frozenset(), proof, a)
+        digest.update(f"{verdict.reason}: {verdict.detail}\n".encode())
+    assert digest.hexdigest() == KERNEL_DIGEST
 
 
 def test_bad_axiom_index_rejected():

@@ -60,6 +60,33 @@ def test_precedence_and_associativity():
     )
 
 
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        ("x = 0 -> y = 0 -> z = 0", None),
+        ("(x = 0 -> y = 0) -> z = 0", None),
+        ("x = 0 | y = 0 | z = 0", None),
+        ("x = 0 | (y = 0 | z = 0)", None),
+        ("x = 0 & y = 0 | z = 0", None),
+        ("x = 0 & (y = 0 | z = 0)", None),
+        ("(x = 0 & y = 0) | (z = 0 -> x = 0)", "x = 0 & y = 0 | (z = 0 -> x = 0)"),
+        ("~(x = 0 & y = 0)", None),
+        ("~~(x <= 0)", "~~x <= 0"),
+        ("~forall x. x = 0", "~(forall x. x = 0)"),
+        ("x = 0 & exists y. y = 0", "x = 0 & (exists y. y = 0)"),
+        ("x = 0 -> forall y. y = 0", None),
+        ("(forall x. x = 0) -> y = 0", None),
+        ("forall x <= (y + z). exists y. x = y", "forall x <= y + z. exists y. x = y"),
+        ("x + y + z = x * y * z", None),
+        ("x + (y + z) = x * (y * z)", None),
+        ("(x + y) * z <= x + y * z", None),
+        ("S((x + y)) = S(S(0)) * S(x * y)", "S(x + y) = S(S(0)) * S(x * y)"),
+    ],
+)
+def test_printed_precedence(text, printed):
+    assert print_formula(parse_formula(text)) == (printed or text)
+
+
 def test_numerals():
     assert numeral(0) == ZERO
     assert numeral(3) == S(S(S(ZERO)))
