@@ -145,7 +145,7 @@ _TEXT_SHAPES = {s.layout.split()[0]: s for s in kernel.RULE_SHAPES.values()}
 def _field_text(kind: str, value) -> str:
     if kind == "L":
         scheme, items = value
-        kinds = kernel.LOGIC_SCHEMES[scheme]
+        kinds = kernel.LOGIC_SCHEMES[scheme].kinds
         return " ; ".join([scheme, *map(_field_text, kinds, items)])
     if kind == "t":
         return print_term(value)
@@ -227,7 +227,8 @@ def _parse_step(line: str) -> kernel.ProofStep:
             if kind != "L":
                 values.append(_read_field(kind, word))
             elif word in kernel.LOGIC_SCHEMES:
-                items = [v for k in kernel.LOGIC_SCHEMES[word] for v in read_group(k)]
+                kinds = kernel.LOGIC_SCHEMES[word].kinds
+                items = [v for k in kinds for v in read_group(k)]
                 values.append((word, tuple(items)))
             else:
                 raise ValueError(f"unknown scheme {word!r}")

@@ -22,7 +22,7 @@ instance bound k; with no bound it is rejected, never accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Generator, Iterable, NamedTuple, Optional, Sequence
 
 from .syntax import (
     And,
@@ -199,20 +199,54 @@ def induction_axiom(phi: Formula, var: str) -> Formula:
 # ---------------------------------------------------------------------------
 # Logical axiom schemes
 
-# scheme name -> item kinds ('f' formula, 't' term, 'v' variable name)
-LOGIC_SCHEMES: dict[str, str] = {
-    "k": "ff",
-    "s": "fff",
-    "contra": "ff",
-    "and-intro": "ff",
-    "and-left": "ff",
-    "and-right": "ff",
-    "or-left": "ff",
-    "or-right": "ff",
-    "or-elim": "fff",
-    "exists-intro": "vft",
-    "vacuous-forall": "vf",
-    "forall-mono": "vff",
+class Scheme(NamedTuple):
+    """One logical axiom scheme; see LOGIC_SCHEMES."""
+
+    kinds: str  # item kinds: 'f' a formula, 't' a term, 'v' a variable name
+    instance: Callable[..., Formula]  # the items -> the instance
+
+
+def _vacuous_forall(var: str, phi: Formula) -> Formula:
+    if var in free_vars(phi):
+        raise ValueError(f"{var!r} occurs free in vacuous-forall body")
+    return Implies(phi, ForAll(var, phi))
+
+
+# The one definition of each logical axiom scheme, as RULE_SHAPES is of each
+# rule: scheme name -> its row. The wire ids number the names in sorted order.
+LOGIC_SCHEMES: dict[str, Scheme] = {
+    "k": Scheme("ff", lambda a, b: Implies(a, Implies(b, a))),
+    "s": Scheme(
+        "fff",
+        lambda a, b, c: Implies(
+            Implies(a, Implies(b, c)), Implies(Implies(a, b), Implies(a, c))
+        ),
+    ),
+    "contra": Scheme(
+        "ff", lambda a, b: Implies(Implies(Not(a), Not(b)), Implies(b, a))
+    ),
+    "and-intro": Scheme("ff", lambda a, b: Implies(a, Implies(b, And(a, b)))),
+    "and-left": Scheme("ff", lambda a, b: Implies(And(a, b), a)),
+    "and-right": Scheme("ff", lambda a, b: Implies(And(a, b), b)),
+    "or-left": Scheme("ff", lambda a, b: Implies(a, Or(a, b))),
+    "or-right": Scheme("ff", lambda a, b: Implies(b, Or(a, b))),
+    "or-elim": Scheme(
+        "fff",
+        lambda a, b, c: Implies(
+            Implies(a, c), Implies(Implies(b, c), Implies(Or(a, b), c))
+        ),
+    ),
+    "exists-intro": Scheme(
+        "vft",
+        lambda var, phi, term: Implies(substitute(phi, var, term), Exists(var, phi)),
+    ),
+    "vacuous-forall": Scheme("vf", _vacuous_forall),
+    "forall-mono": Scheme(
+        "vff",
+        lambda var, phi, psi: Implies(
+            ForAll(var, Implies(phi, psi)), Implies(ForAll(var, phi), ForAll(var, psi))
+        ),
+    ),
 }
 
 
@@ -272,53 +306,12 @@ RULE_SHAPES: dict[str, StepShape] = {
 
 def logical_axiom_instance(scheme: str, items: tuple) -> Formula:
     """Build the scheme instance; raises ValueError on a malformed payload."""
-    kinds = LOGIC_SCHEMES.get(scheme)
-    if kinds is None:
+    row = LOGIC_SCHEMES.get(scheme)
+    if row is None:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if len(items) != len(kinds):
-        raise ValueError(f"scheme {scheme!r} takes {len(kinds)} items")
-    if scheme == "k":
-        a, b = items
-        return Implies(a, Implies(b, a))
-    if scheme == "s":
-        a, b, c = items
-        return Implies(
-            Implies(a, Implies(b, c)), Implies(Implies(a, b), Implies(a, c))
-        )
-    if scheme == "contra":
-        a, b = items
-        return Implies(Implies(Not(a), Not(b)), Implies(b, a))
-    if scheme == "and-intro":
-        a, b = items
-        return Implies(a, Implies(b, And(a, b)))
-    if scheme == "and-left":
-        a, b = items
-        return Implies(And(a, b), a)
-    if scheme == "and-right":
-        a, b = items
-        return Implies(And(a, b), b)
-    if scheme == "or-left":
-        a, b = items
-        return Implies(a, Or(a, b))
-    if scheme == "or-right":
-        a, b = items
-        return Implies(b, Or(a, b))
-    if scheme == "or-elim":
-        a, b, c = items
-        return Implies(Implies(a, c), Implies(Implies(b, c), Implies(Or(a, b), c)))
-    if scheme == "exists-intro":
-        var, phi, term = items
-        return Implies(substitute(phi, var, term), Exists(var, phi))
-    if scheme == "vacuous-forall":
-        var, phi = items
-        if var in free_vars(phi):
-            raise ValueError(f"{var!r} occurs free in vacuous-forall body")
-        return Implies(phi, ForAll(var, phi))
-    # forall-mono
-    var, phi, psi = items
-    return Implies(
-        ForAll(var, Implies(phi, psi)), Implies(ForAll(var, phi), ForAll(var, psi))
-    )
+    if len(items) != len(row.kinds):
+        raise ValueError(f"scheme {scheme!r} takes {len(row.kinds)} items")
+    return row.instance(*items)
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,7 @@ class _Node:
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
     def __repr__(self):
-        return f"{type(self).__name__}<{_render(self, 1)}>"
+        return f"{type(self).__name__}<{_render(self)}>"
 
 
 def _not_a_node(cls) -> TypeError:
@@ -330,9 +330,6 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 # Substitution
 
 
-_BINARY = frozenset({Add, Mul, Eq, Le, And, Or, Implies})
-
-
 def substitute(f: Formula, var: str, replacement: Term) -> Formula:
     """Capture-avoiding substitution of `replacement` for free `var`.
 
@@ -346,8 +343,8 @@ def substitute(f: Formula, var: str, replacement: Term) -> Formula:
     sub = (var, replacement, repl_vars)
     done: list = []  # finished subtrees, popped by the rebuild that needs them
     # Subtrees to substitute into under `sub`, and rebuilds from `done`: of a
-    # node (node,), of a successor chain (chain, base), of a binder under a
-    # name (binder, name); (None, sub) resumes `sub` on the last result.
+    # node (node,), of a binder under a name (binder, name); (None, sub)
+    # resumes `sub` on the last result.
     todo: list = [f]
     while todo:
         item = todo.pop()
@@ -360,16 +357,9 @@ def substitute(f: Formula, var: str, replacement: Term) -> Formula:
                 todo.append(done.pop())
                 continue
             cls = node.__class__
-            if cls is Succ:
-                # A successor chain over item[1], rebuilt on its new base.
-                base = done.pop()
-                while node.__class__ is Succ:
-                    node = node.arg
-                    base = Succ(base)
-                done.append(base)
-            elif cls is Not:
-                done.append(Not(done.pop()))
-            elif cls in _BINARY:
+            if cls is Succ or cls is Not:
+                done.append(cls(done.pop()))
+            elif cls in _TOKENS:
                 right = done.pop()
                 done.append(cls(done.pop(), right))
             else:
@@ -384,16 +374,10 @@ def substitute(f: Formula, var: str, replacement: Term) -> Formula:
             done.append(item)
         elif cls is Var:
             done.append(replacement)
-        elif cls is Succ:
-            base = item.arg
-            while base.__class__ is Succ:
-                base = base.arg
-            todo.append((item, base))
-            todo.append(base)
-        elif cls is Not:
+        elif cls is Succ or cls is Not:
             todo.append((item,))
-            todo.append(item.body)
-        elif cls in _BINARY:
+            todo.append(item.arg if cls is Succ else item.body)
+        elif cls in _TOKENS:
             todo.append((item,))
             todo.append(item.right)
             todo.append(item.left)
@@ -427,23 +411,10 @@ def substitute(f: Formula, var: str, replacement: Term) -> Formula:
 # ---------------------------------------------------------------------------
 # Printing
 
-_TERM_ADD = 1
 
-# Infix node -> (operator, own level, left operand's level, right operand's
-# level). Terms: + is 1, * is 2, atoms 3. Formulas: -> is 1 (right assoc),
-# | is 2, & is 3, ~ and atoms 4.
-_INFIX_PRINT = {
-    Eq: (" = ", 4, 1, 1),
-    Le: (" <= ", 4, 1, 1),
-    Add: (" + ", 1, 1, 2),
-    Mul: (" * ", 2, 2, 3),
-    Implies: (" -> ", 1, 2, 1),
-    Or: (" | ", 2, 2, 3),
-    And: (" & ", 3, 3, 4),
-}
-
-
-def _render(root: Term | Formula, level: int) -> str:
+def _render(root: Term | Formula, level: int = 0) -> str:
+    """`root` in a context of this level on the `_INFIX` scale: a node that
+    binds more loosely is bracketed. A binder binds as loosely as `->`."""
     out: list[str] = []
     # Work stack holds nodes to render (with their context level) and
     # literal strings to emit.
@@ -460,26 +431,22 @@ def _render(root: Term | Formula, level: int) -> str:
         elif cls is Var:
             out.append(node.name)
         elif cls is Succ:
-            n = 0
-            while node.__class__ is Succ:
-                n += 1
-                node = node.arg
-            out.append("S(" * n)
-            stack.append(")" * n)
-            stack.append((node, _TERM_ADD))
+            out.append("S(")
+            stack.append(")")
+            stack.append((node.arg, 0))
         elif cls is Not:
             out.append("~")
             stack.append((node.body, 4))
-        elif cls in _INFIX_PRINT:
-            op, mine, left_lv, right_lv = _INFIX_PRINT[cls]
-            if level > mine:
+        elif cls in _TOKENS:
+            token = _TOKENS[cls]
+            prec, right, _ = _INFIX[token]
+            if level > prec:
                 out.append("(")
                 stack.append(")")
-            stack.append((node.right, right_lv))
-            stack.append(op)
-            stack.append((node.left, left_lv))
+            stack.append((node.right, prec if right else prec + 1))
+            stack.append(f" {token} ")
+            stack.append((node.left, prec + 1 if right else prec))
         else:
-            # All four binders; body extends as far right as possible.
             if level > 1:
                 out.append("(")
                 stack.append(")")
@@ -490,17 +457,17 @@ def _render(root: Term | Formula, level: int) -> str:
             out.append(node.var)
             if issubclass(cls, _Bounded):
                 out.append(" <= ")
-                stack.append((node.bound, _TERM_ADD))
+                stack.append((node.bound, 0))
     return "".join(out)
 
 
 def print_term(t: Term) -> str:
-    return _render(t, _TERM_ADD)
+    return _render(t)
 
 
 def print_formula(f: Formula) -> str:
     """Render in the concrete grammar; parse(print(f)) == f."""
-    return _render(f, 1)
+    return _render(f)
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +497,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-# Infix token -> (precedence, right-associative, node class). Operators of
-# precedence 5 and up take terms, the others formulas. The prefix operators
-# are `~` (4) and the quantifiers (0: the body extends as far right as
-# possible).
+# Infix token -> (precedence, right-associative, node class): the one
+# operator table, which the printer reads too. Operators of precedence 5 and
+# up take terms, the others formulas. The prefix operators are `~` (4) and
+# the quantifiers (0: the body extends as far right as possible).
 _INFIX = {
     "->": (1, True, Implies),
     "|": (2, False, Or),
@@ -543,6 +510,7 @@ _INFIX = {
     "+": (6, False, Add),
     "*": (7, False, Mul),
 }
+_TOKENS = {cls: token for token, (_, _, cls) in _INFIX.items()}  # the inverse
 _TERMS = (Zero, Succ, Add, Mul, Var)
 
 

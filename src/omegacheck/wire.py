@@ -120,7 +120,7 @@ def put_field(out: bytearray, kind: str, value) -> None:
     elif kind == "L":
         scheme, items = value
         out.append(_SCHEME_IDS[scheme])
-        for item_kind, item in zip(K.LOGIC_SCHEMES[scheme], items):
+        for item_kind, item in zip(K.LOGIC_SCHEMES[scheme].kinds, items):
             put_field(out, item_kind, item)
     else:
         encode_formula(value, out)
@@ -185,7 +185,7 @@ class Reader:
             scheme = _ID_SCHEMES.get(self.u8())
             if scheme is None:
                 raise MalformedEncoding("bad scheme id")
-            return scheme, tuple([self.field(k) for k in K.LOGIC_SCHEMES[scheme]])
+            return scheme, tuple([self.field(k) for k in K.LOGIC_SCHEMES[scheme].kinds])
         return _decode(self, kind)
 
 
