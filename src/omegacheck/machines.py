@@ -32,6 +32,7 @@ being bit-exact.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -148,11 +149,14 @@ def run(m: MachineDesc, n: int, budget: int) -> RunResult:
     """Simulate up to `budget` steps, counted as the module docstring says.
 
     A stuck run never halts, so it is reported as a timeout. Only the last
-    configuration can be accepting, because the run ends there.
+    configuration can be accepting, because the run ends there. The first
+    `budget` configurations read no cell past `budget - 2`, so the run is on
+    at most `budget` of the n input strokes.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    for used, c in enumerate(islice(configs(m, n), budget), 1):
+    stop = min(budget, sys.maxsize)  # the most islice takes
+    for used, c in enumerate(islice(configs(m, min(n, budget)), stop), 1):
         pass
     if c.state == m.accept_yes:
         return RunResult("yes", used)

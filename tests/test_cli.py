@@ -14,6 +14,7 @@ from omegacheck.machines import (
     ALWAYS_YES,
     EVEN,
     LOOP,
+    MachineDesc,
     machine_to_text,
 )
 from omegacheck.syntax import (
@@ -242,6 +243,21 @@ def test_simulate_exit_codes(machine_files, capsys):
     code, out, _ = run_cli(capsys, "simulate", machine_files["ay"], "0")
     assert code == 0
     code, out, _ = run_cli(capsys, "simulate", machine_files["even"], "3")
+    assert code == 2
+
+
+def test_simulate_budget_past_the_largest_index(machine_files, tmp_path, capsys):
+    # A budget larger than any index still simulates: a machine with no
+    # transitions gets stuck and times out, and EVEN halts with no.
+    stuck = tmp_path / "stuck.tm"
+    stuck.write_text(machine_to_text(MachineDesc((), "q", "Y", "N")))
+    budget = str(10**20)
+    code, out, _ = run_cli(capsys, "simulate", str(stuck), "0", "--budget", budget)
+    assert code == 3
+    assert "timeout" in out
+    code, _, _ = run_cli(
+        capsys, "simulate", machine_files["even"], "3", "--budget", budget
+    )
     assert code == 2
 
 

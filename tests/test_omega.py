@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from omegacheck.arithmetize import loops_formula
@@ -260,6 +262,25 @@ def test_omega_wire_roundtrip():
     assert verdict.kind == "accepted_conditional"
     with pytest.raises(MalformedEncoding):
         deserialize_omega_proof(data[: len(data) // 2])
+
+
+def test_certificate_input_does_not_set_the_memory_used():
+    # Instance t simulates at most t steps, which read at most t input
+    # strokes, so an input of 300 000 costs no more memory than one of 0.
+    cert = build_loops_certificate(LOOP, 0)
+    data = serialize_omega_proof(OmegaProof((cert,), cert.conclusion))
+    patched = deserialize_omega_proof(data[:-4] + (300_000).to_bytes(4, "big"))
+    assert patched.steps[0].premise_machine.input_n == 300_000
+    tracemalloc.start()
+    try:
+        verdict = check_omega_proof(
+            frozenset(), patched, cert.conclusion, k=3, per_instance_budget=3
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (verdict.kind, verdict.instance) == ("budget_exhausted", 3)
+    assert peak < 2**20
 
 
 def test_rejected_certificate_for_even_reports_halt_point():
