@@ -421,19 +421,19 @@ def _render(root: Term | Formula, level: int = 0) -> str:
     stack: list[object] = [(root, level)]
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
+        if item.__class__ is str:
             out.append(item)
             continue
         node, level = item
         cls = node.__class__
-        if cls is Zero:
-            out.append("0")
-        elif cls is Var:
-            out.append(node.name)
-        elif cls is Succ:
+        if cls is Succ:
             out.append("S(")
             stack.append(")")
             stack.append((node.arg, 0))
+        elif cls is Zero:
+            out.append("0")
+        elif cls is Var:
+            out.append(node.name)
         elif cls is Not:
             out.append("~")
             stack.append((node.body, 4))
