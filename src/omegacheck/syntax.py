@@ -417,7 +417,8 @@ def _render(root: Term | Formula, level: int = 0) -> str:
     binds more loosely is bracketed. A binder binds as loosely as `->`."""
     out: list[str] = []
     # Work stack holds nodes to render (with their context level) and
-    # literal strings to emit.
+    # literal strings to emit. A node's first child is rendered at once,
+    # without a trip through the stack.
     stack: list[object] = [(root, level)]
     while stack:
         item = stack.pop()
@@ -425,39 +426,45 @@ def _render(root: Term | Formula, level: int = 0) -> str:
             out.append(item)
             continue
         node, level = item
-        cls = node.__class__
-        if cls is Succ:
-            out.append("S(")
-            stack.append(")")
-            stack.append((node.arg, 0))
-        elif cls is Zero:
-            out.append("0")
-        elif cls is Var:
-            out.append(node.name)
-        elif cls is Not:
-            out.append("~")
-            stack.append((node.body, 4))
-        elif cls in _TOKENS:
-            token = _TOKENS[cls]
-            prec, right, _ = _INFIX[token]
-            if level > prec:
-                out.append("(")
+        while True:
+            cls = node.__class__
+            if cls is Succ:
+                out.append("S(")
                 stack.append(")")
-            stack.append((node.right, prec if right else prec + 1))
-            stack.append(f" {token} ")
-            stack.append((node.left, prec + 1 if right else prec))
-        else:
-            if level > 1:
-                out.append("(")
-                stack.append(")")
-            stack.append((node.body, 1))
-            stack.append(". ")
-            forall = cls is ForAll or cls is BoundedForAll
-            out.append("forall " if forall else "exists ")
-            out.append(node.var)
-            if issubclass(cls, _Bounded):
-                out.append(" <= ")
-                stack.append((node.bound, 0))
+                node, level = node.arg, 0
+            elif cls is Zero:
+                out.append("0")
+                break
+            elif cls is Var:
+                out.append(node.name)
+                break
+            elif cls is Not:
+                out.append("~")
+                node, level = node.body, 4
+            elif cls in _TOKENS:
+                token = _TOKENS[cls]
+                prec, right, _ = _INFIX[token]
+                if level > prec:
+                    out.append("(")
+                    stack.append(")")
+                stack.append((node.right, prec if right else prec + 1))
+                stack.append(f" {token} ")
+                node, level = node.left, prec + 1 if right else prec
+            else:
+                if level > 1:
+                    out.append("(")
+                    stack.append(")")
+                forall = cls is ForAll or cls is BoundedForAll
+                out.append("forall " if forall else "exists ")
+                out.append(node.var)
+                if issubclass(cls, _Bounded):
+                    out.append(" <= ")
+                    stack.append((node.body, 1))
+                    stack.append(". ")
+                    node, level = node.bound, 0
+                else:
+                    out.append(". ")
+                    node, level = node.body, 1
     return "".join(out)
 
 
