@@ -42,6 +42,7 @@ from .syntax import (
     Add,
     eval_bounded,
     free_vars,
+    is_identifier,
     substitute,
 )
 
@@ -382,7 +383,7 @@ def check_step(
         if step.conclusion != impl.right:
             return mismatch("conclusion is not the consequent")
     elif step.rule == RULE_GEN:
-        if not isinstance(step.payload, str):
+        if not (isinstance(step.payload, str) and is_identifier(step.payload)):
             return mismatch("gen payload is a variable name")
         (i,) = step.premises
         if step.conclusion != ForAll(step.payload, conclusions[i]):

@@ -7,6 +7,11 @@ do that, and this module does not try. The verdict type has no
 unconditional acceptance: a step is accepted *up to* an instance bound k,
 rejected at a specific instance, or abandoned when an instance exceeds its
 budget. That shape is deliberate and load-bearing.
+
+Each instance's proof is kernel-checked. Premise output equal to the
+canonical encoding of the instance's one-step eval-true proof is compared
+with it rather than decoded, which is sound when phi's own encoding reads
+back to phi (`OmegaStep._readable_closed_bytes`); other output is decoded.
 """
 
 from __future__ import annotations
@@ -76,25 +81,34 @@ class LoopsPremiseMachine:
         if cost > budget:
             return GenResult(None, budget, exhausted=True)
         instance = substitute(self.phi, self.var, numeral(index))
-        out = bytearray()
-        wire.encode_step(ProofStep(instance, RULE_EVAL_TRUE), out, self._closed_bytes)
-        return GenResult(bytes(out), cost)
+        return GenResult(_encode_eval_true(instance, self._closed_bytes), cost)
 
     @cached_property
     def _closed_bytes(self) -> dict:
-        """The encodings of phi's maximal closed subtrees, which every
-        instance shares with phi: `substitute` leaves them as they are."""
-        known = {}
-        stack = [self.phi]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, str):  # a variable's or a binder's name
-                continue
-            if is_closed(node):
-                known[node] = bytes(wire.encode_formula(node, bytearray()))
-            else:
-                stack.extend(getattr(node, name) for name in node.__match_args__)
-        return known
+        return _closed_bytes(self.phi)
+
+
+def _closed_bytes(phi: Formula) -> dict:
+    """The encodings of phi's maximal closed subtrees, which every instance
+    shares with phi: `substitute` leaves them as they are."""
+    known = {}
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):  # a variable's or a binder's name
+            continue
+        if is_closed(node):
+            known[node] = bytes(wire.encode_formula(node, bytearray()))
+        else:
+            stack.extend(getattr(node, name) for name in node.__match_args__)
+    return known
+
+
+def _encode_eval_true(instance: Formula, known: dict) -> bytes:
+    """The one-step eval-true proof of `instance`, encoded."""
+    out = bytearray()
+    wire.encode_step(ProofStep(instance, RULE_EVAL_TRUE), out, known)
+    return bytes(out)
 
 
 @dataclass(frozen=True)
@@ -110,6 +124,24 @@ class OmegaStep:
             raise ValueError("phi must have exactly the rule variable free")
         if self.conclusion != ForAll(self.var, self.phi):
             raise ValueError("conclusion must be the universal closure of phi")
+
+    @cached_property
+    def _readable_closed_bytes(self) -> Optional[dict]:
+        """The encodings of phi's closed subtrees if phi's encoding reads back
+        to phi, else None. Substituting a closed numeral renames nothing and
+        keeps names and nesting, so then every instance reads back too."""
+        pm = self.premise_machine
+        try:
+            if isinstance(pm, LoopsPremiseMachine) and pm.phi is self.phi:
+                known = pm._closed_bytes  # built once, shared with `generate`
+            else:
+                known = _closed_bytes(self.phi)
+            r = wire.Reader(bytes(wire.encode_formula(self.phi, bytearray(), known)))
+            if wire.decode_formula(r) is self.phi and r.at_end():
+                return known
+        except (ValueError, wire.MalformedEncoding):
+            pass
+        return None
 
     def instance_units(self, step: int, k: int, per_instance_budget: int):
         """Check instances 0..k in order, yielding once between instances;
@@ -147,15 +179,22 @@ def check_instance(
 ) -> Optional[OmegaVerdict]:
     """Run the premise machine on one instance and kernel-check its output.
 
+    Output equal to the encoding of the instance's one-step eval-true proof
+    is compared, not decoded, when phi reads back; other output is decoded.
+
     None means the instance verified; otherwise the failing verdict."""
     produced = s.premise_machine.generate(index, per_instance_budget)
     if produced.exhausted:
         return OmegaVerdict("budget_exhausted", index=index)
-    try:
-        proof = wire.deserialize_proof(produced.proof_bytes)
-    except wire.MalformedEncoding:
-        return OmegaVerdict("rejected", index=index, reason=REASON_MALFORMED)
     target = substitute(s.phi, s.var, numeral(index))
+    known = s._readable_closed_bytes
+    if known is not None and produced.proof_bytes == _encode_eval_true(target, known):
+        proof = Proof((ProofStep(target, RULE_EVAL_TRUE),), target)
+    else:
+        try:
+            proof = wire.deserialize_proof(produced.proof_bytes)
+        except wire.MalformedEncoding:
+            return OmegaVerdict("rejected", index=index, reason=REASON_MALFORMED)
     verdict = check_proof(s.gamma, proof, target)
     if not verdict.accepted:
         return OmegaVerdict("rejected", index=index, reason=verdict.reason)

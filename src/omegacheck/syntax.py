@@ -27,6 +27,12 @@ def is_identifier(name: str) -> bool:
     return bool(_IDENT_RE.match(name)) and name not in _KEYWORDS
 
 
+def _check_name(name: str) -> None:
+    """Refuse what is not a variable's name (TypeError for a non-string)."""
+    if not is_identifier(name):
+        raise ValueError(f"bad variable name: {name!r}")
+
+
 class SyntaxError_(Exception):
     """Parse failure; carries the offset of the offending token."""
 
@@ -181,8 +187,7 @@ class Var(_Node):
         ref = _INTERNED.get(key)
         if ref is not None and (node := ref()) is not None:
             return node
-        if not _IDENT_RE.match(name) or name in _KEYWORDS:
-            raise ValueError(f"bad variable name: {name!r}")
+        _check_name(name)
         return _intern(cls, key, frozenset((name,)), True, name)
 
 
@@ -233,6 +238,7 @@ class _Unbounded(_Node):
             return node
         if not isinstance(body, _Node):
             raise _not_a_node(cls)
+        _check_name(var)
         return _intern(cls, key, _bind(var, body._fv), False, var, body)
 
 
@@ -255,6 +261,7 @@ class _Bounded(_Node):
             return node
         if not (isinstance(bound, _Node) and isinstance(body, _Node)):
             raise _not_a_node(cls)
+        _check_name(var)
         if var in bound._fv:
             raise ValueError(f"bound of {var} mentions {var}")
         fv = _union(bound._fv, _bind(var, body._fv))

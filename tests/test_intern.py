@@ -10,12 +10,23 @@ import pytest
 from conftest import random_formula
 from omegacheck import syntax
 from omegacheck.arithmetize import halted_by_formula
-from omegacheck.kernel import Proof, ProofStep, RULE_EVAL_TRUE
+from omegacheck.kernel import (
+    Proof,
+    ProofStep,
+    RULE_EVAL_TRUE,
+    RULE_GEN,
+    check_proof,
+    make_proof,
+)
 from omegacheck.machines import CORPUS, LOOP
 from omegacheck.omega import build_loops_certificate
 from omegacheck.syntax import (
     And,
+    BoundedExists,
+    BoundedForAll,
     Eq,
+    Exists,
+    ForAll,
     Le,
     Not,
     Succ,
@@ -57,6 +68,31 @@ def test_children_must_be_nodes():
         Eq(0, ZERO)
     with pytest.raises(TypeError):
         substitute(Eq(Var("x"), ZERO), "x", Eq(ZERO, ZERO))
+
+
+@pytest.mark.parametrize("name", ["S", "forall", "1x", "x-y", ""])
+def test_binders_take_only_variable_names(name):
+    body = Eq(Var("x"), ZERO)
+    for build in (ForAll, Exists):
+        with pytest.raises(ValueError, match="bad variable name"):
+            build(name, body)
+    for build in (BoundedForAll, BoundedExists):
+        with pytest.raises(ValueError, match="bad variable name"):
+            build(name, ZERO, body)
+    with pytest.raises(TypeError):
+        ForAll(5, body)
+
+
+def test_generalizing_over_a_non_name_is_a_rule_mismatch():
+    truth = parse_formula("0 = 0")
+    proof = make_proof(
+        [
+            ProofStep(truth, RULE_EVAL_TRUE),
+            ProofStep(ForAll("x", truth), RULE_GEN, premises=(0,), payload="S"),
+        ]
+    )
+    verdict = check_proof(frozenset(), proof, ForAll("x", truth))
+    assert (verdict.step, verdict.reason) == (1, "rule-mismatch")
 
 
 def test_roundtrips_give_back_the_same_object():

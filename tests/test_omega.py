@@ -1,11 +1,13 @@
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 from omegacheck.arithmetize import loops_formula
 from omegacheck.dovetail import OmegaVerifierOracle
 from omegacheck.kernel import Proof, ProofStep, RULE_EVAL_TRUE, check_proof, make_proof
-from omegacheck.machines import ALWAYS_YES, EVEN, LOOP, run
+from omegacheck import wire
+from omegacheck.machines import ALWAYS_YES, BUSY3, CORPUS, EVEN, LOOP, run
 from omegacheck.omega import (
     GenResult,
     LoopsPremiseMachine,
@@ -22,8 +24,10 @@ from omegacheck.syntax import (
     ForAll,
     Le,
     Not,
+    Or,
     Succ,
     Var,
+    ZERO,
     numeral,
     parse_formula,
     substitute,
@@ -68,13 +72,13 @@ class HogsBudgetAt:
         return self.inner.generate(index, budget)
 
 
-def trivial_step(premise=None):
+def trivial_step(premise=None, phi=TRIVIAL_PHI):
     return OmegaStep(
         gamma=frozenset(),
         var="t",
-        phi=TRIVIAL_PHI,
-        premise_machine=premise or TrivialPremise(TRIVIAL_PHI),
-        conclusion=ForAll("t", TRIVIAL_PHI),
+        phi=phi,
+        premise_machine=premise or TrivialPremise(phi),
+        conclusion=ForAll("t", phi),
     )
 
 
@@ -289,3 +293,104 @@ def test_rejected_certificate_for_even_reports_halt_point():
     assert verdict.kind == "rejected"
     assert verdict.index == 5  # EVEN on 3 halts with no at observed step 5
     assert verdict.reason == "eval-false"
+
+
+# ---------------------------------------------------------------------------
+# Output equal to the canonical encoding is compared, not decoded
+
+
+class Shifted:
+    """Emits the proof of instance t + 1 for instance t."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def generate(self, index, budget):
+        return self.inner.generate(index + 1, budget)
+
+
+class TwoSteps:
+    """Emits a valid proof of the instance that is not the one-step proof."""
+
+    def __init__(self, phi, var="t"):
+        self.phi = phi
+        self.var = var
+
+    def generate(self, index, budget):
+        instance = substitute(self.phi, self.var, numeral(index))
+        step = ProofStep(instance, RULE_EVAL_TRUE)
+        return GenResult(serialize_proof(make_proof([step, step])), 1)
+
+
+# Or(phi, Not(0)) is true wherever phi is, but Not(0) has a term where a
+# formula belongs, so its bytes do not decode.
+UNREADABLE_PHI = Or(TRIVIAL_PHI, Not(ZERO))
+
+
+def both_paths(monkeypatch, step, k):
+    """check_omega_bounded as it is, and with every instance decoded."""
+    fast = check_omega_bounded(step, k)
+    with monkeypatch.context() as m:
+        m.setattr(OmegaStep, "_readable_closed_bytes", property(lambda self: None))
+        slow = check_omega_bounded(step, k)
+    return fast, slow
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("n", range(6))
+def test_compared_instances_match_decoded_ones_on_the_corpus(monkeypatch, name, n):
+    fast, slow = both_paths(monkeypatch, build_loops_certificate(CORPUS[name], n), 60)
+    assert fast == slow
+
+
+def shifted_loops_step():
+    cert = build_loops_certificate(LOOP, 0)
+    return replace(cert, premise_machine=Shifted(cert.premise_machine))
+
+
+def unreadable_step():
+    premise = LoopsPremiseMachine(LOOP, 0, "t", UNREADABLE_PHI)
+    return trivial_step(premise, UNREADABLE_PHI)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: trivial_step(TwoSteps(TRIVIAL_PHI)),
+        lambda: trivial_step(GarbageAt(TrivialPremise(TRIVIAL_PHI), 4)),
+        lambda: trivial_step(Shifted(TrivialPremise(TRIVIAL_PHI))),
+        shifted_loops_step,
+        unreadable_step,
+    ],
+    ids=["two-steps", "garbage", "shifted", "shifted-loops", "unreadable-phi"],
+)
+def test_other_output_is_decoded_and_judged_alike(monkeypatch, build):
+    fast, slow = both_paths(monkeypatch, build(), 10)
+    assert fast == slow
+
+
+def test_phi_that_does_not_read_back_takes_the_decode_path():
+    step = unreadable_step()
+    assert step._readable_closed_bytes is None
+    # The one-step proof would pass in memory: the instance evaluates true.
+    instance = substitute(UNREADABLE_PHI, "t", numeral(0))
+    proof = make_proof([ProofStep(instance, RULE_EVAL_TRUE)])
+    assert check_proof(frozenset(), proof, instance).accepted
+    assert check_omega_bounded(step, 3) == OmegaVerdict(
+        "rejected", index=0, reason="malformed-encoding"
+    )
+
+
+def test_loops_instances_are_not_decoded(monkeypatch):
+    calls = []
+    decode = wire.deserialize_proof
+
+    def counted(data, **kwargs):
+        calls.append(data)
+        return decode(data, **kwargs)
+
+    monkeypatch.setattr(wire, "deserialize_proof", counted)
+    halt = run(BUSY3, 2, 50).steps
+    verdict = check_omega_bounded(build_loops_certificate(BUSY3, 2), 50)
+    assert verdict == OmegaVerdict("rejected", index=halt, reason="eval-false")
+    assert calls == []
