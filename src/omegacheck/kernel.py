@@ -37,6 +37,7 @@ from .syntax import (
     NotBounded,
     Or,
     Succ,
+    Term,
     Var,
     ZERO,
     Add,
@@ -312,7 +313,11 @@ def logical_axiom_instance(scheme: str, items: tuple) -> Formula:
         raise ValueError(f"unknown scheme {scheme!r}")
     if len(items) != len(row.kinds):
         raise ValueError(f"scheme {scheme!r} takes {len(row.kinds)} items")
-    return row.instance(*items)
+    instance = row.instance(*items)  # refuses an item that is not a node
+    for i, (kind, item) in enumerate(zip(row.kinds, items)):
+        if not isinstance(item, {"f": Formula, "t": Term, "v": str}[kind]):
+            raise ValueError(f"item {i} of scheme {scheme!r} has the wrong sort")
+    return instance
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import islice
+from types import SimpleNamespace
 from typing import Optional
 
 from . import wire
@@ -35,10 +37,9 @@ from .kernel import (
 from .machines import (
     MachineDesc,
     MachineFormatError,
-    RunResult,
+    configs,
     machine_to_text,
     parse_machine,
-    run,
 )
 from .syntax import ForAll, Formula, free_vars, is_closed, numeral, substitute
 
@@ -62,7 +63,8 @@ class LoopsPremiseMachine:
     On instance index t it simulates the subject machine for up to t steps
     (each simulated step costs one budget unit, plus one to emit) and then
     emits a one-step eval-true proof of phi(t). Whether that instance is
-    actually true is the verifier's business, not this machine's.
+    actually true is the verifier's business, not this machine's. The run
+    is kept between instances and resumed (see `_simulate`).
     """
 
     machine: MachineDesc
@@ -75,13 +77,34 @@ class LoopsPremiseMachine:
         if index > 0:
             if budget <= 0:
                 return GenResult(None, 0, exhausted=True)
-            result: RunResult = run(self.machine, self.input_n, min(index, budget))
-            used = result.steps if result.steps is not None else min(index, budget)
-            cost += used
+            cost += self._simulate(min(index, budget), budget)
         if cost > budget:
             return GenResult(None, budget, exhausted=True)
         instance = substitute(self.phi, self.var, numeral(index))
         return GenResult(_encode_eval_true(instance, self._closed_bytes), cost)
+
+    def _simulate(self, steps: int, budget: int) -> int:
+        """The steps `run` takes with a budget of `steps`: the halting step
+        if it is at most `steps`, else `steps`. The run goes on from the last
+        call. Its first p configurations on p input strokes are those on all
+        n (see `run`), so a call that needs more restarts it on at least
+        twice as many strokes, and on at most min(n, budget)."""
+        r = self._run
+        if r.halt is None and r.seen < steps:
+            if r.prefix < min(self.input_n, steps):
+                r.prefix = min(self.input_n, budget, max(steps, 2 * r.prefix))
+                r.configs, r.seen = configs(self.machine, r.prefix), 0
+            accepting = (self.machine.accept_yes, self.machine.accept_no)
+            for c in islice(r.configs, steps - r.seen):  # a stuck run ends
+                r.seen += 1
+                if c.state in accepting:
+                    r.halt = r.seen
+        return steps if r.halt is None else min(r.halt, steps)
+
+    @cached_property
+    def _run(self) -> SimpleNamespace:
+        # configurations, the input strokes they are on, how many were read
+        return SimpleNamespace(configs=None, prefix=-1, seen=0, halt=None)
 
     @cached_property
     def _closed_bytes(self) -> dict:

@@ -6,7 +6,8 @@ Bounded quantifiers are their own node types so that the decidable class
 (every quantifier bounded) is a syntactic check, not a semantic one.
 
 Nodes are hash-consed (see `_Node`): equal trees are one object, and each
-node records its free variables and whether it is bounded.
+node records its free variables and whether it is bounded; a successor
+also records the number it denotes, if it is a numeral.
 
 Truth is only ever computed for closed bounded sentences; `eval_bounded`
 refuses anything else.
@@ -106,8 +107,10 @@ class _Node:
     from one thread at a time (the package starts none). Each node also
     records, when it is built, its free variables (`_fv`: closed nodes share
     one empty set, and a node whose set is a child's shares that child's)
-    and whether every quantifier in it is bounded (`_d0`). Nodes are
-    immutable, and `repr` renders them without recursion."""
+    and whether every quantifier in it is bounded (`_d0`). Zero and each
+    successor record a third property, the number the node denotes if it
+    is a numeral and else None (`_n`), so a numeral's value is one read.
+    Nodes are immutable, and `repr` renders them without recursion."""
 
     __slots__ = ("__weakref__", "_fv", "_d0")
     __match_args__: tuple[str, ...] = ()
@@ -136,7 +139,11 @@ class _Unary(_Node):
             return node
         if not isinstance(child, _Node):
             raise _not_a_node(cls)
-        return _intern(cls, key, child._fv, child._d0, child)
+        node = _intern(cls, key, child._fv, child._d0, child)
+        if cls is Succ:
+            n = getattr(child, "_n", None)
+            _set(node, "_n", None if n is None else n + 1)
+        return node
 
 
 class _Binary(_Node):
@@ -159,14 +166,14 @@ class _Binary(_Node):
 
 
 class Zero(_Node):
-    __slots__ = ()
+    __slots__ = ("_n",)
 
     def __new__(cls):
         return ZERO
 
 
 class Succ(_Unary):
-    __slots__ = ("arg",)
+    __slots__ = ("arg", "_n")
     __match_args__ = ("arg",)
 
 
@@ -196,6 +203,8 @@ Term = Union[Zero, Succ, Add, Mul, Var]
 ZERO = object.__new__(Zero)
 _set(ZERO, "_fv", _EMPTY)
 _set(ZERO, "_d0", True)
+_set(ZERO, "_n", 0)
+_latest: list[Term] = [ZERO]  # the numeral that `numeral` built last
 
 
 # ---------------------------------------------------------------------------
@@ -288,22 +297,20 @@ Formula = Union[
 @lru_cache(maxsize=1 << 12)
 def numeral(n: int) -> Term:
     """The closed term with n successors over zero (the most recent 4096
-    are kept)."""
+    are kept). It is built on the numeral built last when that one is not
+    larger, so numerals asked for in increasing order cost one node each."""
     if n < 0:
         raise ValueError("numerals encode naturals only")
-    t: Term = ZERO
-    for _ in range(n):
+    t = _latest[0] if _latest[0]._n <= n else ZERO
+    for _ in range(n - t._n):
         t = Succ(t)
+    _latest[0] = t
     return t
 
 
 def numeral_value(t: Term) -> int | None:
     """Decode a numeral; None if the term is not a pure successor chain."""
-    n = 0
-    while isinstance(t, Succ):
-        n += 1
-        t = t.arg
-    return n if isinstance(t, Zero) else None
+    return getattr(t, "_n", None)
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +654,11 @@ def eval_term(t: Term, env: dict[str, int]) -> int:
     above = 0  # successors above the current node, counted, not descended
     while True:
         cls = t.__class__
-        while cls is not Zero and cls is not Var:
+        # Down to a variable or a numeral, which records its value.
+        while cls is not Var and cls is not Zero:
             if cls is Succ:
+                if t._n is not None:
+                    break
                 above += 1
                 t = t.arg
             else:
@@ -656,7 +666,7 @@ def eval_term(t: Term, env: dict[str, int]) -> int:
                 above = 0
                 t = t.left
             cls = t.__class__
-        value = above if cls is Zero else env[t.name] + above
+        value = env[t.name] + above if cls is Var else t._n + above
         while pending:
             cls, other, above, right = pending.pop()
             if not right:

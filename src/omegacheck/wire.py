@@ -90,9 +90,9 @@ def encode_formula(
         if known is not None and node in known:
             out += known[node]
             continue
-        while node.__class__ is S.Succ:
-            out.append(_SUCC_TAG)
-            node = node.arg
+        if node.__class__ is S.Succ and node._n is not None:  # a numeral
+            out += bytes((_SUCC_TAG,)) * node._n
+            node = S.ZERO
         tag = _TAGS.get(node.__class__)
         if tag is None:
             raise ValueError(f"cannot encode {node!r}")
@@ -202,7 +202,6 @@ def _decode(r: Reader, kind: str):
     end = len(data)
     pos = r.pos
     names: dict[bytes, S.Var] = {}
-    numerals: dict[int, S.Term] = {}  # by number of successors
 
     def read_var(pos: int) -> tuple[S.Var, int]:
         """The variable named at `pos`, and the position after the name."""
@@ -226,9 +225,7 @@ def _decode(r: Reader, kind: str):
                 pos += 1
             if pos < end and data[pos] == _ZERO_TAG:
                 pos += 1
-                node = numerals.get(pos - start)
-                if node is None:
-                    node = numerals[pos - start] = S.numeral(pos - start)
+                node = S.numeral(pos - start)
             else:
                 # A run of successors takes one frame: (number of successors,).
                 frames.append((pos - start + 1,))

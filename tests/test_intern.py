@@ -6,6 +6,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_formula
 from omegacheck import syntax
@@ -21,6 +22,7 @@ from omegacheck.kernel import (
 from omegacheck.machines import CORPUS, LOOP
 from omegacheck.omega import build_loops_certificate
 from omegacheck.syntax import (
+    Add,
     And,
     BoundedExists,
     BoundedForAll,
@@ -28,12 +30,15 @@ from omegacheck.syntax import (
     Exists,
     ForAll,
     Le,
+    Mul,
     Not,
     Succ,
     Var,
     ZERO,
     Zero,
+    eval_term,
     numeral,
+    numeral_value,
     parse_formula,
     print_formula,
     substitute,
@@ -150,3 +155,75 @@ def test_generated_instances_are_the_serialized_instances(name):
             instance = substitute(cert.phi, cert.var, numeral(index))
             proof = Proof((ProofStep(instance, RULE_EVAL_TRUE),), instance)
             assert produced.proof_bytes == serialize_proof(proof)
+
+
+# ---------------------------------------------------------------------------
+# A successor records the number it denotes, if it is a numeral
+
+ENV = {"x": 3, "y": 0}
+
+terms = st.recursive(
+    st.one_of(
+        st.sampled_from([ZERO, Var("x"), Var("y")]),
+        st.integers(0, 30).map(numeral),
+    ),
+    lambda inner: st.one_of(
+        inner.map(Succ),
+        st.tuples(inner, inner).map(lambda pair: Add(*pair)),
+        st.tuples(inner, inner).map(lambda pair: Mul(*pair)),
+    ),
+    max_leaves=12,
+)
+
+
+def _walked_value(t):
+    """The numeral's value by walking its successors; None if not one."""
+    n = 0
+    while isinstance(t, Succ):
+        n, t = n + 1, t.arg
+    return n if t is ZERO else None
+
+
+def _naive_eval(t):
+    if isinstance(t, Succ):
+        return _naive_eval(t.arg) + 1
+    if isinstance(t, (Add, Mul)):
+        left, right = _naive_eval(t.left), _naive_eval(t.right)
+        return left + right if isinstance(t, Add) else left * right
+    return 0 if t is ZERO else ENV[t.name]
+
+
+def _naive_encode(t) -> bytes:
+    if t is ZERO:
+        return b"\x01"
+    if isinstance(t, Succ):
+        return b"\x02" + _naive_encode(t.arg)
+    if isinstance(t, Var):
+        return b"\x05" + bytes([len(t.name)]) + t.name.encode()
+    tag = b"\x03" if isinstance(t, Add) else b"\x04"
+    return tag + _naive_encode(t.left) + _naive_encode(t.right)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms, st.integers(0, 3))
+def test_numeral_record_reads_as_the_walk(term, wrap):
+    for _ in range(wrap):  # as substituting into S(t) builds
+        term = Succ(term)
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        assert numeral_value(t) == _walked_value(t)
+        stack += [getattr(t, name) for name in t.__match_args__ if name != "name"]
+    assert eval_term(term, dict(ENV)) == _naive_eval(term)
+    assert bytes(encode_formula(term, bytearray())) == _naive_encode(term)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(st.integers(0, 40), st.integers(4000, 9000)))
+def test_decoded_numerals_carry_their_record(n):
+    node = Reader(b"\x02" * n + b"\x01").field("t")
+    built = ZERO
+    for _ in range(n):
+        built = Succ(built)
+    assert node is built is numeral(n)
+    assert numeral_value(node) == _walked_value(node) == n

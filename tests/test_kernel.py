@@ -216,6 +216,23 @@ def test_kernel_data_golden():
     assert digest.hexdigest() == KERNEL_DIGEST
 
 
+@pytest.mark.parametrize(
+    "scheme, items",
+    [
+        ("k", (Var("x"), Var("y"))),
+        ("and-intro", (TRUTH, numeral(2))),
+        ("vacuous-forall", ("z", Var("x"))),
+        ("exists-intro", ("x", Var("x"), ZERO)),
+    ],
+)
+def test_scheme_items_of_the_wrong_sort_are_a_rule_mismatch(scheme, items):
+    conclusion = LOGIC_SCHEMES[scheme].instance(*items)  # builds unchecked
+    proof = make_proof([ProofStep(conclusion, RULE_LOGIC, payload=(scheme, items))])
+    verdict = check_proof(frozenset(), proof, conclusion)
+    assert (verdict.accepted, verdict.reason) == (False, "rule-mismatch")
+    assert "wrong sort" in verdict.detail
+
+
 def test_bad_axiom_index_rejected():
     proof = make_proof([ProofStep(TRUTH, RULE_PA_AXIOM, payload=99)])
     assert check_proof(frozenset(), proof, TRUTH).reason == "rule-mismatch"

@@ -6,8 +6,16 @@ import pytest
 from omegacheck.arithmetize import loops_formula
 from omegacheck.dovetail import OmegaVerifierOracle
 from omegacheck.kernel import Proof, ProofStep, RULE_EVAL_TRUE, check_proof, make_proof
-from omegacheck import wire
-from omegacheck.machines import ALWAYS_YES, BUSY3, CORPUS, EVEN, LOOP, run
+from omegacheck import machines, omega, wire
+from omegacheck.machines import (
+    ALWAYS_YES,
+    BUSY3,
+    CORPUS,
+    EVEN,
+    LOOP,
+    MachineDesc,
+    run,
+)
 from omegacheck.omega import (
     GenResult,
     LoopsPremiseMachine,
@@ -394,3 +402,62 @@ def test_loops_instances_are_not_decoded(monkeypatch):
     verdict = check_omega_bounded(build_loops_certificate(BUSY3, 2), 50)
     assert verdict == OmegaVerdict("rejected", index=halt, reason="eval-false")
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The premise machine resumes one simulation across instances
+
+BIG = 10**6
+HALT_BUSY3_2 = run(BUSY3, 2, BIG).steps  # 11
+STUCK = MachineDesc((("a", "1", "a", "1", "R"),), "a", "Y", "N")  # at the blank
+
+
+@pytest.mark.parametrize(
+    "machine, n, calls",
+    [
+        (LOOP, 0, [(i, BIG) for i in range(40)]),  # increasing
+        (LOOP, 3, [(5, BIG), (5, BIG), (9, BIG), (9, BIG)]),  # repeated
+        (EVEN, 6, [(30, BIG), (12, BIG), (4, BIG), (0, BIG), (1, BIG)]),  # decreasing
+        (LOOP, 0, [(10, 100), (12, 8), (12, 3), (15, 100), (20, 1), (20, 0)]),
+        (LOOP, 300, [(1, 5), (4, 5), (9, 5), (9, 40), (30, 40), (50, BIG)]),
+        (BUSY3, 2, [(i, BIG) for i in range(2 * HALT_BUSY3_2)]),
+        (BUSY3, 2, [(20, BIG), (HALT_BUSY3_2 - 1, BIG), (HALT_BUSY3_2, BIG),
+                    (15, HALT_BUSY3_2 + 1), (15, HALT_BUSY3_2), (3, BIG)]),
+        (EVEN, 40, [(i, BIG) for i in range(0, 60, 3)] + [(45, 20), (45, 50)]),
+        (STUCK, 6, [(3, BIG), (7, BIG), (9, BIG), (2, BIG), (20, 10)]),
+        (STUCK, 50, [(3, 4), (30, BIG), (52, BIG), (60, BIG)]),
+    ],
+)
+def test_resumed_premise_machine_matches_a_fresh_one(machine, n, calls):
+    q = loops_formula(machine, n)
+    kept = LoopsPremiseMachine(machine, n, q.var, q.body)
+    for index, budget in calls:
+        fresh = LoopsPremiseMachine(machine, n, q.var, q.body)
+        produced = kept.generate(index, budget)
+        assert produced == fresh.generate(index, budget)
+        if not produced.exhausted and index > 0:
+            simulated = run(machine, n, min(index, budget)).steps
+            assert produced.steps_used == 1 + (simulated or min(index, budget))
+
+
+@pytest.mark.parametrize("n, most", [(0, 501), (2000, 3 * 501)])
+def test_instances_zero_to_k_read_linearly_many_configurations(monkeypatch, n, most):
+    # Input 0: one run, k + 1 configurations. An input longer than k: runs
+    # on prefixes that at least double, about 2k configurations. (LOOP never
+    # halts, so phi of input 0 holds at every instance on input n too.)
+    count = 0
+    configs = machines.configs
+
+    def counted(m, strokes):
+        nonlocal count
+        for c in configs(m, strokes):
+            count += 1
+            yield c
+
+    monkeypatch.setattr(machines, "configs", counted)
+    monkeypatch.setattr(omega, "configs", counted, raising=False)
+    cert = build_loops_certificate(LOOP, 0)
+    premise = LoopsPremiseMachine(LOOP, n, cert.var, cert.phi)
+    verdict = check_omega_bounded(replace(cert, premise_machine=premise), 500)
+    assert verdict == OmegaVerdict("accepted_up_to", bound=500)
+    assert count <= most
