@@ -494,26 +494,33 @@ def print_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Parsing
 
+# A printed numeral `S(...S(0)...)` is one token; the others are one
+# symbol or name each, and `bad` is any other character.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<sym>->|<=|[()=~&|.+*0])|(?P<ident>[A-Za-z_][A-Za-z0-9_]*))"
+    r"\s*(?:(?P<num>(?:S\()+0\)+)|(?P<sym>->|<=|[()=~&|.+*0])"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>\S))"
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            while pos < len(text) and text[pos].isspace():
-                pos += 1
-            if pos >= len(text):
-                break
-            raise SyntaxError_(f"unexpected character {text[pos]!r}", pos)
-        group = m.lastgroup
-        kind = group if group == "ident" else m[group]
-        tokens.append((kind, m[group], m.start(group)))
-        pos = m.end()
+def _tokenize(text: str) -> list[tuple]:
+    """(kind, text, position) triples. A numeral of depth d has kind d and
+    text 'S'; a run of k `S(` and j `)` around its `0` gives the d = min(k,
+    j) innermost pairs to the numeral and the rest to their own tokens."""
+    tokens: list[tuple] = []
+    for m in _TOKEN_RE.finditer(text):
+        group, pos = m.lastgroup, m.start(m.lastgroup)
+        if group == "num":
+            zero = pos + m[group].index("0")
+            d = min((zero - pos) // 2, m.end() - zero - 1)
+            first = zero - 2 * d  # the numeral's first `S`
+            for p in range(pos, first, 2):
+                tokens += (("ident", "S", p), ("(", "(", p + 1))
+            tokens.append((d, "S", first))
+            tokens += [(")", ")", p) for p in range(zero + 1 + d, m.end())]
+        elif group == "bad":
+            raise SyntaxError_(f"unexpected character {m[group]!r}", pos)
+        else:
+            tokens.append((group if group == "ident" else m[group], m[group], pos))
     tokens.append(("eof", "", len(text)))
     return tokens
 
@@ -594,6 +601,8 @@ def _parse(text: str, term: bool) -> Term | Formula:
             continue
         if kind == "0":
             operands.append((ZERO, pos))
+        elif kind.__class__ is int:
+            operands.append((numeral(kind), pos))
         elif kind == "ident":
             operands.append((Var(value), pos))
         else:
