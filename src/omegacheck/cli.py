@@ -191,26 +191,29 @@ def proof_to_text(proof: kernel.Proof) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_step(line: str) -> kernel.ProofStep:
-    """Read `k. <formula> BY <rule ...>`, the rule by its layout: `;`
-    separates groups; within a group a field is one word, except that a term
-    or a formula takes the rest of the group; a logic scheme's items follow
-    it, one group each."""
-    number, dot, body = line.partition(".")
-    if not dot or not number.strip().isdigit():
+# The ` BY ` before a rule keyword: a formula never has a name after a name.
+_BY_RULE = re.compile(rf" BY (?=(?:{'|'.join(_TEXT_SHAPES)})(?:\s|$))")
+
+
+def _parse_step(line: str, position: int) -> kernel.ProofStep:
+    """Read `k. <formula> BY <rule ...>`, k being the step's position, the
+    rule by its layout: `;` separates groups; within a group a field is one
+    word, except that a term or a formula takes the rest of the group; a
+    logic scheme's items follow it, one group each."""
+    label, dot, body = line.partition(".")
+    if not dot:
         raise ValueError("expected `k. ...`")
-    formula_text, by, spec = body.strip().rpartition(" BY ")
-    if not by:
-        raise ValueError("missing BY")
-    conclusion = parse_formula(formula_text.strip())
-    unreadable = f"cannot read rule specification {spec.strip()!r}"
-    head = spec.split(None, 1)
-    if not head:
-        raise ValueError("missing rule")
-    shape = _TEXT_SHAPES.get(head[0])
-    if shape is None:
-        raise ValueError(unreadable)
-    groups = iter([group.strip() for group in "".join(head[1:]).split(";")])
+    if label.strip() != str(position):
+        raise ValueError(f"step {position} is labelled {label.strip()!r}")
+    by = _BY_RULE.search(body)
+    if by is None:
+        raise ValueError("missing BY and a rule")
+    conclusion = parse_formula(body[: by.start()].strip())
+    spec = body[by.end() :]
+    unreadable = f"cannot read rule specification {spec!r}"
+    keyword, *rest = spec.split(None, 1)
+    shape = _TEXT_SHAPES[keyword]
+    groups = iter([group.strip() for group in "".join(rest).split(";")])
 
     def read_group(kinds) -> list:
         text = next(groups, None)
@@ -250,7 +253,7 @@ def parse_proof_text(text: str) -> kernel.Proof:
         if not line or line.startswith("#"):
             continue
         try:
-            steps.append(_parse_step(line))
+            steps.append(_parse_step(line, len(steps) + 1))
         except (SyntaxError_, ValueError) as exc:
             raise CliError(f"proof line {lineno}: {exc}", EXIT_PARSE)
     if not steps:

@@ -20,6 +20,7 @@ from omegacheck.machines import (
 from omegacheck.syntax import (
     Exists,
     ForAll,
+    Var,
     eval_bounded,
     is_delta0,
     parse_formula,
@@ -435,9 +436,8 @@ def test_help_exits_0(capsys):
     [
         "# a comment line\n1. 0 = 0 BY eval\n",
         "  1. 0 = 0 BY eval\n",
-        "0. 0 = 0 BY eval\n",
     ],
-    ids=["comment first", "indented first line", "first step numbered 0"],
+    ids=["comment first", "indented first line"],
 )
 def test_text_proof_starting_with_a_step_tag_byte(tmp_path, capsys, text):
     # '#', ' ' and '0' are binary step tags; the file is still a text proof.
@@ -446,6 +446,40 @@ def test_text_proof_starting_with_a_step_tag_byte(tmp_path, capsys, text):
     code, out, err = run_cli(capsys, "check", str(proof), "--target", "0 = 0")
     assert (code, err) == (0, "")
     assert "verdict: accepted" in out
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("5. 0 = 0 BY eval\n", "proof line 1: step 1 is labelled '5'"),
+        ("². 0 = 0 BY eval\n", "proof line 1: step 1 is labelled '²'"),
+        ("01. 0 = 0 BY eval\n", "proof line 1: step 1 is labelled '01'"),
+        ("1. 0 = 0 BY eval\n\n1. 0 = 0 BY eval\n", "line 3: step 2 is labelled '1'"),
+        ("0. 0 = 0 BY eval\n", "proof line 1: step 1 is labelled '0'"),
+    ],
+    ids=["5", "superscript", "leading zero", "repeated", "first step numbered 0"],
+)
+def test_step_label_must_be_its_position(tmp_path, capsys, text, error):
+    # `mp p p` and the like name steps by position, so a label that is not
+    # the position would mislead. A file starting with '0' is tried as
+    # binary first and then read as text.
+    proof = tmp_path / "p.proof"
+    proof.write_text(text)
+    code, out, err = run_cli(capsys, "check", str(proof), "--target", "0 = 0")
+    assert (code, out) == (4, "")
+    assert err.endswith(f"{error}\n")
+
+
+def test_a_variable_named_BY_reads_back():
+    # The step splits at the ` BY ` before `logic`, not at the last one.
+    scheme = ("exists-intro", ("x", parse_formula("x = BY"), Var("BY")))
+    conclusion = parse_formula("BY = BY -> exists x. x = BY")
+    proof = make_proof([ProofStep(conclusion, RULE_LOGIC, (), scheme)])
+    text = proof_to_text(proof)
+    assert text == (
+        "1. BY = BY -> exists x. x = BY BY logic exists-intro ; x ; x = BY ; BY\n"
+    )
+    assert parse_proof_text(text) == proof
 
 
 def check_error(tmp_path, capsys, data: bytes):
