@@ -313,16 +313,16 @@ def check_omega_proof(
 _PM_LOOPS = 0
 
 
-def _encode_step(s, out: bytearray) -> None:
+def _encode_step(s, out: bytearray, spans: dict | None = None) -> None:
     if not isinstance(s, OmegaStep):
-        return wire.encode_step(s, out)
+        return wire.encode_step(s, out, spans=spans)
     if not isinstance(s.premise_machine, LoopsPremiseMachine):
         raise ValueError("only the loops premise machine has a wire representation")
     out.append(wire.OMEGA_STEP_TAG)
     gamma = sorted(wire.encode_formula(g, bytearray()) for g in s.gamma)
     out += len(gamma).to_bytes(2, "big") + b"".join(gamma)
     wire.put_field(out, "v", s.var)
-    wire.put_field(out, "f", s.phi)
+    wire.put_field(out, "f", s.phi, spans)
     text = machine_to_text(s.premise_machine.machine).encode("utf-8")
     out.append(_PM_LOOPS)
     out += len(text).to_bytes(4, "big")

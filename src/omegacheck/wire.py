@@ -10,6 +10,9 @@ Decoding is total: any byte string either decodes or raises
 `MalformedEncoding`. The decoder keeps its own stack, so this does not
 depend on the interpreter's recursion limit; formula nesting is capped at
 `MAX_FORMULA_DEPTH` as part of the format, and term nesting only by memory.
+
+A proof repeats whole quantifiers (a witness proof holds five copies of one
+tableau): one `serialize_proof` or `deserialize_proof` call walks each once.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ _TAGS = {
 }
 _SUCC_TAG = _TAGS[S.Succ]
 _ZERO_TAG = _TAGS[S.Zero]
+_BINDERS = frozenset(t for t, (_, k) in _FORMULA_NODES.items() if k[0] == "n")
 
 MAX_FORMULA_DEPTH = 1 << 16
 """Deepest nesting of connectives and quantifiers in a valid encoding;
@@ -79,11 +83,12 @@ def _put_name(out: bytearray, name: str) -> None:
 
 
 def encode_formula(
-    f: S.Formula | S.Term, out: bytearray, known: dict | None = None
+    f: S.Formula | S.Term, out: bytearray, known: dict | None = None, spans=None
 ) -> bytearray:
     """Append the encoding of a formula or a term (its tag, then its fields)
     to `out`, and return `out`. `known` maps nodes to their encodings, which
-    are copied instead of walked."""
+    are copied instead of walked, as are the quantifiers that `spans` maps
+    to their (start, end) in `out`; it holds offsets into this `out` only."""
     stack = [f]
     while stack:
         node = stack.pop()
@@ -95,7 +100,15 @@ def encode_formula(
             node = S.ZERO
         tag = _TAGS.get(node.__class__)
         if tag is None:
+            if node.__class__ is tuple:  # (quantifier, start): its end is here
+                spans[node[0]] = (node[1], len(out))
+                continue
             raise ValueError(f"cannot encode {node!r}")
+        if spans is not None and tag in _BINDERS:
+            if node in spans:
+                out += out[slice(*spans[node])]
+                continue
+            stack.append((node, len(out)))
         out.append(tag)
         # A node has at most one name, and it comes before any child.
         for name in reversed(node.__match_args__):
@@ -107,7 +120,7 @@ def encode_formula(
     return out
 
 
-def put_field(out: bytearray, kind: str, value) -> None:
+def put_field(out: bytearray, kind: str, value, spans: dict | None = None) -> None:
     """Append one step field of the given kind (see `kernel.RULE_SHAPES`)."""
     if kind == "i":
         if not isinstance(value, int) or not 0 <= value < 256:
@@ -121,15 +134,30 @@ def put_field(out: bytearray, kind: str, value) -> None:
         scheme, items = value
         out.append(_SCHEME_IDS[scheme])
         for item_kind, item in zip(K.LOGIC_SCHEMES[scheme].kinds, items):
-            put_field(out, item_kind, item)
+            put_field(out, item_kind, item, spans)
     else:
-        encode_formula(value, out)
+        encode_formula(value, out, spans=spans)
 
 
 class Reader:
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
+        self.spans: dict | None = None  # first 16 bytes -> (start, end, node, nesting)
+        self.missed = 0  # bytes of failed comparisons, at most len(data)
+
+    def reuse(self, start: int, depth: int) -> tuple | None:
+        """(node, end, nesting) for the bytes from `start` if they repeat a
+        quantifier read before, found by its first 16 bytes, that fits there."""
+        data, key = self.data, self.data[start : start + 16]
+        hit = self.spans.get(key)
+        if hit and depth + hit[3] <= MAX_FORMULA_DEPTH:
+            size = hit[1] - hit[0]
+            if self.missed + size <= len(data):
+                if data[start : start + size] == data[hit[0] : hit[1]]:
+                    return hit[2], start + size, hit[3]
+                del self.spans[key]
+                self.missed += size
 
     def u8(self) -> int:
         if self.pos >= len(self.data):
@@ -195,8 +223,9 @@ def _decode(r: Reader, kind: str):
     Iterative: every node with children is an open frame (class, field
     kinds, fields so far) until its last child is done. Nodes are built
     through the intern table, so bytes that encode a live tree give back
-    that tree's nodes rather than a copy. Every byte is still read: a name
-    is compared with the names already read, and checked when it is new.
+    that tree's nodes rather than a copy. Every byte is read or compared: a
+    name or quantifier that repeats is compared with the one read before
+    (`Reader.reuse`), and a new name is checked.
     """
     data = r.data
     end = len(data)
@@ -213,7 +242,10 @@ def _decode(r: Reader, kind: str):
         return var, stop
 
     frames: list[tuple] = []
+    opened: list[tuple] = []  # (start, `peak` outside) of open quantifiers
     depth = 0  # open connectives and quantifiers
+    peak = 0  # the deepest `depth` inside the innermost open quantifier
+    spans = r.spans
     while True:
         if pos >= end:
             raise MalformedEncoding("unexpected end of input")
@@ -238,6 +270,9 @@ def _decode(r: Reader, kind: str):
             cls, kinds = nodes[tag]
             if kinds == "n":
                 node, pos = read_var(pos)
+            elif spans and tag in _BINDERS and (hit := r.reuse(pos - 1, depth)):
+                node, pos, nested = hit
+                peak = max(peak, depth + nested)
             elif kinds:
                 if "f" in kinds:
                     depth += 1
@@ -245,8 +280,12 @@ def _decode(r: Reader, kind: str):
                         raise MalformedEncoding(
                             f"formula nesting deeper than {MAX_FORMULA_DEPTH}"
                         )
+                    if depth > peak:
+                        peak = depth
                 fields = []
-                if kinds[0] == "n":
+                if kinds[0] == "n":  # a quantifier
+                    opened.append((pos - 1, peak))
+                    peak = depth
                     var, pos = read_var(pos)
                     fields.append(var.name)
                 frames.append((cls, kinds, fields))
@@ -272,6 +311,12 @@ def _decode(r: Reader, kind: str):
                 node = cls(*fields)
             except ValueError as exc:  # a bound that mentions its variable
                 raise MalformedEncoding(str(exc)) from exc
+            if kinds[0] == "n":  # a quantifier: record its span
+                start, outer = opened.pop()
+                if spans is None:
+                    spans = r.spans = {}
+                spans[data[start : start + 16]] = (start, pos, node, peak - depth)
+                peak = max(peak, outer)
         else:
             r.pos = pos
             return node
@@ -281,16 +326,16 @@ def decode_formula(r: Reader) -> S.Formula:
     return _decode(r, "f")
 
 
-def encode_step(step: K.ProofStep, out: bytearray, known: dict | None = None) -> None:
+def encode_step(step: K.ProofStep, out: bytearray, known=None, spans=None) -> None:
     """Append a step: its tag, fields, then conclusion (`kernel.RULE_SHAPES`);
-    `known` is passed to `encode_formula` for the conclusion."""
+    `known` is passed to `encode_formula` for the conclusion, `spans` for all."""
     shape = K.RULE_SHAPES.get(step.rule)
     if shape is None:
         raise ValueError(f"unknown rule {step.rule!r}")
     out.append(shape.tag)
     for kind, value in zip(shape.kinds, shape.values(step), strict=True):
-        put_field(out, kind, value)
-    encode_formula(step.conclusion, out, known)
+        put_field(out, kind, value, spans)
+    encode_formula(step.conclusion, out, known, spans)
 
 
 def decode_step(r: Reader) -> K.ProofStep:
@@ -304,10 +349,10 @@ def decode_step(r: Reader) -> K.ProofStep:
 
 
 def serialize_proof(proof: K.Proof, *, write_step=encode_step) -> bytes:
-    """The steps back to back; `omega` passes a `write_step` of its own."""
-    out = bytearray()
+    """Steps back to back, with one `spans`; `omega` passes its own `write_step`."""
+    out, spans = bytearray(), {}
     for step in proof.steps:
-        write_step(step, out)
+        write_step(step, out, spans=spans)
     return bytes(out)
 
 

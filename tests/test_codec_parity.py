@@ -1,7 +1,9 @@
-"""The decoder against the one it had before it read a repeated quantifier
-once per proof: that decoder, copied below, walked every subtree it met. On
-every input both must give the same tree, or the same `MalformedEncoding`
-text."""
+"""The codec against the one it had before it handled a repeated
+quantifier once per proof: that decoder and encoder, copied below, walked
+every subtree they met. On every input both decoders must give the same
+tree, or the same `MalformedEncoding` text, and both encoders the same
+bytes. Counts of the nodes built and the names written show that the
+repeats are in fact skipped."""
 
 import random
 
@@ -13,7 +15,13 @@ from omegacheck import wire
 from omegacheck.dovetail import halting_search
 from omegacheck.kernel import RULE_EVAL_TRUE, Proof, ProofStep
 from omegacheck.machines import CORPUS
-from omegacheck.omega import deserialize_omega_proof, serialize_omega_proof
+from omegacheck.omega import (
+    OmegaStep,
+    build_loops_certificate,
+    check_omega_bounded,
+    deserialize_omega_proof,
+    serialize_omega_proof,
+)
 from omegacheck.wire import MAX_FORMULA_DEPTH, MalformedEncoding
 
 
@@ -206,16 +214,26 @@ def _nots(depth: int, f) -> S.Formula:
 
 
 LEAF = S.Eq(S.Var("v0"), S.Var("v39"))
+# 42 deep, though the quantifier in its last branch is shallow.
+FORK = S.ForAll("w", S.And(_chain(40, LEAF), S.Exists("w", LEAF)))
 
 
-@pytest.mark.parametrize("room", [45, 41, 40, 39, 30, 0])
-def test_a_repeated_chain_is_decoded_under_the_depth_cap(monkeypatch, room):
-    """A 40-deep chain at depth 1, then again with `room` levels left under
-    the cap: the copy decodes when it fits and is refused when it does not."""
-    chain = _chain(40, LEAF)
-    data = _step(chain) + _step(_nots(MAX_FORMULA_DEPTH - room, chain))
+@pytest.mark.parametrize("room", [46, 45, 42, 41, 40, 39, 30, 0])
+@pytest.mark.parametrize(
+    "before, f, nesting",
+    [((), _chain(40, LEAF), 40), ((), FORK, 42), ((_chain(40, LEAF),), FORK, 42)],
+    ids=["chain", "fork", "fork after its chain"],
+)
+def test_a_repeated_quantifier_is_decoded_under_the_depth_cap(
+    monkeypatch, room, before, f, nesting
+):
+    """A formula `nesting` deep at depth 1, then again with `room` levels
+    left under the cap: the copy decodes when it fits and is refused when it
+    does not. A chain read before the fork is reused inside it."""
+    steps = [*before, f, _nots(MAX_FORMULA_DEPTH - room, f)]
+    data = b"".join(_step(step) for step in steps)
     assert_same_as_old_decoder(monkeypatch, [data])
-    assert isinstance(outcome(data), str) is (room < 40)
+    assert isinstance(outcome(data), str) is (room < nesting)
 
 
 def _siblings(count: int, depth: int) -> bytes:
@@ -229,3 +247,171 @@ def test_sibling_chains_decode_as_with_the_old_decoder(monkeypatch):
     data = _siblings(20, 300)
     nested = _step(S.And(_chain(40, LEAF), _chain(40, S.Not(LEAF))))
     assert_same_as_old_decoder(monkeypatch, [data, nested, data + nested])
+
+
+def test_failed_comparisons_cover_at_most_the_input():
+    data = _siblings(20, 300)
+    r = wire.Reader(data)
+    while not r.at_end():
+        wire.decode_step(r)
+    # Each chain's quantifiers start with the bytes of the last chain's, so
+    # without the bound every one of them would be compared up to its leaf.
+    assert 0 < r.missed <= len(data)
+
+
+def record_calls(monkeypatch, owner, name: str) -> list:
+    """Replace `owner.name` with a wrapper that appends each call's result
+    to the list returned."""
+    results = []
+    function = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        results.append(function(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(owner, name, recorded)
+    return results
+
+
+def test_a_failed_comparison_drops_its_entry(monkeypatch):
+    """Two chains that rebind one name, so that their quantifiers start
+    with the same 16 bytes down to near the leaf, where they differ, then
+    the second again: the second is compared with the first at its first
+    quantifier and not at each one, so the bound leaves room to reuse it."""
+    a, b = S.Eq(S.Var("x"), S.ZERO), S.Eq(S.Var("x"), S.numeral(1))
+    for _ in range(200):
+        a, b = S.ForAll("x", a), S.ForAll("x", b)
+    data = _step(a) + _step(b) + _step(b)
+    hits = record_calls(monkeypatch, wire.Reader, "reuse")
+    r = wire.Reader(data)
+    while not r.at_end():
+        wire.decode_step(r)
+    # A near-leaf quantifier of each also starts as one of the other's.
+    assert len(_step(a)) - 1 <= r.missed <= len(_step(a)) + 64
+    assert hits[-1] is not None
+
+
+@pytest.mark.parametrize("room, fits", [(45, True), (40, True), (39, False)])
+def test_a_repeated_chain_is_reused_only_where_it_fits(monkeypatch, room, fits):
+    chain = _chain(40, LEAF)
+    data = _step(chain) + _step(_nots(MAX_FORMULA_DEPTH - room, chain))
+    hits = record_calls(monkeypatch, wire.Reader, "reuse")
+    outcome(data)
+    # The first copy closes its quantifiers only after opening them all, so
+    # the second copy's are the only ones looked up.
+    assert [hit is not None for hit in hits] == ([True] if fits else [False] * 40)
+
+
+def _nodes(roots) -> list:
+    """The distinct nodes of these trees."""
+    seen, stack = {}, list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and not isinstance(node, str):
+            seen[id(node)] = node
+            stack.extend(getattr(node, name) for name in node.__match_args__)
+    return list(seen.values())
+
+
+@pytest.fixture(scope="module")
+def busy3_witness():
+    outcome = halting_search(CORPUS["BUSY3"], 2)
+    assert outcome.kind == "halts_yes"
+    return outcome.proof
+
+
+def test_decoding_a_witness_proof_builds_each_quantifier_once(
+    monkeypatch, busy3_witness
+):
+    built = record_calls(monkeypatch, S._Bounded, "__new__")
+    proof = wire.deserialize_proof(busy3_witness)
+    monkeypatch.undo()
+    formulas = [step.conclusion for step in proof.steps]
+    bounded = [n for n in _nodes(formulas) if isinstance(n, S._Bounded)]
+    assert 0 < len(built) <= len(bounded)
+
+
+def _names(node, skip=None) -> int:
+    """The names written for `node`, not counting those inside `skip`."""
+    count, stack = 0, [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            count += 1
+        elif node is not skip:
+            stack.extend(getattr(node, name) for name in node.__match_args__)
+    return count
+
+
+def test_encoding_a_witness_proof_writes_its_tableau_once(
+    monkeypatch, busy3_witness
+):
+    proof = wire.deserialize_proof(busy3_witness)
+    # The target is `exists t (t <= bound & tableau)`, the tableau closed.
+    tableau = proof.target.body.right
+    assert not tableau._fv
+    fields = [step.conclusion for step in proof.steps]
+    fields += proof.steps[1].payload[1]  # exists-intro: var, body, witness
+    outside = sum(_names(field, skip=tableau) for field in fields)
+    written = record_calls(monkeypatch, wire, "_put_name")
+    assert wire.serialize_proof(proof) == busy3_witness
+    assert len(written) <= _names(tableau) + outside
+
+
+def old_encode_formula(f, out: bytearray, known=None, spans=None) -> bytearray:
+    """The encoder before `spans`, which it takes and does not use."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if known is not None and node in known:
+            out += known[node]
+            continue
+        if node.__class__ is S.Succ and node._n is not None:
+            out += bytes((wire._SUCC_TAG,)) * node._n
+            node = S.ZERO
+        tag = wire._TAGS.get(node.__class__)
+        if tag is None:
+            raise ValueError(f"cannot encode {node!r}")
+        out.append(tag)
+        for name in reversed(node.__match_args__):
+            value = getattr(node, name)
+            if value.__class__ is str:
+                wire._put_name(out, value)
+            else:
+                stack.append(value)
+    return out
+
+
+def test_proofs_encode_as_without_the_memo(monkeypatch, corpus, random_proofs):
+    proofs = [deserialize_omega_proof(data) for data in corpus + random_proofs]
+    chain = _chain(40, LEAF)
+    steps = [ProofStep(f, RULE_EVAL_TRUE) for f in (chain, S.And(chain, chain))]
+    steps.append(ProofStep(S.Not(chain), RULE_EVAL_TRUE))
+    proofs.append(Proof(tuple(steps), steps[-1].conclusion))
+    cert = build_loops_certificate(CORPUS["EVEN"], 2)
+    proofs.append(Proof((cert, cert) + tuple(steps), steps[-1].conclusion))
+
+    def encode(proof):
+        finitary = not any(isinstance(step, OmegaStep) for step in proof.steps)
+        plain = wire.serialize_proof(proof) if finitary else None
+        return plain, serialize_omega_proof(proof)
+
+    new = [encode(proof) for proof in proofs]
+    with monkeypatch.context() as patched:
+        patched.setattr(wire, "encode_formula", old_encode_formula)
+        old = [encode(proof) for proof in proofs]
+    assert new == old
+
+
+def test_closed_bytes_are_unchanged_by_the_memo():
+    cert = build_loops_certificate(CORPUS["EVEN"], 2)
+    known = cert.premise_machine._closed_bytes
+    before = list(known.items())
+    assert any(isinstance(node, S._Bounded) for node, _ in before)
+    data = serialize_omega_proof(Proof((cert, cert), cert.conclusion))
+    assert list(known.items()) == before
+    # EVEN halts on 2, so the instances are checked up to the one it refutes.
+    assert check_omega_bounded(cert, 20).kind == "rejected"
+    assert cert.premise_machine._closed_bytes is known
+    assert list(known.items()) == before
+    assert deserialize_omega_proof(data).steps == (cert, cert)
