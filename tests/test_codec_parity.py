@@ -148,11 +148,6 @@ def test_corpus_and_random_proofs_decode_as_with_the_old_decoder(
     assert_same_as_old_decoder(monkeypatch, corpus + random_proofs)
 
 
-_BINDER_BYTES = frozenset(
-    tag for tag, (_, kinds) in wire._FORMULA_NODES.items() if kinds[0] == "n"
-)
-
-
 def mutate(rng: random.Random, data: bytes) -> bytes:
     """Flip a bit, delete or insert bytes, or copy a chunk that starts at a
     quantifier tag to another offset, mostly also at one, so that the
@@ -166,7 +161,7 @@ def mutate(rng: random.Random, data: bytes) -> bytes:
     if pick == 2:
         noise = bytes(rng.choices(range(256), k=rng.randint(1, 4)))
         return data[:at] + noise + data[at:]
-    binders = [i for i, b in enumerate(data) if b in _BINDER_BYTES] or [at]
+    binders = [i for i, b in enumerate(data) if b in wire._BINDERS] or [at]
     start = rng.choice(binders)
     chunk = data[start : start + rng.choice((16, 64, 512, 1 << 20))]
     to = rng.choice(binders) if rng.random() < 0.8 else at
