@@ -6,6 +6,7 @@ bytes. Counts of the nodes built and the names written show that the
 repeats are in fact skipped."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -396,6 +397,34 @@ def test_proofs_encode_as_without_the_memo(monkeypatch, corpus, random_proofs):
         patched.setattr(wire, "encode_formula", old_encode_formula)
         old = [encode(proof) for proof in proofs]
     assert new == old
+
+
+def _tableau(cert):
+    """The closed tableau in `cert`'s phi, `~((u <= t & tableau) | t + 1 <= t)`."""
+    tableau = cert.phi.body.left.right
+    assert not tableau._fv
+    return tableau
+
+
+def test_gamma_that_holds_the_tableau_encodes_as_without_the_memo(monkeypatch):
+    cert = build_loops_certificate(CORPUS["EVEN"], 2)
+    tableau = _tableau(cert)
+    step = replace(cert, gamma=frozenset({tableau, S.Not(tableau)}))
+    proof = Proof((step, cert), cert.conclusion)
+    data = serialize_omega_proof(proof)
+    with monkeypatch.context() as patched:
+        patched.setattr(wire, "encode_formula", old_encode_formula)
+        assert serialize_omega_proof(proof) == data
+    assert deserialize_omega_proof(data).steps == (step, cert)
+
+
+def test_checking_a_loops_certificate_writes_its_tableau_once(monkeypatch):
+    cert = build_loops_certificate(CORPUS["BUSY3"], 2)
+    tableau = _tableau(cert)
+    written = record_calls(monkeypatch, wire, "_put_name")
+    verdict = check_omega_bounded(cert, 50)
+    assert (verdict.kind, verdict.index) == ("rejected", 11)
+    assert len(written) <= _names(tableau) + _names(cert.phi, skip=tableau)
 
 
 def test_closed_bytes_are_unchanged_by_the_memo():
