@@ -324,24 +324,17 @@ def cmd_check(args) -> int:
 def cmd_encode(args) -> int:
     _require_natural("n", args.n)
     m = _load_machine(args.machine)
-    try:
-        if args.which == "q1":
-            f = arithmetize.halts_yes_formula(m, args.n)
-        elif args.which == "q2":
-            f = arithmetize.halts_no_formula(m, args.n)
-        elif args.which == "q3":
-            f = arithmetize.loops_formula(m, args.n)
-        else:
-            if args.t is None or args.outcome is None:
-                raise CliError("haltedby needs --t and --outcome", EXIT_PARSE)
-            _require_natural("--t", args.t)
-            f = arithmetize.halted_by_formula(m, args.n, args.t, args.outcome)
-    except arithmetize.EncodingOverflow as exc:
-        print(f"encoding overflow: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
-    except arithmetize.RunAnalysisError as exc:
-        print(f"encoding failed: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
+    if args.which == "q1":
+        f = arithmetize.halts_yes_formula(m, args.n)
+    elif args.which == "q2":
+        f = arithmetize.halts_no_formula(m, args.n)
+    elif args.which == "q3":
+        f = arithmetize.loops_formula(m, args.n)
+    else:
+        if args.t is None or args.outcome is None:
+            raise CliError("haltedby needs --t and --outcome", EXIT_PARSE)
+        _require_natural("--t", args.t)
+        f = arithmetize.halted_by_formula(m, args.n, args.t, args.outcome)
     text = print_formula(f)
     print(f"formula={text}" if args.format == "records" else text)
     return EXIT_OK
@@ -522,7 +515,8 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return exc.code
     except (arithmetize.EncodingOverflow, arithmetize.RunAnalysisError) as exc:
-        print(f"encoding failed: {exc}", file=sys.stderr)
+        what = "overflow" if isinstance(exc, arithmetize.EncodingOverflow) else "failed"
+        print(f"encoding {what}: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
 
 

@@ -11,7 +11,9 @@ budget. That shape is deliberate and load-bearing.
 Each instance's proof is kernel-checked. Premise output equal to the
 canonical encoding of the instance's one-step eval-true proof is compared
 with it rather than decoded, which is sound when phi's own encoding reads
-back to phi (`OmegaStep._readable_closed_bytes`); other output is decoded.
+back to phi (`OmegaStep._readable_closed_spans`); other output is decoded.
+That encoding copies phi's closed quantifiers, which `substitute` leaves as
+they are, from phi's one encoding (`_closed_spans`, the codec's span memo).
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ class LoopsPremiseMachine:
         if cost > budget:
             return GenResult(None, budget, exhausted=True)
         instance = substitute(self.phi, self.var, numeral(index))
-        return GenResult(_encode_eval_true(instance, self._closed_bytes), cost)
+        return GenResult(_encode_eval_true(instance, self._closed_spans[1]), cost)
 
     def _simulate(self, steps: int, budget: int) -> int:
         """The steps `run` takes with a budget of `steps`: the halting step
@@ -107,30 +109,22 @@ class LoopsPremiseMachine:
         return SimpleNamespace(configs=None, prefix=-1, seen=0, halt=None)
 
     @cached_property
-    def _closed_bytes(self) -> dict:
-        return _closed_bytes(self.phi)
+    def _closed_spans(self) -> tuple[bytes, dict]:
+        return _closed_spans(self.phi)
 
 
-def _closed_bytes(phi: Formula) -> dict:
-    """The encodings of phi's maximal closed subtrees, which every instance
-    shares with phi: `substitute` leaves them as they are."""
-    known = {}
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):  # a variable's or a binder's name
-            continue
-        if is_closed(node):
-            known[node] = bytes(wire.encode_formula(node, bytearray()))
-        else:
-            stack.extend(getattr(node, name) for name in node.__match_args__)
-    return known
+def _closed_spans(phi: Formula) -> tuple[bytes, dict]:
+    """phi's encoding, and the span memo of its closed quantifiers in it."""
+    spans = {}
+    data = bytes(wire.encode_formula(phi, bytearray(), spans))
+    return data, {q: (data, *span[1:]) for q, span in spans.items() if is_closed(q)}
 
 
-def _encode_eval_true(instance: Formula, known: dict) -> bytes:
-    """The one-step eval-true proof of `instance`, encoded."""
+def _encode_eval_true(instance: Formula, closed: dict) -> bytes:
+    """The one-step eval-true proof of `instance`, encoded. `closed` is
+    copied, so that the instance's own quantifiers stay out of it."""
     out = bytearray()
-    wire.encode_step(ProofStep(instance, RULE_EVAL_TRUE), out, known)
+    wire.encode_step(ProofStep(instance, RULE_EVAL_TRUE), out, dict(closed))
     return bytes(out)
 
 
@@ -149,19 +143,19 @@ class OmegaStep:
             raise ValueError("conclusion must be the universal closure of phi")
 
     @cached_property
-    def _readable_closed_bytes(self) -> Optional[dict]:
-        """The encodings of phi's closed subtrees if phi's encoding reads back
+    def _readable_closed_spans(self) -> Optional[dict]:
+        """The spans of phi's closed quantifiers if phi's encoding reads back
         to phi, else None. Substituting a closed numeral renames nothing and
         keeps names and nesting, so then every instance reads back too."""
         pm = self.premise_machine
         try:
             if isinstance(pm, LoopsPremiseMachine) and pm.phi is self.phi:
-                known = pm._closed_bytes  # built once, shared with `generate`
+                data, closed = pm._closed_spans  # built once, shared with `generate`
             else:
-                known = _closed_bytes(self.phi)
-            r = wire.Reader(bytes(wire.encode_formula(self.phi, bytearray(), known)))
+                data, closed = _closed_spans(self.phi)
+            r = wire.Reader(data)
             if wire.decode_formula(r) is self.phi and r.at_end():
-                return known
+                return closed
         except (ValueError, wire.MalformedEncoding):
             pass
         return None
@@ -175,10 +169,8 @@ class OmegaStep:
         for index in range(k + 1):
             if index:
                 yield
-            bad = check_instance(self, index, per_instance_budget)
-            if bad is not None:
-                exhausted = bad.kind == "budget_exhausted"
-                reason = REASON_BUDGET_EXHAUSTED if exhausted else bad.reason
+            reason = check_instance(self, index, per_instance_budget)
+            if reason is not None:
                 return Verdict(False, step, reason, instance=index)
         return None
 
@@ -199,29 +191,26 @@ class OmegaVerdict:
 
 def check_instance(
     s: OmegaStep, index: int, per_instance_budget: int = DEFAULT_INSTANCE_BUDGET
-) -> Optional[OmegaVerdict]:
+) -> Optional[str]:
     """Run the premise machine on one instance and kernel-check its output.
 
     Output equal to the encoding of the instance's one-step eval-true proof
     is compared, not decoded, when phi reads back; other output is decoded.
 
-    None means the instance verified; otherwise the failing verdict."""
+    None means the instance verified; otherwise the reason it did not."""
     produced = s.premise_machine.generate(index, per_instance_budget)
     if produced.exhausted:
-        return OmegaVerdict("budget_exhausted", index=index)
+        return REASON_BUDGET_EXHAUSTED
     target = substitute(s.phi, s.var, numeral(index))
-    known = s._readable_closed_bytes
-    if known is not None and produced.proof_bytes == _encode_eval_true(target, known):
+    closed = s._readable_closed_spans
+    if closed is not None and produced.proof_bytes == _encode_eval_true(target, closed):
         proof = Proof((ProofStep(target, RULE_EVAL_TRUE),), target)
     else:
         try:
             proof = wire.deserialize_proof(produced.proof_bytes)
         except wire.MalformedEncoding:
-            return OmegaVerdict("rejected", index=index, reason=REASON_MALFORMED)
-    verdict = check_proof(s.gamma, proof, target)
-    if not verdict.accepted:
-        return OmegaVerdict("rejected", index=index, reason=verdict.reason)
-    return None
+            return REASON_MALFORMED
+    return check_proof(s.gamma, proof, target).reason
 
 
 def check_omega_bounded(
@@ -319,7 +308,7 @@ def _encode_step(s, out: bytearray, spans: dict | None = None) -> None:
     if not isinstance(s.premise_machine, LoopsPremiseMachine):
         raise ValueError("only the loops premise machine has a wire representation")
     out.append(wire.OMEGA_STEP_TAG)
-    gamma = sorted(wire.encode_formula(g, bytearray()) for g in s.gamma)
+    gamma = sorted(wire.encode_formula(g, bytearray(), spans) for g in s.gamma)
     out += len(gamma).to_bytes(2, "big") + b"".join(gamma)
     wire.put_field(out, "v", s.var)
     wire.put_field(out, "f", s.phi, spans)

@@ -12,7 +12,9 @@ depend on the interpreter's recursion limit; formula nesting is capped at
 `MAX_FORMULA_DEPTH` as part of the format, and term nesting only by memory.
 
 A proof repeats whole quantifiers (a witness proof holds five copies of one
-tableau): one `serialize_proof` or `deserialize_proof` call walks each once.
+tableau): one `serialize_proof` or `deserialize_proof` call walks each once,
+through one memo of the quantifiers it has handled. The encoder has no other
+memo; `omega` seeds a copy of it with phi's closed quantifiers per instance.
 """
 
 from __future__ import annotations
@@ -83,30 +85,28 @@ def _put_name(out: bytearray, name: str) -> None:
 
 
 def encode_formula(
-    f: S.Formula | S.Term, out: bytearray, known: dict | None = None, spans=None
+    f: S.Formula | S.Term, out: bytearray, spans: dict | None = None
 ) -> bytearray:
     """Append the encoding of a formula or a term (its tag, then its fields)
-    to `out`, and return `out`. `known` maps nodes to their encodings, which
-    are copied instead of walked, as are the quantifiers that `spans` maps
-    to their (start, end) in `out`; it holds offsets into this `out` only."""
+    to `out`, and return `out`. `spans` maps quantifiers to (buffer, start,
+    end), the buffer `out` or one that no longer changes: a quantifier in it
+    is copied instead of walked, and one written here is added to it."""
     stack = [f]
     while stack:
         node = stack.pop()
-        if known is not None and node in known:
-            out += known[node]
-            continue
         if node.__class__ is S.Succ and node._n is not None:  # a numeral
             out += bytes((_SUCC_TAG,)) * node._n
             node = S.ZERO
         tag = _TAGS.get(node.__class__)
         if tag is None:
             if node.__class__ is tuple:  # (quantifier, start): its end is here
-                spans[node[0]] = (node[1], len(out))
+                spans[node[0]] = (out, node[1], len(out))
                 continue
             raise ValueError(f"cannot encode {node!r}")
         if spans is not None and tag in _BINDERS:
             if node in spans:
-                out += out[slice(*spans[node])]
+                buffer, start, end = spans[node]
+                out += buffer[start:end]
                 continue
             stack.append((node, len(out)))
         out.append(tag)
@@ -326,16 +326,16 @@ def decode_formula(r: Reader) -> S.Formula:
     return _decode(r, "f")
 
 
-def encode_step(step: K.ProofStep, out: bytearray, known=None, spans=None) -> None:
+def encode_step(step: K.ProofStep, out: bytearray, spans=None) -> None:
     """Append a step: its tag, fields, then conclusion (`kernel.RULE_SHAPES`);
-    `known` is passed to `encode_formula` for the conclusion, `spans` for all."""
+    `spans` is passed to `encode_formula` for each formula."""
     shape = K.RULE_SHAPES.get(step.rule)
     if shape is None:
         raise ValueError(f"unknown rule {step.rule!r}")
     out.append(shape.tag)
     for kind, value in zip(shape.kinds, shape.values(step), strict=True):
         put_field(out, kind, value, spans)
-    encode_formula(step.conclusion, out, known, spans)
+    encode_formula(step.conclusion, out, spans=spans)
 
 
 def decode_step(r: Reader) -> K.ProofStep:

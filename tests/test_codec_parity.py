@@ -427,15 +427,31 @@ def test_checking_a_loops_certificate_writes_its_tableau_once(monkeypatch):
     assert len(written) <= _names(tableau) + _names(cert.phi, skip=tableau)
 
 
+def _closed_bytes(step) -> list:
+    """The closed quantifiers that `step`'s premise machine copies, with their
+    bytes, which all lie in one copy of phi's encoding."""
+    data, closed = step.premise_machine._closed_spans
+    assert all(buffer is data for buffer, _, _ in closed.values())
+    return [(q, data[start:end]) for q, (_, start, end) in closed.items()]
+
+
 def test_closed_bytes_are_unchanged_by_the_memo():
     cert = build_loops_certificate(CORPUS["EVEN"], 2)
-    known = cert.premise_machine._closed_bytes
-    before = list(known.items())
-    assert any(isinstance(node, S._Bounded) for node, _ in before)
-    data = serialize_omega_proof(Proof((cert, cert), cert.conclusion))
-    assert list(known.items()) == before
-    # EVEN halts on 2, so the instances are checked up to the one it refutes.
-    assert check_omega_bounded(cert, 20).kind == "rejected"
-    assert cert.premise_machine._closed_bytes is known
-    assert list(known.items()) == before
-    assert deserialize_omega_proof(data).steps == (cert, cert)
+    # `forall x <= t (x = x)` is closed in each instance but not in phi.
+    x, t = S.Var("x"), S.Var(cert.var)
+    phi = S.And(cert.phi, S.BoundedForAll("x", t, S.Eq(x, x)))
+    premise = replace(cert.premise_machine, phi=phi)
+    conclusion = S.ForAll(t.name, phi)
+    wide = replace(cert, phi=phi, premise_machine=premise, conclusion=conclusion)
+    for step in (cert, wide):
+        cached = step.premise_machine._closed_spans
+        before = _closed_bytes(step)
+        assert any(isinstance(node, S._Bounded) for node, _ in before)
+        assert all(old_encode_formula(q, bytearray()) == b for q, b in before)
+        data = serialize_omega_proof(Proof((step, step), step.conclusion))
+        assert _closed_bytes(step) == before
+        # EVEN halts on 2, so the instances are checked up to the one it refutes.
+        assert check_omega_bounded(step, 20).kind == "rejected"
+        assert step.premise_machine._closed_spans is cached
+        assert _closed_bytes(step) == before
+        assert deserialize_omega_proof(data).steps == (step, step)

@@ -339,7 +339,7 @@ def both_paths(monkeypatch, step, k):
     """check_omega_bounded as it is, and with every instance decoded."""
     fast = check_omega_bounded(step, k)
     with monkeypatch.context() as m:
-        m.setattr(OmegaStep, "_readable_closed_bytes", property(lambda self: None))
+        m.setattr(OmegaStep, "_readable_closed_spans", property(lambda self: None))
         slow = check_omega_bounded(step, k)
     return fast, slow
 
@@ -379,7 +379,7 @@ def test_other_output_is_decoded_and_judged_alike(monkeypatch, build):
 
 def test_phi_that_does_not_read_back_takes_the_decode_path():
     step = unreadable_step()
-    assert step._readable_closed_bytes is None
+    assert step._readable_closed_spans is None
     # The one-step proof would pass in memory: the instance evaluates true.
     instance = substitute(UNREADABLE_PHI, "t", numeral(0))
     proof = make_proof([ProofStep(instance, RULE_EVAL_TRUE)])
