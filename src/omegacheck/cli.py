@@ -90,9 +90,9 @@ def _load_machine(path: str) -> machines.MachineDesc:
         raise CliError(f"machine file: {exc}", EXIT_PARSE)
 
 
-def _parse_formula_arg(text: str) -> Formula:
+def _parse_formula_arg(text: str, memo: dict) -> Formula:
     try:
-        formula = parse_formula(text)
+        formula = parse_formula(text, memo)
     except SyntaxError_ as exc:
         raise CliError(f"formula: {exc}", EXIT_PARSE)
     unbound = free_vars(formula)
@@ -116,7 +116,7 @@ def _require_natural(report_name: str, value: int) -> int:
     return value
 
 
-def _load_gamma(path: Optional[str]) -> frozenset[Formula]:
+def _load_gamma(path: Optional[str], memo: dict) -> frozenset[Formula]:
     if path is None:
         return frozenset()
     try:
@@ -129,7 +129,7 @@ def _load_gamma(path: Optional[str]) -> frozenset[Formula]:
         if not line or line.startswith("#"):
             continue
         try:
-            out.append(parse_formula(line))
+            out.append(parse_formula(line, memo))
         except SyntaxError_ as exc:
             raise CliError(f"gamma line {lineno}: {exc}", EXIT_PARSE)
     return frozenset(out)
@@ -159,11 +159,11 @@ def _field_text(kind: str, value) -> str:
 _NUMBER_RE = re.compile(r"0|[1-9][0-9]*")
 
 
-def _read_field(kind: str, word: str):
+def _read_field(kind: str, word: str, memo: dict | None):
     if kind == "t":
-        return parse_term(word)
+        return parse_term(word, memo)
     if kind == "f":
-        return parse_formula(word)
+        return parse_formula(word, memo)
     if kind == "v":
         if not is_identifier(word):
             raise ValueError(f"bad name {word!r}")
@@ -195,7 +195,7 @@ def proof_to_text(proof: kernel.Proof) -> str:
 _BY_RULE = re.compile(rf" BY (?=(?:{'|'.join(_TEXT_SHAPES)})(?:\s|$))")
 
 
-def _parse_step(line: str, position: int) -> kernel.ProofStep:
+def _parse_step(line: str, position: int, memo: dict | None) -> kernel.ProofStep:
     """Read `k. <formula> BY <rule ...>`, k being the step's position, the
     rule by its layout: `;` separates groups; within a group a field is one
     word, except that a term or a formula takes the rest of the group; a
@@ -208,7 +208,7 @@ def _parse_step(line: str, position: int) -> kernel.ProofStep:
     by = _BY_RULE.search(body)
     if by is None:
         raise ValueError("missing BY and a rule")
-    conclusion = parse_formula(body[: by.start()].strip())
+    conclusion = parse_formula(body[: by.start()].strip(), memo)
     spec = body[by.end() :]
     unreadable = f"cannot read rule specification {spec!r}"
     keyword, *rest = spec.split(None, 1)
@@ -228,7 +228,7 @@ def _parse_step(line: str, position: int) -> kernel.ProofStep:
             else:
                 word, text = (text.split(None, 1) + [""])[:2]
             if kind != "L":
-                values.append(_read_field(kind, word))
+                values.append(_read_field(kind, word, memo))
             elif word in kernel.LOGIC_SCHEMES:
                 kinds = kernel.LOGIC_SCHEMES[word].kinds
                 items = [v for k in kinds for v in read_group(k)]
@@ -246,14 +246,15 @@ def _parse_step(line: str, position: int) -> kernel.ProofStep:
     return shape.step(values, conclusion)
 
 
-def parse_proof_text(text: str) -> kernel.Proof:
+def parse_proof_text(text: str, memo: dict | None = None) -> kernel.Proof:
+    """Read a proof's text; `memo` is passed to the parser for every field."""
     steps = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            steps.append(_parse_step(line, len(steps) + 1))
+            steps.append(_parse_step(line, len(steps) + 1, memo))
         except (SyntaxError_, ValueError) as exc:
             raise CliError(f"proof line {lineno}: {exc}", EXIT_PARSE)
     if not steps:
@@ -264,7 +265,7 @@ def parse_proof_text(text: str) -> kernel.Proof:
 _STEP_TAGS = {s.tag for s in kernel.RULE_SHAPES.values()} | {wire.OMEGA_STEP_TAG}
 
 
-def _load_omega_proof(path: str) -> kernel.Proof:
+def _load_omega_proof(path: str, memo: dict) -> kernel.Proof:
     """Read a proof file as binary if it starts with a step tag, and as text
     if it does not or if it does not decode; when both readings fail, the
     error gives both."""
@@ -276,7 +277,7 @@ def _load_omega_proof(path: str) -> kernel.Proof:
         except wire.MalformedEncoding as exc:
             tried = f"proof file: as binary: {exc}; as text: "
     try:
-        return parse_proof_text(data.decode("utf-8"))
+        return parse_proof_text(data.decode("utf-8"), memo)
     except UnicodeDecodeError:
         error = "not UTF-8" if tried else "proof file: neither valid binary nor text"
     except CliError as exc:
@@ -292,9 +293,10 @@ def cmd_check(args) -> int:
     _require_natural("--k", args.k)
     _require_positive("--instance-budget", args.instance_budget)
     report = Report(args.format)
-    gamma = _load_gamma(args.gamma)
-    target = _parse_formula_arg(args.target)
-    proof = _load_omega_proof(args.proof)
+    memo: dict = {}  # bracket groups, read once for every text of this check
+    gamma = _load_gamma(args.gamma, memo)
+    target = _parse_formula_arg(args.target, memo)
+    proof = _load_omega_proof(args.proof, memo)
     report.add("proof", args.proof)
     report.add("target", print_formula(target))
     report.add("k", args.k)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 import weakref
 from functools import lru_cache
-from typing import Union
+from typing import Iterator, Union
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _KEYWORDS = frozenset({"forall", "exists", "S"})
@@ -502,27 +502,28 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[tuple]:
-    """(kind, text, position) triples. A numeral of depth d has kind d and
-    text 'S'; a run of k `S(` and j `)` around its `0` gives the d = min(k,
-    j) innermost pairs to the numeral and the rest to their own tokens."""
-    tokens: list[tuple] = []
-    for m in _TOKEN_RE.finditer(text):
+def _tokenize(text: str, start: int = 0) -> Iterator[tuple]:
+    """(kind, text, position) triples from `start` on, then the final "eof".
+    A numeral of depth d has kind d and text 'S'; a run of k `S(` and j `)`
+    around its `0` gives the d = min(k, j) innermost pairs to the numeral
+    and the rest to their own tokens."""
+    for m in _TOKEN_RE.finditer(text, start):
         group, pos = m.lastgroup, m.start(m.lastgroup)
         if group == "num":
             zero = pos + m[group].index("0")
             d = min((zero - pos) // 2, m.end() - zero - 1)
             first = zero - 2 * d  # the numeral's first `S`
             for p in range(pos, first, 2):
-                tokens += (("ident", "S", p), ("(", "(", p + 1))
-            tokens.append((d, "S", first))
-            tokens += [(")", ")", p) for p in range(zero + 1 + d, m.end())]
+                yield "ident", "S", p
+                yield "(", "(", p + 1
+            yield d, "S", first
+            for p in range(zero + 1 + d, m.end()):
+                yield ")", ")", p
         elif group == "bad":
             raise SyntaxError_(f"unexpected character {m[group]!r}", pos)
         else:
-            tokens.append((group if group == "ident" else m[group], m[group], pos))
-    tokens.append(("eof", "", len(text)))
-    return tokens
+            yield group if group == "ident" else m[group], m[group], pos
+    yield "eof", "", len(text)
 
 
 # Infix token -> (precedence, right-associative, node class): the one
@@ -561,95 +562,135 @@ def _reduce(operators: list[tuple], operands: list[tuple]) -> None:
     operands.append((node, pos))
 
 
-def _parse(text: str, term: bool) -> Term | Formula:
+def _recall(memo: dict, text: str, pos: int, room: int) -> tuple:
+    """(tree, length) of the group read before that `text` repeats at `pos`,
+    found by its first 16 characters; else (None, characters compared). A
+    group longer than `room` is not compared, and one that differs is
+    forgotten."""
+    key = text[pos : pos + 16]
+    hit = memo.get(key)
+    if hit is None or hit[2] - hit[1] > room:
+        return None, 0
+    source, start, end, node = hit
+    if text.startswith(source[start:end], pos):
+        return node, end - start
+    del memo[key]
+    return None, end - start
+
+
+def _parse(text: str, term: bool, memo: dict | None = None) -> Term | Formula:
     """Operator-precedence parse of all of `text` as a term or a formula.
 
     `operands` holds (tree, position) pairs. `operators` holds pending
     operators as (precedence, class, position, fields before the body of a
     prefix operator), and open brackets, with precedence -1, as (-1,
     closing token, position, Succ for `S(` or (keyword, var) for a bound).
+
+    A plain bracket group parses the same wherever it stands: nothing
+    outside it reduces into it, and each `S(` in it closes in it. `memo`
+    maps the first 16 characters of each group read to (text, start, end,
+    tree), so a group read before gives its tree at once, and tokens
+    resume after it. Failed comparisons cover at most len(text) characters.
     """
-    tokens = iter(_tokenize(text))  # never read past the final "eof"
+    tokens = _tokenize(text)  # never read past the final "eof"
     operands: list[tuple] = []
     operators: list[tuple] = []
-    while True:
-        # An operand, after any prefix operators and opening brackets.
-        kind, value, pos = next(tokens)
-        if kind == "~":
-            operators.append((4, Not, pos, ()))
-            continue
-        if kind == "(":
-            operators.append((-1, ")", pos, None))
-            continue
-        if kind == "ident" and value == "S":
-            kind, value, paren = next(tokens)
-            if kind != "(":
-                raise SyntaxError_(f"expected '(', found {value!r}", paren)
-            operators.append((-1, ")", pos, Succ))
-            continue
-        if kind == "ident" and value in _KEYWORDS:
-            kind, var, var_pos = next(tokens)
-            if kind != "ident" or var in _KEYWORDS:
-                raise SyntaxError_(f"expected a variable, found {var!r}", var_pos)
-            kind, dot, dot_pos = next(tokens)
-            if kind == "<=":
-                operators.append((-1, ".", pos, (value, var)))
-                continue
-            if kind != ".":
-                raise SyntaxError_(f"expected '.', found {dot!r}", dot_pos)
-            operators.append((0, ForAll if value == "forall" else Exists, pos, (var,)))
-            continue
-        if kind == "0":
-            operands.append((ZERO, pos))
-        elif kind.__class__ is int:
-            operands.append((numeral(kind), pos))
-        elif kind == "ident":
-            operands.append((Var(value), pos))
-        else:
-            raise SyntaxError_(f"expected a term or formula, found {value!r}", pos)
-        # After an operand: closing brackets, then an infix operator or the end.
+    missed = 0
+    try:
         while True:
+            # An operand, after any prefix operators and opening brackets.
             kind, value, pos = next(tokens)
-            if kind in _INFIX:
-                prec, right, cls = _INFIX[kind]
-                while operators and (
-                    operators[-1][0] > prec or (operators[-1][0] == prec and not right)
-                ):
-                    _reduce(operators, operands)
-                operators.append((prec, cls, pos, None))
-                break
-            while operators and operators[-1][0] >= 0:
-                _reduce(operators, operands)
-            if kind == "eof":
-                if operators:
-                    raise SyntaxError_(f"expected {operators[-1][1]!r}, found ''", pos)
-                node, node_pos = operands.pop()
-                return _sorted(node, node_pos, term)
-            if not operators or operators[-1][1] != kind:
-                raise SyntaxError_(f"unexpected {value!r}", pos)
-            _, _, open_pos, what = operators.pop()
-            node, node_pos = operands.pop()
-            if kind == ")":
-                if what is Succ:
-                    node = Succ(_sorted(node, node_pos, True))
-                operands.append((node, open_pos))
+            if kind == "~":
+                operators.append((4, Not, pos, ()))
                 continue
-            # `.` ends a bound: the quantifier becomes a prefix operator.
-            keyword, var = what
-            bound = _sorted(node, node_pos, True)
-            if var in bound._fv:
-                raise SyntaxError_(f"bound of {var} mentions {var}", node_pos)
-            cls = BoundedForAll if keyword == "forall" else BoundedExists
-            operators.append((0, cls, open_pos, (var, bound)))
-            break
+            if kind == "(":
+                node, size = None, 0
+                if memo:
+                    node, size = _recall(memo, text, pos, len(text) - missed)
+                if node is None:
+                    missed += size
+                    operators.append((-1, ")", pos, None))
+                    continue
+                operands.append((node, pos))
+                tokens = _tokenize(text, pos + size)
+            elif kind == "ident" and value == "S":
+                kind, value, paren = next(tokens)
+                if kind != "(":
+                    raise SyntaxError_(f"expected '(', found {value!r}", paren)
+                operators.append((-1, ")", pos, Succ))
+                continue
+            elif kind == "ident" and value in _KEYWORDS:
+                kind, var, var_pos = next(tokens)
+                if kind != "ident" or var in _KEYWORDS:
+                    raise SyntaxError_(f"expected a variable, found {var!r}", var_pos)
+                kind, dot, dot_pos = next(tokens)
+                if kind == "<=":
+                    operators.append((-1, ".", pos, (value, var)))
+                    continue
+                if kind != ".":
+                    raise SyntaxError_(f"expected '.', found {dot!r}", dot_pos)
+                cls = ForAll if value == "forall" else Exists
+                operators.append((0, cls, pos, (var,)))
+                continue
+            elif kind == "0":
+                operands.append((ZERO, pos))
+            elif kind.__class__ is int:
+                operands.append((numeral(kind), pos))
+            elif kind == "ident":
+                operands.append((Var(value), pos))
+            else:
+                raise SyntaxError_(f"expected a term or formula, found {value!r}", pos)
+            # After an operand: closing brackets, then an infix operator or the end.
+            while True:
+                kind, value, pos = next(tokens)
+                if kind in _INFIX:
+                    prec, right, cls = _INFIX[kind]
+                    while operators and operators[-1][0] >= prec + right:
+                        _reduce(operators, operands)
+                    operators.append((prec, cls, pos, None))
+                    break
+                while operators and operators[-1][0] >= 0:
+                    _reduce(operators, operands)
+                if kind == "eof":
+                    if operators:
+                        closing = operators[-1][1]
+                        raise SyntaxError_(f"expected {closing!r}, found ''", pos)
+                    node, node_pos = operands.pop()
+                    return _sorted(node, node_pos, term)
+                if not operators or operators[-1][1] != kind:
+                    raise SyntaxError_(f"unexpected {value!r}", pos)
+                _, _, open_pos, what = operators.pop()
+                node, node_pos = operands.pop()
+                if kind == ")":
+                    if what is Succ:
+                        node = Succ(_sorted(node, node_pos, True))
+                    elif memo is not None:
+                        key = text[open_pos : open_pos + 16]
+                        memo[key] = (text, open_pos, pos + 1, node)
+                    operands.append((node, open_pos))
+                    continue
+                # `.` ends a bound: the quantifier becomes a prefix operator.
+                keyword, var = what
+                bound = _sorted(node, node_pos, True)
+                if var in bound._fv:
+                    raise SyntaxError_(f"bound of {var} mentions {var}", node_pos)
+                cls = BoundedForAll if keyword == "forall" else BoundedExists
+                operators.append((0, cls, open_pos, (var, bound)))
+                break
+    except SyntaxError_:
+        for _ in tokens:  # a bad character further on is reported first
+            pass
+        raise
 
 
-def parse_formula(text: str) -> Formula:
-    return _parse(text, term=False)
+def parse_formula(text: str, memo: dict | None = None) -> Formula:
+    """`memo`, a dict kept across calls, lets a bracket group that repeats
+    one read before be taken from it (see `_parse`)."""
+    return _parse(text, False, memo)
 
 
-def parse_term(text: str) -> Term:
-    return _parse(text, term=True)
+def parse_term(text: str, memo: dict | None = None) -> Term:
+    return _parse(text, True, memo)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ memo, must give the same tree, or the same `SyntaxError_` text and
 position, as the copy gives; and `check` must print the same report."""
 
 import contextlib
-import inspect
 import io
 import random
 import re
@@ -164,21 +163,9 @@ def outcome(read):
         return str(exc), exc.position
 
 
-# A parser without a memo reads each text alone.
-_TAKES_MEMO = "memo" in inspect.signature(parse_formula).parameters
-
-
 def program(text: str, term: bool, memo: dict | None = None):
     parse = parse_term if term else parse_formula
-    if memo is None or not _TAKES_MEMO:
-        return outcome(lambda: parse(text))
     return outcome(lambda: parse(text, memo))
-
-
-def read_proof(text: str, memo: dict | None = None):
-    if memo is None or not _TAKES_MEMO:
-        return cli.parse_proof_text(text)
-    return cli.parse_proof_text(text, memo)
 
 
 def reference(text: str, term: bool, memo: dict | None = None):
@@ -227,26 +214,30 @@ def test_random_and_mutated_texts_read_as_before(seed):
     assert_read_as_before(texts, {})
 
 
+def witness(m, n: int):
+    """(target text, proof text, proof) of the witness for (m, n), or None."""
+    result = run(m, n, 10_000)
+    halts = {"yes": halts_yes_formula, "no": halts_no_formula}
+    if result.outcome in halts:
+        target = halts[result.outcome](m, n)
+        proof = existence_proof(target.body, target.var, result.steps)
+        return print_formula(target), cli.proof_to_text(proof), proof
+
+
 def witness_texts(top: int = 4):
-    """(target text, proof text, proof) of every corpus witness for n <= top."""
-    for m in CORPUS.values():
-        for n in range(top + 1):
-            result = run(m, n, 10_000)
-            halts = {"yes": halts_yes_formula, "no": halts_no_formula}
-            if result.outcome in halts:
-                target = halts[result.outcome](m, n)
-                proof = existence_proof(target.body, target.var, result.steps)
-                yield print_formula(target), cli.proof_to_text(proof), proof
+    """The witnesses of the corpus for n <= top."""
+    cases = [witness(m, n) for m in CORPUS.values() for n in range(top + 1)]
+    return [case for case in cases if case is not None]
 
 
 def test_witness_texts_read_after_their_target_as_before(monkeypatch):
     for target_text, text, proof in witness_texts():
         memo: dict = {}
         assert_read_as_before([(target_text, False)], memo)
-        shared, alone = read_proof(text, memo), read_proof(text)
+        shared, alone = cli.parse_proof_text(text, memo), cli.parse_proof_text(text)
         with monkeypatch.context() as patched:
             patched.setattr(syntax, "_parse", reference)
-            want = read_proof(text)
+            want = cli.parse_proof_text(text)
         assert want == proof
         assert shared == want and alone == want
 
@@ -327,3 +318,60 @@ def test_check_reports_as_before(tmp_path, monkeypatch):
         want = [check_report(argv) for argv in argvs]
     assert [code for code, _, _ in want] == [0, 0, 2, 2, 4, 4, 4, 4, 0]
     assert reports == want
+
+
+def test_a_witness_text_read_after_its_target_reduces_less(monkeypatch):
+    target_text, text, _ = witness(CORPUS["BUSY3"], 2)
+    reduce, calls = syntax._reduce, []
+    monkeypatch.setattr(syntax, "_reduce", lambda *args: calls.append(reduce(*args)))
+    parse_formula(target_text)
+    alone = len(calls)
+    memo: dict = {}
+    parse_formula(target_text, memo)
+    calls.clear()
+    cli.parse_proof_text(text, memo)
+    # The proof holds five copies of the target's tableau.
+    assert 0 < len(calls) < alone
+
+
+class Watched(dict):
+    """A memo that adds up the lengths of the groups it forgets."""
+
+    dropped = 0
+
+    def __delitem__(self, key):
+        _, start, end, _ = self[key]
+        self.dropped += end - start
+        super().__delitem__(key)
+
+
+def test_a_failed_comparison_drops_its_entry():
+    memo = Watched()
+    first, second = f"{PREFIX}x = 0)", f"{PREFIX}x = S(0))"
+    parse_formula(f"{first} & 0 = 0", memo)
+    parse_formula(f"{second} & 0 = 0", memo)
+    assert memo.dropped == len(first)
+    assert memo[first[:16]][0] == f"{second} & 0 = 0"
+
+
+def test_failed_comparisons_cover_at_most_the_text():
+    memo = Watched()
+    x, y = PREFIX, PREFIX.replace(" x", " y")
+    long = [f"{p}{' & '.join(['0 = 0'] * 200)})" for p in (x, y)]
+    size = len(long[0])
+    short = f"{x}0 = 0) | {y}0 = 0)"
+    siblings = " | ".join(f"{x}x = {print_term(numeral(k))})" for k in range(5))
+    texts = [
+        " | ".join(long),
+        # Room to compare one long group, not both.
+        short + " | 0 = 0" * ((3 * size // 2 - len(short)) // 8),
+        " | ".join(long),
+        siblings,  # shorter than a long group
+        siblings,
+        short,
+    ]
+    for text in texts:
+        before = memo.dropped
+        assert_read_as_before([(text, False)], memo)
+        assert memo.dropped - before <= len(text)
+    assert memo.dropped > 0

@@ -45,6 +45,12 @@ def old_tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def old_tokens(text: str, start: int = 0):
+    """The tokens of `old_tokenize` from `start` on, in the form the parser
+    reads them: an iterator."""
+    return iter([(k, v, p + start) for k, v, p in old_tokenize(text[start:])])
+
+
 def outcome(parse, text):
     try:
         return parse(text)
@@ -56,7 +62,7 @@ def assert_same_as_old_tokenizer(monkeypatch, texts):
     parsers = (parse_formula, parse_term)
     new = [outcome(parse, text) for text in texts for parse in parsers]
     with monkeypatch.context() as patched:
-        patched.setattr(syntax, "_tokenize", old_tokenize)
+        patched.setattr(syntax, "_tokenize", old_tokens)
         old = [outcome(parse, text) for text in texts for parse in parsers]
     cases = [(text, parse.__name__) for text in texts for parse in parsers]
     differ = [(case, a, b) for case, a, b in zip(cases, old, new) if a is not b]
