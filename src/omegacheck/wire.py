@@ -19,6 +19,7 @@ memo; `omega` seeds a copy of it with phi's closed quantifiers per instance.
 
 from __future__ import annotations
 
+import re
 from itertools import count, product
 from typing import Iterator
 
@@ -65,6 +66,11 @@ _TAGS = {
 }
 _SUCC_TAG = _TAGS[S.Succ]
 _ZERO_TAG = _TAGS[S.Zero]
+_NOT_TAG = _TAGS[S.Not]
+# The end of a run of one tag from a position, found at C speed.
+_RUN_END = {
+    t: re.compile(re.escape(bytes((t,))) + b"+").match for t in (_SUCC_TAG, _NOT_TAG)
+}
 _BINDERS = frozenset(t for t, (_, k) in _FORMULA_NODES.items() if k[0] == "n")
 
 MAX_FORMULA_DEPTH = 1 << 16
@@ -74,6 +80,7 @@ this is a limit of the format, not a guard: `arithmetize` refuses any
 tableau that could nest deeper inside a proof, so what the program encodes
 decodes. At 128 steps that leaves tableaux windows of up to 255 cells.
 Term depth is not capped: numerals grow with what they denote."""
+_TOO_DEEP = f"formula nesting deeper than {MAX_FORMULA_DEPTH}"
 
 
 def _put_name(out: bytearray, name: str) -> None:
@@ -221,7 +228,8 @@ def _decode(r: Reader, kind: str):
     """Decode one term ("t") or formula ("f").
 
     Iterative: every node with children is an open frame (class, field
-    kinds, fields so far) until its last child is done. Nodes are built
+    kinds, fields so far) until its last child is done, and a run of
+    successors or of negations is one frame (class, length of the run). Nodes are built
     through the intern table, so bytes that encode a live tree give back
     that tree's nodes rather than a copy. Every byte is read or compared: a
     name or quantifier that repeats is compared with the one read before
@@ -250,19 +258,21 @@ def _decode(r: Reader, kind: str):
         if pos >= end:
             raise MalformedEncoding("unexpected end of input")
         tag = data[pos]
-        pos += 1
-        if tag == _SUCC_TAG and kind == "t":
-            start = pos
-            while pos < end and data[pos] == _SUCC_TAG:
+        if tag == _SUCC_TAG and kind == "t" or tag == _NOT_TAG and kind == "f":
+            start, pos = pos, _RUN_END[tag](data, pos).end()
+            if tag == _SUCC_TAG and pos < end and data[pos] == _ZERO_TAG:
                 pos += 1
-            if pos < end and data[pos] == _ZERO_TAG:
-                pos += 1
-                node = S.numeral(pos - start)
+                node = S.numeral(pos - start - 1)
             else:
-                # A run of successors takes one frame: (number of successors,).
-                frames.append((pos - start + 1,))
+                if tag == _NOT_TAG:
+                    depth += pos - start
+                    if depth > MAX_FORMULA_DEPTH:
+                        raise MalformedEncoding(_TOO_DEEP)
+                    peak = max(peak, depth)
+                frames.append((S.Succ if tag == _SUCC_TAG else S.Not, pos - start))
                 continue
         else:
+            pos += 1
             nodes = _TERM_NODES if kind == "t" else _FORMULA_NODES
             if tag not in nodes:
                 what = "term" if kind == "t" else "formula"
@@ -277,9 +287,7 @@ def _decode(r: Reader, kind: str):
                 if "f" in kinds:
                     depth += 1
                     if depth > MAX_FORMULA_DEPTH:
-                        raise MalformedEncoding(
-                            f"formula nesting deeper than {MAX_FORMULA_DEPTH}"
-                        )
+                        raise MalformedEncoding(_TOO_DEEP)
                     if depth > peak:
                         peak = depth
                 fields = []
@@ -295,9 +303,11 @@ def _decode(r: Reader, kind: str):
                 node = S.ZERO
         # Hand the finished node to the frames it completes.
         while frames:
-            if len(frames[-1]) == 1:
-                for _ in range(frames.pop()[0]):
-                    node = S.Succ(node)
+            if len(frames[-1]) == 2:
+                cls, run = frames.pop()
+                depth -= run if cls is S.Not else 0
+                for _ in range(run):
+                    node = cls(node)
                 continue
             cls, kinds, fields = frames[-1]
             fields.append(node)

@@ -232,6 +232,25 @@ def test_a_repeated_quantifier_is_decoded_under_the_depth_cap(
     assert isinstance(outcome(data), str) is (room < nesting)
 
 
+@pytest.mark.parametrize("spare", [1, 0, -1])
+def test_runs_of_negations_decode_as_with_the_old_decoder(monkeypatch, spare):
+    """Runs of `~` that nest `spare` levels short of the cap: one inside
+    another; two side by side under a third, which only fits if the depth
+    of the left run is given back when it closes; and a quantifier over a
+    run, read again under another run, which only fits if the inner run
+    counts in the quantifier's nesting."""
+    outer = MAX_FORMULA_DEPTH // 2
+    inner = MAX_FORMULA_DEPTH - outer - 1 - spare
+    nested = _step(_nots(outer, S.And(LEAF, _nots(inner, LEAF))))
+    sides = _step(_nots(outer, S.And(_nots(inner, LEAF), _nots(inner, LEAF))))
+    q = S.ForAll("w", _nots(40, LEAF))
+    reused = _step(q) + _step(_nots(MAX_FORMULA_DEPTH - 41 - spare, q))
+    cut = [data[:i] for data in (nested, sides) for i in (outer, outer + 5, -3)]
+    assert_same_as_old_decoder(monkeypatch, [nested, sides, reused, *cut])
+    for data in (nested, sides, reused):
+        assert isinstance(outcome(data), str) is (spare < 0)
+
+
 def _siblings(count: int, depth: int) -> bytes:
     """`count` chains with the same quantifiers that differ at their leaf."""
     return b"".join(

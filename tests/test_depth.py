@@ -114,6 +114,19 @@ def test_deep_nesting_is_malformed(tmp_path, capsys):
     assert "Traceback" not in result.stderr
 
 
+def test_a_deep_run_of_negations_is_refused_in_one_frame():
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedEncoding) as refused:
+            deserialize_proof(DEEP_NESTING)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == f"formula nesting deeper than {MAX_FORMULA_DEPTH}"
+    # A frame for each `~` came to megabytes before the refusal.
+    assert peak < 2**16
+
+
 def test_formula_depth_cap_is_exact():
     for depth in (MAX_FORMULA_DEPTH, MAX_FORMULA_DEPTH + 1):
         data = bytearray()
