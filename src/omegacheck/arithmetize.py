@@ -451,5 +451,11 @@ def halts_no_formula(m: MachineDesc, n: int) -> Formula:
 
 def loops_formula(m: MachineDesc, n: int) -> Formula:
     """One unbounded forall over a bounded body: the run never halts."""
+    return halting_statements(m, n)[2]
+
+
+def halting_statements(m: MachineDesc, n: int) -> tuple[Formula, Formula, Formula]:
+    """The halts-yes, halts-no and loops formulas, each body built once."""
     yes, no = halting_body(m, n, "yes"), halting_body(m, n, "no")
-    return ForAll(LOOPS_VAR, Not(Or(yes, no)))
+    loops = ForAll(LOOPS_VAR, Not(Or(yes, no)))
+    return Exists(LOOPS_VAR, yes), Exists(LOOPS_VAR, no), loops

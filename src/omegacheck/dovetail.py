@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Optional
 
 from . import wire
-from .arithmetize import halts_no_formula, halts_yes_formula, loops_formula
+from .arithmetize import halting_statements
 from .kernel import (
     Proof,
     ProofStep,
@@ -270,7 +270,7 @@ def _witness_loops_thread(
 ) -> Generator[Optional[int], None, Optional[tuple[bytes, Optional[int]]]]:
     """Check the loops certificate one instance per unit; instances still
     flow through the unmodified kernel."""
-    cert = build_loops_certificate(m, n)
+    cert = build_loops_certificate(m, n, target)
     proof = Proof((cert,), cert.conclusion)
     verdict = yield from check_units(frozenset(), (cert,), target, k, instance_budget)
     if not verdict.accepted:
@@ -296,10 +296,7 @@ def halting_search(
     """
     if mode not in ("pure", "witness"):
         raise ValueError("mode is 'pure' or 'witness'")
-    q_yes = halts_yes_formula(m, n)
-    q_no = halts_no_formula(m, n)
-    q_loops = loops_formula(m, n)
-    targets = (q_yes, q_no, q_loops)
+    targets = q_yes, q_no, q_loops = halting_statements(m, n)
     if oracle_factory is None:
         oracle_factory = lambda thread, _target: OmegaVerifierOracle(
             omega_bound if thread == 3 else None, instance_budget

@@ -232,15 +232,18 @@ def check_omega_bounded(
     )
 
 
-def build_loops_certificate(m: MachineDesc, n: int) -> OmegaStep:
-    """Certificate whose conclusion is loops_formula(m, n).
+def build_loops_certificate(
+    m: MachineDesc, n: int, q: Optional[Formula] = None
+) -> OmegaStep:
+    """Certificate whose conclusion is loops_formula(m, n); a caller that has
+    built that formula passes it as `q`.
 
     Sound for any machine and input: building succeeds whenever the
     halting bodies encode (else EncodingOverflow or RunAnalysisError), but
     the instances only verify when the machine really has not halted by
     each checked step bound.
     """
-    q = loops_formula(m, n)
+    q = loops_formula(m, n) if q is None else q
     return OmegaStep(
         gamma=frozenset(),
         var=q.var,

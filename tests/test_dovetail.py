@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from omegacheck import arithmetize
 from omegacheck.arithmetize import halts_no_formula, halts_yes_formula, loops_formula
 from omegacheck.dovetail import (
     HOutcome,
@@ -496,3 +497,18 @@ def test_omega_oracle_without_a_bound_is_the_finitary_kernel():
     assert OmegaVerifierOracle(k=7).open(data, cert.conclusion).step() == "running"
     run_ = OmegaVerifierOracle(k=None).open(CANONICAL, TRUTH)
     assert [run_.step() for _ in range(2)] == ["running", "yes"]
+
+
+def test_a_search_builds_each_halting_body_once(monkeypatch):
+    # The three targets share their bodies, and the loops certificate is
+    # built on the search's own loops target.
+    built = []
+    build = arithmetize.halted_by_formula
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(arithmetize, "halted_by_formula", counted)
+    outcome = halting_search(CORPUS["BUSY3"], 2)
+    assert (outcome.kind, len(built)) == ("halts_yes", 1)
