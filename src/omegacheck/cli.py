@@ -247,7 +247,6 @@ def _parse_step(line: str, position: int, memo: dict | None) -> kernel.ProofStep
 
 
 def parse_proof_text(text: str, memo: dict | None = None) -> kernel.Proof:
-    """Read a proof's text; `memo` is passed to the parser for every field."""
     steps = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

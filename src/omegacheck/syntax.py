@@ -514,11 +514,9 @@ def _tokenize(text: str, start: int = 0) -> Iterator[tuple]:
             d = min((zero - pos) // 2, m.end() - zero - 1)
             first = zero - 2 * d  # the numeral's first `S`
             for p in range(pos, first, 2):
-                yield "ident", "S", p
-                yield "(", "(", p + 1
+                yield from (("ident", "S", p), ("(", "(", p + 1))
             yield d, "S", first
-            for p in range(zero + 1 + d, m.end()):
-                yield ")", ")", p
+            yield from ((")", ")", p) for p in range(zero + 1 + d, m.end()))
         elif group == "bad":
             raise SyntaxError_(f"unexpected character {m[group]!r}", pos)
         else:
@@ -562,13 +560,12 @@ def _reduce(operators: list[tuple], operands: list[tuple]) -> None:
     operands.append((node, pos))
 
 
-def _recall(memo: dict, text: str, pos: int, room: int) -> tuple:
+def _recall(memo: dict | None, text: str, pos: int, room: int) -> tuple:
     """(tree, length) of the group read before that `text` repeats at `pos`,
-    found by its first 16 characters; else (None, characters compared). A
-    group longer than `room` is not compared, and one that differs is
-    forgotten."""
+    found by its first 16 characters, or (None, characters compared): one
+    longer than `room` is not compared, and one that differs is forgotten."""
     key = text[pos : pos + 16]
-    hit = memo.get(key)
+    hit = memo.get(key) if memo else None
     if hit is None or hit[2] - hit[1] > room:
         return None, 0
     source, start, end, node = hit
@@ -587,15 +584,14 @@ def _parse(text: str, term: bool, memo: dict | None = None) -> Term | Formula:
     closing token, position, Succ for `S(` or (keyword, var) for a bound).
 
     A plain bracket group parses the same wherever it stands: nothing
-    outside it reduces into it, and each `S(` in it closes in it. `memo`
+    outside it reduces into it, and each `S(` in it closes in it. So `memo`
     maps the first 16 characters of each group read to (text, start, end,
-    tree), so a group read before gives its tree at once, and tokens
-    resume after it. Failed comparisons cover at most len(text) characters.
+    tree), and a group read before is not read again (see `_recall`).
     """
     tokens = _tokenize(text)  # never read past the final "eof"
     operands: list[tuple] = []
     operators: list[tuple] = []
-    missed = 0
+    missed = 0  # characters of failed comparisons, at most len(text)
     try:
         while True:
             # An operand, after any prefix operators and opening brackets.
@@ -604,9 +600,7 @@ def _parse(text: str, term: bool, memo: dict | None = None) -> Term | Formula:
                 operators.append((4, Not, pos, ()))
                 continue
             if kind == "(":
-                node, size = None, 0
-                if memo:
-                    node, size = _recall(memo, text, pos, len(text) - missed)
+                node, size = _recall(memo, text, pos, len(text) - missed)
                 if node is None:
                     missed += size
                     operators.append((-1, ")", pos, None))
@@ -666,7 +660,7 @@ def _parse(text: str, term: bool, memo: dict | None = None) -> Term | Formula:
                         node = Succ(_sorted(node, node_pos, True))
                     elif memo is not None:
                         key = text[open_pos : open_pos + 16]
-                        memo[key] = (text, open_pos, pos + 1, node)
+                        memo[key] = text, open_pos, pos + 1, node
                     operands.append((node, open_pos))
                     continue
                 # `.` ends a bound: the quantifier becomes a prefix operator.
@@ -684,8 +678,6 @@ def _parse(text: str, term: bool, memo: dict | None = None) -> Term | Formula:
 
 
 def parse_formula(text: str, memo: dict | None = None) -> Formula:
-    """`memo`, a dict kept across calls, lets a bracket group that repeats
-    one read before be taken from it (see `_parse`)."""
     return _parse(text, False, memo)
 
 

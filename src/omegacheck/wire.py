@@ -68,9 +68,7 @@ _SUCC_TAG = _TAGS[S.Succ]
 _ZERO_TAG = _TAGS[S.Zero]
 _NOT_TAG = _TAGS[S.Not]
 # The end of a run of one tag from a position, found at C speed.
-_RUN_END = {
-    t: re.compile(re.escape(bytes((t,))) + b"+").match for t in (_SUCC_TAG, _NOT_TAG)
-}
+_RUN_END = {t: re.compile(b"\\x%02x+" % t).match for t in (_SUCC_TAG, _NOT_TAG)}
 _BINDERS = frozenset(t for t, (_, k) in _FORMULA_NODES.items() if k[0] == "n")
 
 MAX_FORMULA_DEPTH = 1 << 16
