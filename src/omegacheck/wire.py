@@ -227,11 +227,11 @@ def _decode(r: Reader, kind: str):
 
     Iterative: every node with children is an open frame (class, field
     kinds, fields so far) until its last child is done, and a run of
-    successors or of negations is one frame (class, length of the run). Nodes are built
-    through the intern table, so bytes that encode a live tree give back
-    that tree's nodes rather than a copy. Every byte is read or compared: a
-    name or quantifier that repeats is compared with the one read before
-    (`Reader.reuse`), and a new name is checked.
+    successors or of negations is one frame (class, length of the run).
+    Nodes are built through the intern table, so bytes that encode a live
+    tree give back that tree's nodes rather than a copy. Every byte is read
+    or compared: a name or quantifier that repeats is compared with the one
+    read before (`Reader.reuse`), and a new name is checked.
     """
     data = r.data
     end = len(data)
