@@ -261,16 +261,13 @@ def parse_proof_text(text: str, memo: dict | None = None) -> kernel.Proof:
     return kernel.Proof(tuple(steps), steps[-1].conclusion)
 
 
-_STEP_TAGS = {s.tag for s in kernel.RULE_SHAPES.values()} | {wire.OMEGA_STEP_TAG}
-
-
 def _load_omega_proof(path: str, memo: dict) -> kernel.Proof:
     """Read a proof file as binary if it starts with a step tag, and as text
     if it does not or if it does not decode; when both readings fail, the
     error gives both."""
     data = _read_file(path)
     tried = ""
-    if data and data[0] in _STEP_TAGS:
+    if data and data[0] in omega.STEP_TAGS:
         try:
             return omega.deserialize_omega_proof(data)
         except wire.MalformedEncoding as exc:

@@ -303,6 +303,7 @@ def check_omega_proof(
 # then UTF-8) and its input (u32).
 
 _PM_LOOPS = 0
+STEP_TAGS = wire.STEP_TAGS | {wire.OMEGA_STEP_TAG}  # what a proof starts with
 
 
 def _encode_step(s, out: bytearray, spans: dict | None = None) -> None:

@@ -33,6 +33,7 @@ class MalformedEncoding(Exception):
 
 # Step tag -> shape; `omega` reads and writes the one other step.
 _STEPS = {shape.tag: shape for shape in K.RULE_SHAPES.values()}
+STEP_TAGS = frozenset(_STEPS)  # the bytes a proof this decoder reads starts with
 OMEGA_STEP_TAG = 0x30
 
 _SCHEME_IDS = {name: i for i, name in enumerate(sorted(K.LOGIC_SCHEMES))}

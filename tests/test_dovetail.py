@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from omegacheck import arithmetize
+from omegacheck import arithmetize, dovetail, wire
 from omegacheck.arithmetize import halts_no_formula, halts_yes_formula, loops_formula
 from omegacheck.dovetail import (
     HOutcome,
@@ -25,22 +25,27 @@ from omegacheck.kernel import (
     ProofStep,
     RULE_EVAL_TRUE,
     check_proof,
+    check_units,
     make_proof,
 )
 from omegacheck.machines import ALWAYS_NO, ALWAYS_YES, CORPUS, EVEN, LOOP, run
 from omegacheck.omega import (
+    DEFAULT_INSTANCE_BUDGET,
     build_loops_certificate,
     check_omega_proof,
     deserialize_omega_proof,
     serialize_omega_proof,
 )
-from omegacheck.syntax import parse_formula
+from omegacheck.syntax import ForAll, parse_formula
 from omegacheck.wire import (
+    DEFAULT_ALPHABET,
+    MalformedEncoding,
     deserialize_proof,
     index_of_string,
     proof_at_index,
     serialize_proof,
 )
+from test_wire import END, GOLDEN, GOLDEN_OMEGA
 
 TRUTH = parse_formula("0 = 0")
 CANONICAL = serialize_proof(make_proof([ProofStep(TRUTH, RULE_EVAL_TRUE)]))
@@ -512,3 +517,73 @@ def test_a_search_builds_each_halting_body_once(monkeypatch):
     monkeypatch.setattr(arithmetize, "halted_by_formula", counted)
     outcome = halting_search(CORPUS["BUSY3"], 2)
     assert (outcome.kind, len(built)) == ("halts_yes", 1)
+
+
+# ---------------------------------------------------------------------------
+# The oracle decodes at `open` and refuses by the first byte: every candidate
+# gets the answers it got when decoding was the run's first step.
+
+
+def old_verify(k, candidate, target):
+    """The oracle's run before decoding moved into `open`."""
+    decode = deserialize_proof if k is None else deserialize_omega_proof
+    try:
+        proof = decode(candidate)
+    except MalformedEncoding:
+        return False
+    yield
+    verdict = yield from check_units(
+        frozenset(), proof.steps, target, k, DEFAULT_INSTANCE_BUDGET
+    )
+    return verdict.accepted
+
+
+def answers(run_):
+    """Every answer of a run, stepped until it is decided."""
+    seen = [run_.step()]
+    while seen[-1] == "running":
+        seen.append(run_.step())
+    return seen
+
+
+def parity_inputs():
+    """(candidate, target): every string of up to two bytes, then each golden
+    codec proof, cut by one byte, and with each value as its first byte."""
+    short = itertools.chain.from_iterable(
+        itertools.product(DEFAULT_ALPHABET, repeat=n) for n in range(3)
+    )
+    yield from ((bytes(t), TRUTH) for t in short)
+    golden = [(bytes.fromhex(row[3] + END), TRUTH) for row in GOLDEN]
+    golden.append((bytes.fromhex(GOLDEN_OMEGA), ForAll("t", parse_formula("t = t"))))
+    for data, target in golden:
+        yield data, target
+        yield data[:-1], target
+        for first in range(256):
+            yield bytes((first,)) + data[1:], target
+
+
+@pytest.mark.parametrize("k", [None, 50], ids=["finitary", "k=50"])
+def test_oracle_answers_as_when_it_decoded_in_its_first_step(k):
+    oracle = OmegaVerifierOracle(k)
+    differ = [
+        (data, target)
+        for data, target in parity_inputs()
+        if answers(oracle.open(data, target))
+        != answers(OracleRun(old_verify(k, data, target)))
+    ]
+    assert differ == []
+
+
+def test_oracle_refuses_a_first_byte_without_the_decoder(monkeypatch):
+    # Every refused candidate gets one shared run, decided before any step.
+    refused = OmegaVerifierOracle(k=50).open(b"\x27\x00", TRUTH)
+    assert refused.state == "no"
+
+    def fail(data):
+        raise AssertionError("decoded")
+
+    monkeypatch.setattr(wire, "deserialize_proof", fail)
+    monkeypatch.setattr(dovetail, "deserialize_omega_proof", fail)
+    assert OmegaVerifierOracle(k=None).open(b"", TRUTH) is refused
+    assert OmegaVerifierOracle(k=None).open(b"\x30" + CANONICAL, TRUTH) is refused
+    assert OmegaVerifierOracle(k=50).open(b"\x00" + CANONICAL, TRUTH) is refused
