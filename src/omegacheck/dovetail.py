@@ -5,8 +5,8 @@ The search enumerates candidate byte strings in shortlex order and runs the
 verifier on them triangularly: in round r, candidates 0..r each receive one
 verifier step (already-decided candidates are final and step vacuously).
 This keeps a candidate the verifier diverges on from blocking everything
-behind it. The verifier decodes a candidate when it opens it; one whose first
-byte no decoder accepts is refused without a reader, still in one step.
+behind it. A candidate whose first byte no decoder accepts is refused when the
+verifier opens it, without a reader, and still takes its one step.
 
 The halting search for (m, n) spins up three fair logical threads hunting
 proofs of "halts with yes", "halts with no" and "never halts". It is a
@@ -62,9 +62,9 @@ class OracleRun:
     """One candidate under verification: deterministic single-stepping,
     final once yes or no."""
 
-    def __init__(self, work: Generator[None, None, bool], state: str = "running"):
+    def __init__(self, work: Generator[None, None, bool]):
         self._work = work
-        self.state = state
+        self.state = "running"
 
     def step(self) -> str:
         if self.state != "running":
@@ -76,7 +76,7 @@ class OracleRun:
         return self.state
 
 
-_REFUSED = OracleRun(iter(()), "no")  # the one run of every refused candidate
+_REFUSED = OracleRun(iter(()))  # the one run of every refused candidate
 
 
 class VerifierOracle:
@@ -85,11 +85,11 @@ class VerifierOracle:
 
 
 class OmegaVerifierOracle(VerifierOracle):
-    """The kernel as a stepped oracle. `open` decodes the candidate; its run
-    takes one step for the decoding, one per proof step and one more between
-    consecutive instances of an omega step, and the last step also settles
-    the target comparison. A candidate whose first byte is no step tag of
-    the decoder is refused without a reader, and still takes its one step.
+    """The kernel as a stepped oracle: one step to deserialize, one per
+    proof step, and one more between consecutive instances of an omega
+    step; the last step also settles the target comparison. A candidate
+    whose first byte is no step tag of the decoder is refused at `open`
+    without a reader, and still takes its one step.
 
     With k None it is the finitary kernel, whose decoder refuses omega
     steps. With a k, a yes on a proof containing an omega step means "all
@@ -105,20 +105,20 @@ class OmegaVerifierOracle(VerifierOracle):
         self.per_instance_budget = per_instance_budget
 
     def open(self, candidate: bytes, target: Formula) -> OracleRun:
-        decode = wire.deserialize_proof if self.k is None else deserialize_omega_proof
         tags = wire.STEP_TAGS if self.k is None else omega.STEP_TAGS
         if not candidate or candidate[0] not in tags:
             return _REFUSED
+        return OracleRun(self._verify(candidate, target))
+
+    def _verify(self, candidate: bytes, target: Formula):
+        decode = wire.deserialize_proof if self.k is None else deserialize_omega_proof
         try:
             proof = decode(candidate)
         except wire.MalformedEncoding:
-            return _REFUSED
-        return OracleRun(self._verify(proof.steps, target))
-
-    def _verify(self, steps: tuple, target: Formula):
-        yield  # the step that decoded the candidate
+            return False
+        yield
         verdict = yield from check_units(
-            frozenset(), steps, target, self.k, self.per_instance_budget
+            frozenset(), proof.steps, target, self.k, self.per_instance_budget
         )
         return verdict.accepted
 

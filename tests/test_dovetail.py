@@ -520,12 +520,12 @@ def test_a_search_builds_each_halting_body_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The oracle decodes at `open` and refuses by the first byte: every candidate
-# gets the answers it got when decoding was the run's first step.
+# The oracle refuses by the first byte at `open`: every candidate gets the
+# answers it got when every candidate went to the decoder.
 
 
 def old_verify(k, candidate, target):
-    """The oracle's run before decoding moved into `open`."""
+    """The oracle's run before the first-byte refusal."""
     decode = deserialize_proof if k is None else deserialize_omega_proof
     try:
         proof = decode(candidate)
@@ -563,7 +563,7 @@ def parity_inputs():
 
 
 @pytest.mark.parametrize("k", [None, 50], ids=["finitary", "k=50"])
-def test_oracle_answers_as_when_it_decoded_in_its_first_step(k):
+def test_oracle_answers_as_without_the_first_byte_refusal(k):
     oracle = OmegaVerifierOracle(k)
     differ = [
         (data, target)
@@ -575,15 +575,16 @@ def test_oracle_answers_as_when_it_decoded_in_its_first_step(k):
 
 
 def test_oracle_refuses_a_first_byte_without_the_decoder(monkeypatch):
-    # Every refused candidate gets one shared run, decided before any step.
-    refused = OmegaVerifierOracle(k=50).open(b"\x27\x00", TRUTH)
-    assert refused.state == "no"
-
+    # Every refused candidate gets one shared run, which answers no on its
+    # first step and never reaches a decoder.
     def fail(data):
         raise AssertionError("decoded")
 
     monkeypatch.setattr(wire, "deserialize_proof", fail)
     monkeypatch.setattr(dovetail, "deserialize_omega_proof", fail)
+    refused = OmegaVerifierOracle(k=50).open(b"\x29\x00", TRUTH)
+    assert refused.step() == "no"
     assert OmegaVerifierOracle(k=None).open(b"", TRUTH) is refused
     assert OmegaVerifierOracle(k=None).open(b"\x30" + CANONICAL, TRUTH) is refused
     assert OmegaVerifierOracle(k=50).open(b"\x00" + CANONICAL, TRUTH) is refused
+    assert refused.step() == "no"
