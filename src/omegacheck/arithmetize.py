@@ -23,7 +23,9 @@ Runs are read from `machines.configs`, so "within t steps" means what it
 means there: among the first t configurations. Quantifier bounds are
 numeral constants computed here from the machine, input and step budget;
 the window of tape positions is trimmed to the cells the run actually
-visits (a sound bound, since heads move one cell per step).
+visits (a sound bound, since heads move one cell per step). A tableau that
+could nest too deep for the wire format is refused before any n-sized
+configuration is built, so a huge input is refused in time independent of n.
 """
 
 from __future__ import annotations
@@ -126,59 +128,17 @@ class TraceEncoding:
                 digits.append(self.cell_code(sym))
         return digits
 
-    def encode_config(self, c: Config, lo: int, hi: int) -> int:
-        value = 0
-        for digit in reversed(self.config_digits(c, lo, hi)):
-            value = value * self.base + digit
-        return value
-
-    def decode_config(self, code: int, lo: int, hi: int) -> Config:
-        s = len(self.symbols)
-        tape: dict[int, str] = {}
-        head: Optional[int] = None
-        state: Optional[str] = None
-        for pos in range(lo, hi + 1):
-            code, digit = divmod(code, self.base)
-            if digit >= s:
-                if head is not None:
-                    raise EncodingOverflow("two head digits")
-                state_index, sym_index = divmod(digit - s, s)
-                head = pos
-                state = self.states[state_index]
-                sym = self.symbols[sym_index]
-            else:
-                sym = self.symbols[digit]
-            if sym != self.machine.blank:
-                tape[pos] = sym
-        if code or head is None or state is None:
-            raise EncodingOverflow("not a configuration code for this window")
-        return Config(state, tape, head)
-
 
 # ---------------------------------------------------------------------------
-# Trace prefix and window
-
-
-def trace_prefix(m: MachineDesc, n: int, t: int) -> tuple[list[Config], Optional[str]]:
-    """Up to t configurations of the run; second value is the outcome if the
-    machine was observed halting within those t steps ('stuck' for a dead
-    non-accepting configuration)."""
-    history = list(islice(configs(m, n), max(t, 0)))
-    if not history:
-        return history, None
-    last = history[-1].state
-    if last == m.accept_yes:
-        return history, "yes"
-    if last == m.accept_no:
-        return history, "no"
-    return history, "stuck" if len(history) < t else None
+# Trace window
 
 
 def trace_window(m: MachineDesc, n: int, t: int) -> tuple[int, int]:
     """Cell window covering every position the length-<=t run can touch,
-    padded one cell on each side so neighbor lookups stay inside."""
-    history, _ = trace_prefix(m, n, t)
-    heads = [c.head for c in history] or [0]
+    padded one cell on each side so neighbor lookups stay inside. The run is
+    read on min(n, t) strokes, whose first t configurations have the same
+    heads, so no n-sized configuration is built."""
+    heads = [c.head for c in islice(configs(m, min(n, t)), max(t, 0))] or [0]
     lo = min(0, min(heads)) - 1
     hi = max(max(heads), n - 1 if n > 0 else 0) + 1
     return lo, hi
@@ -216,6 +176,7 @@ class _TableauBuilder:
         self.t = t
         self.width = hi - lo + 1
         self.n_symbols = len(self.enc.symbols)
+        self.check_depth()  # before row 0, which is as wide as the input
         self.row0 = self.enc.config_digits(initial_config(m, n), lo, hi)
         self.stay_codes: list[int] = []  # accepting heads: row copies itself
         self.center_next: list[tuple[int, int]] = []  # (head code, written cell code)
@@ -373,9 +334,7 @@ def halted_by_formula(
         )
     if t == 0:
         return FALSE_SENTENCE
-    builder = _TableauBuilder(m, n, t)
-    builder.check_depth()
-    return builder.build(outcome)
+    return _TableauBuilder(m, n, t).build(outcome)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ through the same unmodified verifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle
 from typing import Callable, Generator, Optional
 
 from . import omega, wire
@@ -328,34 +329,32 @@ def halting_search(
         ]
     units = [0, 0, 0]
     finished = [False, False, False]
-    kinds = ("halts_yes", "halts_no", "loops")
-    total = 0
-    while total < budget.max_total_oracle_steps and not all(finished):
-        for thread_index in range(3):
-            if total >= budget.max_total_oracle_steps:
+    total, winner = 0, None
+    for thread in cycle((0, 1, 2)):
+        if finished[thread]:
+            continue
+        if total >= budget.max_total_oracle_steps:
+            break
+        units[thread] += 1
+        total += 1
+        try:
+            next(threads[thread])
+        except StopIteration as stop:
+            finished[thread] = True
+            if stop.value is not None:
+                winner = thread
+                found, index = stop.value
                 break
-            if finished[thread_index]:
-                continue
-            units[thread_index] += 1
-            total += 1
-            try:
-                next(threads[thread_index])
-            except StopIteration as stop:
-                finished[thread_index] = True
-                if stop.value is None:
-                    continue
-                data, index = stop.value
-                return HOutcome(
-                    kinds[thread_index],
-                    proof=data,
-                    thread=thread_index + 1,
-                    candidate_index=index,
-                    omega_bound=omega_bound if thread_index == 2 else None,
-                    progress=tuple(
-                        ThreadProgress(units[i], finished[i]) for i in range(3)
-                    ),
-                )
+            if all(finished):
+                break
+    progress = tuple(map(ThreadProgress, units, finished))
+    if winner is None:
+        return HOutcome("budget_exhausted", progress=progress)
     return HOutcome(
-        "budget_exhausted",
-        progress=tuple(ThreadProgress(units[i], finished[i]) for i in range(3)),
+        ("halts_yes", "halts_no", "loops")[winner],
+        proof=found,
+        thread=winner + 1,
+        candidate_index=index,
+        omega_bound=omega_bound if winner == 2 else None,
+        progress=progress,
     )

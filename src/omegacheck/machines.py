@@ -104,7 +104,6 @@ class Config:
     state: str
     tape: dict[int, str]
     head: int
-    step_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ def initial_config(m: MachineDesc, n: int) -> Config:
     """Unary input: n strokes starting at cell 0, head on the leftmost cell."""
     if n < 0:
         raise ValueError("input must be a natural number")
-    return Config(m.start, {i: STROKE for i in range(n)}, 0, 0)
+    return Config(m.start, {i: STROKE for i in range(n)}, 0)
 
 
 def configs(m: MachineDesc, n: int) -> Iterator[Config]:
@@ -142,7 +141,7 @@ def configs(m: MachineDesc, n: int) -> Iterator[Config]:
         else:
             tape[c.head] = write
         head = c.head + (1 if direction == "R" else -1)
-        c = Config(nstate, tape, head, c.step_count + 1)
+        c = Config(nstate, tape, head)
 
 
 def run(m: MachineDesc, n: int, budget: int) -> RunResult:

@@ -560,19 +560,20 @@ def _reduce(operators: list[tuple], operands: list[tuple]) -> None:
     operands.append((node, pos))
 
 
-def _recall(memo: dict | None, text: str, pos: int, room: int) -> tuple:
-    """(tree, length) of the group read before that `text` repeats at `pos`,
-    found by its first 16 characters, or (None, characters compared): one
-    longer than `room` is not compared, and one that differs is forgotten."""
-    key = text[pos : pos + 16]
+def recall(memo: dict | None, data: str | bytes, pos: int, room: int, fits=None):
+    """(entry, size) if `data` repeats at `pos` a span read before, else (None,
+    units compared): the one rule by which both readers skip such a span.
+    `memo` maps a span's first 16 characters or bytes to (source, start, end,
+    ...). A span longer than `room`, or whose entry `fits` refuses, is not
+    compared, and one that differs is dropped from `memo`."""
+    key = data[pos : pos + 16]
     hit = memo.get(key) if memo else None
-    if hit is None or hit[2] - hit[1] > room:
+    if hit is None or hit[2] - hit[1] > room or fits and not fits(hit):
         return None, 0
-    source, start, end, node = hit
-    if text.startswith(source[start:end], pos):
-        return node, end - start
+    if data.startswith(hit[0][hit[1] : hit[2]], pos):
+        return hit, hit[2] - hit[1]
     del memo[key]
-    return None, end - start
+    return None, hit[2] - hit[1]
 
 
 def _parse(text: str, term: bool, memo: dict | None = None) -> Term | Formula:
@@ -586,7 +587,7 @@ def _parse(text: str, term: bool, memo: dict | None = None) -> Term | Formula:
     A plain bracket group parses the same wherever it stands: nothing
     outside it reduces into it, and each `S(` in it closes in it. So `memo`
     maps the first 16 characters of each group read to (text, start, end,
-    tree), and a group read before is not read again (see `_recall`).
+    tree), and a group read before is not read again (see `recall`).
     """
     tokens = _tokenize(text)  # never read past the final "eof"
     operands: list[tuple] = []
@@ -600,12 +601,12 @@ def _parse(text: str, term: bool, memo: dict | None = None) -> Term | Formula:
                 operators.append((4, Not, pos, ()))
                 continue
             if kind == "(":
-                node, size = _recall(memo, text, pos, len(text) - missed)
-                if node is None:
+                hit, size = recall(memo, text, pos, len(text) - missed)
+                if hit is None:
                     missed += size
                     operators.append((-1, ")", pos, None))
                     continue
-                operands.append((node, pos))
+                operands.append((hit[3], pos))
                 tokens = _tokenize(text, pos + size)
             elif kind == "ident" and value == "S":
                 kind, value, paren = next(tokens)

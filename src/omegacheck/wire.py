@@ -13,8 +13,10 @@ depend on the interpreter's recursion limit; formula nesting is capped at
 
 A proof repeats whole quantifiers (a witness proof holds five copies of one
 tableau): one `serialize_proof` or `deserialize_proof` call walks each once,
-through one memo of the quantifiers it has handled. The encoder has no other
-memo; `omega` seeds a copy of it with phi's closed quantifiers per instance.
+through one memo of the quantifiers it has handled. The decoder skips a
+repeat by `syntax.recall`, the text parser's rule too, where it fits under
+the nesting cap. The encoder has no other memo; `omega` seeds a copy of it
+with phi's closed quantifiers per instance.
 """
 
 from __future__ import annotations
@@ -149,21 +151,18 @@ class Reader:
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
-        self.spans: dict | None = None  # first 16 bytes -> (start, end, node, nesting)
+        self.spans: dict | None = None  # `S.recall`'s (data, start, end, node, nesting)
         self.missed = 0  # bytes of failed comparisons, at most len(data)
 
     def reuse(self, start: int, depth: int) -> tuple | None:
         """(node, end, nesting) for the bytes from `start` if they repeat a
-        quantifier read before, found by its first 16 bytes, that fits there."""
-        data, key = self.data, self.data[start : start + 16]
-        hit = self.spans.get(key)
-        if hit and depth + hit[3] <= MAX_FORMULA_DEPTH:
-            size = hit[1] - hit[0]
-            if self.missed + size <= len(data):
-                if data[start : start + size] == data[hit[0] : hit[1]]:
-                    return hit[2], start + size, hit[3]
-                del self.spans[key]
-                self.missed += size
+        quantifier read before that fits there (`syntax.recall`)."""
+        fits = lambda hit: depth + hit[4] <= MAX_FORMULA_DEPTH  # before comparing
+        room = len(self.data) - self.missed
+        hit, size = S.recall(self.spans, self.data, start, room, fits)
+        if hit:
+            return hit[3], start + size, hit[4]
+        self.missed += size
 
     def u8(self) -> int:
         if self.pos >= len(self.data):
@@ -232,7 +231,7 @@ def _decode(r: Reader, kind: str):
     Nodes are built through the intern table, so bytes that encode a live
     tree give back that tree's nodes rather than a copy. Every byte is read
     or compared: a name or quantifier that repeats is compared with the one
-    read before (`Reader.reuse`), and a new name is checked.
+    read before (a quantifier by `syntax.recall`), and a new name is checked.
     """
     data = r.data
     end = len(data)
@@ -324,7 +323,7 @@ def _decode(r: Reader, kind: str):
                 start, outer = opened.pop()
                 if spans is None:
                     spans = r.spans = {}
-                spans[data[start : start + 16]] = (start, pos, node, peak - depth)
+                spans[data[start : start + 16]] = (data, start, pos, node, peak - depth)
                 peak = max(peak, outer)
         else:
             r.pos = pos

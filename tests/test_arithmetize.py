@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import islice
 
 import pytest
 
@@ -16,7 +17,6 @@ from omegacheck.arithmetize import (
     halts_no_formula,
     halts_yes_formula,
     loops_formula,
-    trace_prefix,
     trace_window,
 )
 from omegacheck.machines import (
@@ -27,6 +27,7 @@ from omegacheck.machines import (
     EVEN,
     LOOP,
     MachineDesc,
+    configs,
     run,
 )
 from omegacheck.omega import build_loops_certificate, check_omega_bounded
@@ -80,27 +81,39 @@ def test_trace_encoding_base_exceeds_product():
         assert enc.base > len(enc.symbols) * len(enc.states)
 
 
-def test_trace_encoding_roundtrip_on_real_configs():
-    for m in (EVEN, BUSY3, LOOP):
+def test_trace_encoding_injective_on_real_configs():
+    # Equal digit rows in one window are equal configurations, blanks aside.
+    for m in (EVEN, BUSY3, LOOP, PACER):
         enc = TraceEncoding(m)
         for n in range(4):
-            configs, _ = trace_prefix(m, n, 12)
             lo, hi = trace_window(m, n, 12)
-            for c in configs:
-                code = enc.encode_config(c, lo, hi)
-                back = enc.decode_config(code, lo, hi)
-                assert back.state == c.state
-                assert back.head == c.head
-                assert back.tape == {
-                    p: s for p, s in c.tape.items() if s != m.blank
-                }
+            rows: dict[tuple, tuple] = {}
+            for c in islice(configs(m, n), 12):
+                tape = frozenset((p, s) for p, s in c.tape.items() if s != m.blank)
+                config = (c.state, c.head, tape)
+                digits = tuple(enc.config_digits(c, lo, hi))
+                assert rows.setdefault(digits, config) == config
 
 
 def test_trace_encoding_overflow():
     enc = TraceEncoding(LOOP)
-    configs, _ = trace_prefix(LOOP, 0, 10)
+    history = list(islice(configs(LOOP, 0), 10))
     with pytest.raises(EncodingOverflow):
-        enc.encode_config(configs[-1], 0, 3)
+        enc.config_digits(history[-1], 0, 3)
+
+
+def test_an_over_wide_tableau_is_refused_before_its_input_is_simulated(monkeypatch):
+    # The first t configurations are read on at most t strokes, and the depth
+    # check comes before row 0, so ten million strokes are never put on a tape.
+    from omegacheck import arithmetize
+
+    def on_few_strokes(m, n, real=arithmetize.configs):
+        assert n <= 5, f"simulated on {n} strokes"
+        return real(m, n)
+
+    monkeypatch.setattr(arithmetize, "configs", on_few_strokes)
+    with pytest.raises(EncodingOverflow):
+        halted_by_formula(EVEN, 10**7, 5, "yes")
 
 
 def test_halted_by_spec_examples():
@@ -242,19 +255,21 @@ def test_every_layer_counts_steps_alike(m):
     # the loops certificate all put a halting run's halt at the same u.
     for n in range(6):
         result = run(m, n, 100)
-        history, outcome = trace_prefix(m, n, 100)
+        history = list(islice(configs(m, n), 100))
+        halted = {m.accept_yes: "yes", m.accept_no: "no"}.get(history[-1].state)
         summary = analyze_run(m, n)
         verdict = check_omega_bounded(build_loops_certificate(m, n), 30)
         if result.outcome == "timeout":
-            assert outcome in (None, "stuck") and summary.kind != "halts"
+            assert halted is None and summary.kind != "halts"
             assert verdict.kind == "accepted_up_to"
             continue
         u = result.steps
         assert [run(m, n, b) for b in range(u, u + 3)] == [result] * 3
         assert u == 1 or run(m, n, u - 1).outcome == "timeout"
         assert summary == RunSummary("halts", result.outcome, u)
-        assert (len(history), outcome) == (u, result.outcome)
-        assert len(trace_prefix(m, n, u)[0]) == u
+        assert (len(history), halted) == (u, result.outcome)
+        lo, hi = trace_window(m, n, u)
+        assert all(lo < c.head < hi for c in history)
         assert (verdict.kind, verdict.index) == ("rejected", u)
 
 

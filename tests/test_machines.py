@@ -24,7 +24,8 @@ STUCK = MachineDesc((), start="q", accept_yes="Y", accept_no="N")
 
 def test_initial_config_unary():
     c = initial_config(EVEN, 0)
-    assert c.tape == {} and c.head == 0 and c.step_count == 0
+    assert c.tape == {} and c.head == 0
+    assert next(configs(EVEN, 0)) == c  # the run's first configuration
     c = initial_config(EVEN, 3)
     assert c.tape == {0: "1", 1: "1", 2: "1"}
 
@@ -39,7 +40,7 @@ def test_configs_stop_at_an_accepting_start_state():
 
 def test_loop_step_moves_head():
     after = second_config(LOOP, 0)
-    assert after.state == "q" and after.head == 1 and after.step_count == 1
+    assert after.state == "q" and after.head == 1
 
 
 def test_even_one_step_on_input_two():
@@ -173,7 +174,7 @@ def test_every_machine_that_constructs_reads_back_from_its_text(fields):
 def test_configs_ends_after_the_accepting_configuration():
     history = list(configs(EVEN, 2))
     assert [c.state for c in history] == ["e", "o", "e", "Y"]
-    assert [c.step_count for c in history] == [0, 1, 2, 3]
+    assert [c.head for c in history] == [0, 1, 2, 3]  # one move per position
     assert len(list(configs(ALWAYS_NO, 3))) == 1
 
 

@@ -23,6 +23,7 @@ from omegacheck.syntax import (
     numeral_value,
     parse_formula,
     print_formula,
+    recall,
     substitute,
 )
 
@@ -179,3 +180,22 @@ def test_eval_agrees_with_naive_interpreter(seed):
     f = random_closed_delta0(rng, 3)
     assert is_closed(f) and is_delta0(f)
     assert eval_bounded(f) == naive_eval(f)
+
+
+@pytest.mark.parametrize(
+    "source", ["0123456789abcdefXY", b"0123456789abcdefXY"], ids=["str", "bytes"]
+)
+def test_recall_tests_room_and_fit_before_comparing(source):
+    # One rule for both readers, over characters or bytes. A span that has no
+    # room or does not fit is neither compared nor dropped, so a repeat past
+    # the nesting cap costs no comparison at each level it is met.
+    entry = (source, 0, 18, "tree")
+    memo = {source[:16]: entry}
+    other = source[:17] + source[:1]  # the same first 16 units, then a change
+    assert recall(memo, source, 1, 18) == (None, 0)  # no span starts so
+    assert recall(memo, source, 0, 18) == (entry, 18)
+    assert recall(memo, other, 0, 17) == (None, 0)
+    assert recall(memo, other, 0, 18, lambda hit: False) == (None, 0)
+    assert memo == {source[:16]: entry}
+    assert recall(memo, other, 0, 18, lambda hit: hit is entry) == (None, 18)
+    assert memo == {}
