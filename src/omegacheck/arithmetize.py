@@ -24,8 +24,9 @@ means there: among the first t configurations. Quantifier bounds are
 numeral constants computed here from the machine, input and step budget;
 the window of tape positions is trimmed to the cells the run actually
 visits (a sound bound, since heads move one cell per step). A tableau that
-could nest too deep for the wire format is refused before any n-sized
-configuration is built, so a huge input is refused in time independent of n.
+could nest too deep for the wire format is refused before its input row is
+built, and a run's tape holds only the cells it wrote, so a huge input is
+refused in time independent of n.
 """
 
 from __future__ import annotations
@@ -114,14 +115,18 @@ class TraceEncoding:
         return s + self.states.index(state) * s + self.symbols.index(symbol)
 
     def config_digits(self, c: Config, lo: int, hi: int) -> list[int]:
+        """The window's digits; it must hold the head, the input and every
+        non-blank cell the run wrote."""
         if not lo <= c.head <= hi:
             raise EncodingOverflow(f"head {c.head} outside window [{lo}, {hi}]")
+        if c.n and not lo <= 0 <= c.n - 1 <= hi:
+            raise EncodingOverflow(f"input outside window [{lo}, {hi}]")
         for pos, sym in c.tape.items():
             if sym != self.machine.blank and not lo <= pos <= hi:
                 raise EncodingOverflow(f"cell {pos} outside window [{lo}, {hi}]")
         digits = []
         for pos in range(lo, hi + 1):
-            sym = c.tape.get(pos, self.machine.blank)
+            sym = c.symbol(pos, self.machine.blank)
             if pos == c.head:
                 digits.append(self.head_code(c.state, sym))
             else:
@@ -134,14 +139,11 @@ class TraceEncoding:
 
 
 def trace_window(m: MachineDesc, n: int, t: int) -> tuple[int, int]:
-    """Cell window covering every position the length-<=t run can touch,
-    padded one cell on each side so neighbor lookups stay inside. The run is
-    read on min(n, t) strokes, whose first t configurations have the same
-    heads, so no n-sized configuration is built."""
-    heads = [c.head for c in islice(configs(m, min(n, t)), max(t, 0))] or [0]
-    lo = min(0, min(heads)) - 1
-    hi = max(max(heads), n - 1 if n > 0 else 0) + 1
-    return lo, hi
+    """Cell window covering the input and every position the length-<=t run
+    can touch (the first head is 0), padded one cell on each side so
+    neighbor lookups stay inside."""
+    heads = [c.head for c in islice(configs(m, n), max(t, 0))] or [0]
+    return min(heads) - 1, max(*heads, n - 1) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -311,26 +313,21 @@ class _TableauBuilder:
         return body
 
 
-def halted_by_formula(
-    m: MachineDesc,
-    n: int,
-    t: int,
-    outcome: str,
-    max_steps: int = DEFAULT_MAX_TRACE_STEPS,
-) -> Formula:
+def halted_by_formula(m: MachineDesc, n: int, t: int, outcome: str) -> Formula:
     """Closed bounded sentence: the run reaches the `outcome` accepting
     state within t observed steps (a history of at most t configurations).
 
-    Raises EncodingOverflow past `max_steps`, and when the tableau could
-    nest deeper than `wire.MAX_FORMULA_DEPTH` allows.
+    Raises EncodingOverflow past `DEFAULT_MAX_TRACE_STEPS`, and when the
+    tableau could nest deeper than `wire.MAX_FORMULA_DEPTH` allows.
     """
     if outcome not in ("yes", "no"):
         raise ValueError("outcome must be 'yes' or 'no'")
     if t < 0 or n < 0:
         raise ValueError("t and n are naturals")
-    if t > max_steps:
+    if t > DEFAULT_MAX_TRACE_STEPS:
         raise EncodingOverflow(
-            f"trace length {t} exceeds the coding limit of {max_steps} steps"
+            f"trace length {t} exceeds the coding limit of "
+            f"{DEFAULT_MAX_TRACE_STEPS} steps"
         )
     if t == 0:
         return FALSE_SENTENCE
@@ -348,8 +345,8 @@ class RunSummary:
     steps: Optional[int] = None  # observed steps to halt / repeat / stuck
 
 
-def analyze_run(m: MachineDesc, n: int, horizon: int = DEFAULT_HORIZON) -> RunSummary:
-    """Classify the run on input n by simulating up to `horizon` steps.
+def analyze_run(m: MachineDesc, n: int) -> RunSummary:
+    """Classify the run on input n by simulating up to `DEFAULT_HORIZON` steps.
 
     Detected non-halting patterns: an exact configuration repeat (state,
     head and tape all equal) and a right-runner (the head enters fresh
@@ -360,9 +357,9 @@ def analyze_run(m: MachineDesc, n: int, horizon: int = DEFAULT_HORIZON) -> RunSu
     records: dict[str, tuple[int, int]] = {}  # state -> (step index, head)
     max_head = -1
     for index, c in enumerate(configs(m, n)):
-        if index >= horizon:
+        if index >= DEFAULT_HORIZON:
             raise RunAnalysisError(
-                f"no halt or repetition pattern within {horizon} steps"
+                f"no halt or repetition pattern within {DEFAULT_HORIZON} steps"
             )
         if c.state == m.accept_yes:
             return RunSummary("halts", "yes", index + 1)

@@ -13,7 +13,8 @@ machine) consumes it. A stuck run simply ends there. It fixes the
 step-count convention: a run has halted within t steps when its first t
 configurations include an accepting one, so the step that observes the
 halt counts and the step count of a halting run is the length of its
-configuration history.
+configuration history. The input is implicit (see `Config`), so a run
+starts in O(1) and a step copies only the cells the run wrote, whatever n is.
 
 File format (one transition per line, headers first):
 
@@ -101,9 +102,15 @@ class MachineDesc:
 
 @dataclass
 class Config:
+    """A configuration of a run on the input of n strokes."""
+
     state: str
-    tape: dict[int, str]
+    tape: dict[int, str]  # only the cells whose symbol differs from the input's
     head: int
+    n: int  # the input: a stroke on cells 0..n-1, blank elsewhere
+
+    def symbol(self, pos: int, blank: str) -> str:
+        return self.tape.get(pos, STROKE if 0 <= pos < self.n else blank)
 
 
 @dataclass(frozen=True)
@@ -116,7 +123,7 @@ def initial_config(m: MachineDesc, n: int) -> Config:
     """Unary input: n strokes starting at cell 0, head on the leftmost cell."""
     if n < 0:
         raise ValueError("input must be a natural number")
-    return Config(m.start, {i: STROKE for i in range(n)}, 0)
+    return Config(m.start, {}, 0, n)
 
 
 def configs(m: MachineDesc, n: int) -> Iterator[Config]:
@@ -131,31 +138,30 @@ def configs(m: MachineDesc, n: int) -> Iterator[Config]:
         yield c
         if c.state in accepting:
             return
-        move = m.transition.get((c.state, c.tape.get(c.head, m.blank)))
+        given = STROKE if 0 <= c.head < n else m.blank  # the input's symbol
+        move = m.transition.get((c.state, c.tape.get(c.head, given)))
         if move is None:
             return
         nstate, write, direction = move
         tape = dict(c.tape)
-        if write == m.blank:
+        if write == given:
             tape.pop(c.head, None)
         else:
             tape[c.head] = write
         head = c.head + (1 if direction == "R" else -1)
-        c = Config(nstate, tape, head)
+        c = Config(nstate, tape, head, n)
 
 
 def run(m: MachineDesc, n: int, budget: int) -> RunResult:
     """Simulate up to `budget` steps, counted as the module docstring says.
 
     A stuck run never halts, so it is reported as a timeout. Only the last
-    configuration can be accepting, because the run ends there. The first
-    `budget` configurations read no cell past `budget - 2`, so the run is on
-    at most `budget` of the n input strokes.
+    configuration can be accepting, because the run ends there.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     stop = min(budget, sys.maxsize)  # the most islice takes
-    for used, c in enumerate(islice(configs(m, min(n, budget)), stop), 1):
+    for used, c in enumerate(islice(configs(m, n), stop), 1):
         pass
     if c.state == m.accept_yes:
         return RunResult("yes", used)

@@ -79,23 +79,18 @@ class LoopsPremiseMachine:
         if index > 0:
             if budget <= 0:
                 return GenResult(None, 0, exhausted=True)
-            cost += self._simulate(min(index, budget), budget)
+            cost += self._simulate(min(index, budget))
         if cost > budget:
             return GenResult(None, budget, exhausted=True)
         instance = substitute(self.phi, self.var, numeral(index))
         return GenResult(_encode_eval_true(instance, self._closed_spans[1]), cost)
 
-    def _simulate(self, steps: int, budget: int) -> int:
+    def _simulate(self, steps: int) -> int:
         """The steps `run` takes with a budget of `steps`: the halting step
-        if it is at most `steps`, else `steps`. The run goes on from the last
-        call. Its first p configurations on p input strokes are those on all
-        n (see `run`), so a call that needs more restarts it on at least
-        twice as many strokes, and on at most min(n, budget)."""
+        if it is at most `steps`, else `steps`. The one run goes on from
+        the last call."""
         r = self._run
         if r.halt is None and r.seen < steps:
-            if r.prefix < min(self.input_n, steps):
-                r.prefix = min(self.input_n, budget, max(steps, 2 * r.prefix))
-                r.configs, r.seen = configs(self.machine, r.prefix), 0
             accepting = (self.machine.accept_yes, self.machine.accept_no)
             for c in islice(r.configs, steps - r.seen):  # a stuck run ends
                 r.seen += 1
@@ -105,8 +100,10 @@ class LoopsPremiseMachine:
 
     @cached_property
     def _run(self) -> SimpleNamespace:
-        # configurations, the input strokes they are on, how many were read
-        return SimpleNamespace(configs=None, prefix=-1, seen=0, halt=None)
+        # the run's configurations, how many were read, the halting step
+        return SimpleNamespace(
+            configs=configs(self.machine, self.input_n), seen=0, halt=None
+        )
 
     @cached_property
     def _closed_spans(self) -> tuple[bytes, dict]:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -89,8 +90,8 @@ def test_trace_encoding_injective_on_real_configs():
             lo, hi = trace_window(m, n, 12)
             rows: dict[tuple, tuple] = {}
             for c in islice(configs(m, n), 12):
-                tape = frozenset((p, s) for p, s in c.tape.items() if s != m.blank)
-                config = (c.state, c.head, tape)
+                cells = tuple(c.symbol(pos, m.blank) for pos in range(lo, hi + 1))
+                config = (c.state, c.head, cells)
                 digits = tuple(enc.config_digits(c, lo, hi))
                 assert rows.setdefault(digits, config) == config
 
@@ -102,18 +103,17 @@ def test_trace_encoding_overflow():
         enc.config_digits(history[-1], 0, 3)
 
 
-def test_an_over_wide_tableau_is_refused_before_its_input_is_simulated(monkeypatch):
-    # The first t configurations are read on at most t strokes, and the depth
-    # check comes before row 0, so ten million strokes are never put on a tape.
-    from omegacheck import arithmetize
-
-    def on_few_strokes(m, n, real=arithmetize.configs):
-        assert n <= 5, f"simulated on {n} strokes"
-        return real(m, n)
-
-    monkeypatch.setattr(arithmetize, "configs", on_few_strokes)
-    with pytest.raises(EncodingOverflow):
-        halted_by_formula(EVEN, 10**7, 5, "yes")
+def test_an_over_wide_tableau_is_refused_before_its_input_is_simulated():
+    # The tape holds only the cells the run wrote, and the depth check comes
+    # before row 0, so ten million strokes are never put in memory.
+    tracemalloc.start()
+    try:
+        with pytest.raises(EncodingOverflow):
+            halted_by_formula(EVEN, 10**7, 5, "yes")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_halted_by_spec_examples():
@@ -132,9 +132,9 @@ def test_halted_by_zero_budget_is_false():
 
 
 def test_halted_by_respects_step_cap():
+    assert eval_bounded(halted_by_formula(ALWAYS_YES, 0, 128, "yes")) is True
     with pytest.raises(EncodingOverflow):
-        halted_by_formula(LOOP, 0, 129, "yes")
-    assert halted_by_formula(LOOP, 0, 60, "yes", max_steps=60) is not None
+        halted_by_formula(ALWAYS_YES, 0, 129, "yes")
 
 
 def test_oracle_equivalence_sample():
@@ -178,7 +178,7 @@ def test_analyze_run_classifications():
     assert analyze_run(PACER, 0).kind == "cycle"
     assert analyze_run(STUCK, 0).kind == "stuck"
     with pytest.raises(RunAnalysisError):
-        analyze_run(LEFT_WALKER, 0, horizon=500)
+        analyze_run(LEFT_WALKER, 0)
 
 
 def test_sigma1_shape():

@@ -27,7 +27,10 @@ def test_initial_config_unary():
     assert c.tape == {} and c.head == 0
     assert next(configs(EVEN, 0)) == c  # the run's first configuration
     c = initial_config(EVEN, 3)
-    assert c.tape == {0: "1", 1: "1", 2: "1"}
+    assert c.tape == {}  # the input is implicit, read through the config
+    assert [c.symbol(pos, EVEN.blank) for pos in range(-1, 5)] == list("_111__")
+    c = initial_config(EVEN, 10**12)
+    assert c.tape == {} and c.symbol(10**12 - 1, EVEN.blank) == "1"
 
 
 def second_config(m, n):
