@@ -12,6 +12,7 @@ from omegacheck.arithmetize import (
     RunAnalysisError,
     RunSummary,
     TraceEncoding,
+    _TableauBuilder,
     analyze_run,
     halted_by_formula,
     halting_body,
@@ -101,6 +102,25 @@ def test_trace_encoding_overflow():
     history = list(islice(configs(LOOP, 0), 10))
     with pytest.raises(EncodingOverflow):
         enc.config_digits(history[-1], 0, 3)
+
+
+def test_row0_is_the_first_configuration():
+    # A plain cell holds its symbol's index in the sorted alphabet, and the
+    # head cell adds S * (1 + the state's index in the sorted states).
+    # BUSY3 writes left of cell 0, so its window puts the head past index 1.
+    head_index = set()
+    for m in CORPUS.values():
+        symbols, states = sorted(m.alphabet), sorted(m.states)
+        for n in range(6):
+            c = next(configs(m, n))
+            for t in range(13):
+                lo, hi = trace_window(m, n, t)
+                cells = range(lo, hi + 1)
+                row = [symbols.index(c.symbol(pos, m.blank)) for pos in cells]
+                row[c.head - lo] += len(symbols) * (1 + states.index(c.state))
+                assert _TableauBuilder(m, n, t).row0 == row, (m, n, t)
+                head_index.add(c.head - lo)
+    assert max(head_index) > 1
 
 
 def test_an_over_wide_tableau_is_refused_before_its_input_is_simulated():

@@ -40,7 +40,6 @@ from omegacheck.wire import (
     DEFAULT_ALPHABET,
     serialize_proof,
     shortlex,
-    string_at_index,
 )
 
 TRUTH = parse_formula("0 = 0")
@@ -68,7 +67,7 @@ def test_shortlex_order_and_inversion():
     alphabet = (1, 7, 9)
     previous = None
     for i in range(200):
-        s = string_at_index(i, alphabet)
+        s = proof_at_index(i, alphabet)
         assert index_of_string(s, alphabet) == i
         if previous is not None:
             assert (len(previous), previous) < (len(s), s)
@@ -78,9 +77,9 @@ def test_shortlex_order_and_inversion():
 @pytest.mark.parametrize(
     "alphabet, count", [((0x01, 0x10, 0x27, 0xFF), 70_000), (DEFAULT_ALPHABET, 2_000)]
 )
-def test_shortlex_enumerates_what_string_at_index_gives(alphabet, count):
+def test_shortlex_enumerates_what_proof_at_index_gives(alphabet, count):
     strings = list(itertools.islice(shortlex(alphabet), count))
-    assert strings == [string_at_index(i, alphabet) for i in range(count)]
+    assert strings == [proof_at_index(i, alphabet) for i in range(count)]
     assert [index_of_string(s, alphabet) for s in strings] == list(range(count))
 
 
@@ -91,7 +90,7 @@ def test_alphabet_values_must_be_bytes(alphabet):
     with pytest.raises(ValueError, match="alphabet"):
         shortlex(alphabet)
     with pytest.raises(ValueError, match="alphabet"):
-        string_at_index(0, alphabet)
+        proof_at_index(0, alphabet)
     with pytest.raises(ValueError, match="alphabet"):
         index_of_string(b"", alphabet)
 
