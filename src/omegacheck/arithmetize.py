@@ -13,11 +13,11 @@ Two layers:
 
 * `halts_yes_formula` / `halts_no_formula` / `loops_formula` need a single
   formula with a free step-count variable, which cannot grow with t. They
-  are built from a host-side run analysis (halt, exact configuration
-  repeat, or a right-running translation pattern). A halting run embeds
-  the full digit tableau at its actual halting point, so instances still
-  carry checkable arithmetic content; a non-halting run yields a body that
-  is false at every instance.
+  are built from a host-side run analysis, which finds the halt or shows
+  that the run never halts (stuck, an exact configuration repeat, or a
+  right-running translation pattern). A halting run embeds the full digit
+  tableau at its actual halting point, so instances still carry checkable
+  arithmetic content; a body for any other run is false at every instance.
 
 Runs are read from `machines.configs`, so "within t steps" means what it
 means there: among the first t configurations. Quantifier bounds are
@@ -31,13 +31,12 @@ refused in time independent of n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
-from typing import Literal, Optional
+from typing import Optional
 
 from . import wire
-from .machines import Config, MachineDesc, configs, initial_config
+from .machines import STROKE, MachineDesc, configs
 from .syntax import (
     Add,
     And,
@@ -80,61 +79,6 @@ FALSE_SENTENCE: Formula = Le(Succ(ZERO), ZERO)  # 1 <= 0
 
 
 # ---------------------------------------------------------------------------
-# Configuration coding
-
-
-@dataclass(frozen=True)
-class TraceEncoding:
-    """Positional coding of configurations in a fixed window of cells.
-
-    A plain cell holds its symbol's code (0 .. S-1); the head cell holds
-    S + state_index * S + symbol_index. The base S * (Q + 1) therefore
-    exceeds the alphabet x states product and the map is injective for
-    configurations whose support fits the window.
-    """
-
-    machine: MachineDesc
-
-    @property
-    def symbols(self) -> tuple[str, ...]:
-        return tuple(sorted(self.machine.alphabet))
-
-    @property
-    def states(self) -> tuple[str, ...]:
-        return tuple(sorted(self.machine.states))
-
-    @property
-    def base(self) -> int:
-        return len(self.symbols) * (len(self.states) + 1)
-
-    def cell_code(self, symbol: str) -> int:
-        return self.symbols.index(symbol)
-
-    def head_code(self, state: str, symbol: str) -> int:
-        s = len(self.symbols)
-        return s + self.states.index(state) * s + self.symbols.index(symbol)
-
-    def config_digits(self, c: Config, lo: int, hi: int) -> list[int]:
-        """The window's digits; it must hold the head, the input and every
-        non-blank cell the run wrote."""
-        if not lo <= c.head <= hi:
-            raise EncodingOverflow(f"head {c.head} outside window [{lo}, {hi}]")
-        if c.n and not lo <= 0 <= c.n - 1 <= hi:
-            raise EncodingOverflow(f"input outside window [{lo}, {hi}]")
-        for pos, sym in c.tape.items():
-            if sym != self.machine.blank and not lo <= pos <= hi:
-                raise EncodingOverflow(f"cell {pos} outside window [{lo}, {hi}]")
-        digits = []
-        for pos in range(lo, hi + 1):
-            sym = c.symbol(pos, self.machine.blank)
-            if pos == c.head:
-                digits.append(self.head_code(c.state, sym))
-            else:
-                digits.append(self.cell_code(sym))
-        return digits
-
-
-# ---------------------------------------------------------------------------
 # Trace window
 
 
@@ -165,6 +109,11 @@ def _negate(item):
 class _TableauBuilder:
     """Builds the digit tableau row by row.
 
+    A plain cell's digit is its symbol's code, the symbol's index in the
+    sorted alphabet (0 .. S-1). A head cell's digit is `head_code`: S times
+    one more than the state's index in the sorted states, plus the code of
+    the symbol under the head. The base S * (Q + 1) exceeds every digit.
+
     A cell of the previous row is an `int` when its digit is known at build
     time (row 0 and the blank padding) and otherwise the `Var` of its digit
     quantifier. Each helper partially evaluates: it returns a `bool` for a
@@ -173,21 +122,29 @@ class _TableauBuilder:
 
     def __init__(self, m: MachineDesc, n: int, t: int):
         self.m = m
-        self.enc = TraceEncoding(m)
+        self.symbols = tuple(sorted(m.alphabet))
+        self.states = tuple(sorted(m.states))
+        self.n_symbols = len(self.symbols)
+        self.base = self.n_symbols * (len(self.states) + 1)
+        self.blank = self.symbols.index(m.blank)
         lo, hi = trace_window(m, n, t)
         self.t = t
         self.width = hi - lo + 1
-        self.n_symbols = len(self.enc.symbols)
         self.check_depth()  # before row 0, which is as wide as the input
-        self.row0 = self.enc.config_digits(initial_config(m, n), lo, hi)
+        # The window holds cells -1 .. n (lo <= -1, hi >= n), so row 0 is a
+        # stroke on cells 0 .. n-1, blank elsewhere, and the start head on
+        # cell 0, which is index -lo.
+        self.row0 = [self.blank] * self.width
+        self.row0[-lo : n - lo] = [self.symbols.index(STROKE)] * n
+        self.row0[-lo] = self.head_code(m.start, self.row0[-lo])
         self.stay_codes: list[int] = []  # accepting heads: row copies itself
         self.center_next: list[tuple[int, int]] = []  # (head code, written cell code)
         # Heads that leave their cell, by move direction: (head code, offset
         # of the head digit it puts over the symbol of the cell it enters).
         moves: dict[str, list[tuple[int, int]]] = {"L": [], "R": []}
-        for state in self.enc.states:
-            for sym in self.enc.symbols:
-                code = self.enc.head_code(state, sym)
+        for state in self.states:
+            for symbol_code, sym in enumerate(self.symbols):
+                code = self.head_code(state, symbol_code)
                 if state in (m.accept_yes, m.accept_no):
                     self.stay_codes.append(code)
                     continue
@@ -195,14 +152,16 @@ class _TableauBuilder:
                 if move is None:
                     continue  # stuck head: no successor case at all
                 nstate, write, direction = move
-                self.center_next.append((code, self.enc.cell_code(write)))
-                offset = self.n_symbols * (1 + self.enc.states.index(nstate))
-                moves[direction].append((code, offset))
+                self.center_next.append((code, self.symbols.index(write)))
+                moves[direction].append((code, self.head_code(nstate, 0)))
         # Per direction, those pairs and then their head codes, sorted.
         self.moves = {
             direction: (pairs, sorted(code for code, _ in pairs))
             for direction, pairs in moves.items()
         }
+
+    def head_code(self, state: str, symbol_code: int) -> int:
+        return self.n_symbols * (1 + self.states.index(state)) + symbol_code
 
     def _is_plain(self, cell: int | Var):
         if isinstance(cell, int):
@@ -272,7 +231,7 @@ class _TableauBuilder:
         of at most four conjuncts, each at most a `~` over an `|` of h
         atoms, so a pin nests at most 3h + 4 deep.
         """
-        heads = len(self.enc.states) * self.n_symbols
+        heads = self.base - self.n_symbols
         accept = self.width * self.n_symbols - 1
         depth = 2 * (self.t - 1) * self.width + max(accept, 3 * heads + 4)
         limit = wire.MAX_FORMULA_DEPTH - _WRAPPING_DEPTH
@@ -287,14 +246,13 @@ class _TableauBuilder:
             self.m.accept_yes if outcome == "yes" else self.m.accept_no
         )
         accept_codes = [
-            self.enc.head_code(accept_state, sym) for sym in self.enc.symbols
+            self.head_code(accept_state, code) for code in range(self.n_symbols)
         ]
-        blank = self.enc.cell_code(self.m.blank)
         row: list[int | Var] = list(self.row0)
         # Pins, in quantifier order (row major, rows 1 .. t-1).
         pinned: list[tuple[str, Formula]] = []
         for r in range(1, self.t):
-            prev = [blank, *row, blank]
+            prev = [self.blank, *row, self.blank]
             row = []
             for col in range(self.width):
                 name = _digit_name(r, col)
@@ -307,7 +265,7 @@ class _TableauBuilder:
         # The last row's head digit must be an accepting head of the right kind.
         atoms = [Eq(_term(x), numeral(code)) for x in row for code in accept_codes]
         body = reduce(Or, atoms)
-        bound = numeral(self.enc.base - 1)
+        bound = numeral(self.base - 1)
         for name, pin in reversed(pinned):
             body = BoundedExists(name, bound, And(pin, body))
         return body
@@ -338,22 +296,17 @@ def halted_by_formula(m: MachineDesc, n: int, t: int, outcome: str) -> Formula:
 # Run analysis and the open halting bodies
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    kind: Literal["halts", "cycle", "runner", "stuck"]
-    outcome: Optional[str] = None  # for "halts"
-    steps: Optional[int] = None  # observed steps to halt / repeat / stuck
+def analyze_run(m: MachineDesc, n: int) -> Optional[tuple[str, int]]:
+    """The run's halt on input n as (outcome, step), or None for a run shown
+    never to halt, by simulating up to `DEFAULT_HORIZON` steps.
 
-
-def analyze_run(m: MachineDesc, n: int) -> RunSummary:
-    """Classify the run on input n by simulating up to `DEFAULT_HORIZON` steps.
-
-    Detected non-halting patterns: an exact configuration repeat (state,
-    head and tape all equal) and a right-runner (the head enters fresh
-    blank territory twice in the same state with every intervening move
-    to the right, after which behavior repeats shifted forever).
+    A run never halts when it is stuck, repeats a configuration exactly
+    (state, head and tape all equal), or is a right-runner (the head enters
+    fresh blank territory twice in the same state with every intervening
+    move to the right, after which behavior repeats shifted forever).
     """
-    seen: dict[tuple, int] = {}
+    outcomes = {m.accept_yes: "yes", m.accept_no: "no"}
+    seen: set[tuple] = set()
     records: dict[str, tuple[int, int]] = {}  # state -> (step index, head)
     max_head = -1
     for index, c in enumerate(configs(m, n)):
@@ -361,22 +314,20 @@ def analyze_run(m: MachineDesc, n: int) -> RunSummary:
             raise RunAnalysisError(
                 f"no halt or repetition pattern within {DEFAULT_HORIZON} steps"
             )
-        if c.state == m.accept_yes:
-            return RunSummary("halts", "yes", index + 1)
-        if c.state == m.accept_no:
-            return RunSummary("halts", "no", index + 1)
+        if c.state in outcomes:
+            return outcomes[c.state], index + 1
         key = (c.state, c.head, frozenset(c.tape.items()))
         if key in seen:
-            return RunSummary("cycle", steps=index)
-        seen[key] = index
+            return None
+        seen.add(key)
         if c.head > max_head:
             max_head = c.head
             if c.head >= n:
                 prior = records.get(c.state)
                 if prior is not None and index - prior[0] == c.head - prior[1]:
-                    return RunSummary("runner", steps=index)
+                    return None
                 records[c.state] = (index, c.head)
-    return RunSummary("stuck", steps=index + 1)
+    return None
 
 
 def halting_body(m: MachineDesc, n: int, outcome: str) -> Formula:
@@ -386,13 +337,11 @@ def halting_body(m: MachineDesc, n: int, outcome: str) -> Formula:
     `u <= t & <digit tableau at u>`; otherwise it is `t + 1 <= t`, false
     at every numeral.
     """
-    summary = analyze_run(m, n)
+    halt = analyze_run(m, n)
     t = Var(LOOPS_VAR)
-    if summary.kind == "halts" and summary.outcome == outcome:
-        return And(
-            Le(numeral(summary.steps), t),
-            halted_by_formula(m, n, summary.steps, outcome),
-        )
+    if halt is not None and halt[0] == outcome:
+        u = halt[1]
+        return And(Le(numeral(u), t), halted_by_formula(m, n, u, outcome))
     return Le(Succ(t), t)
 
 

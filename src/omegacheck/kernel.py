@@ -98,10 +98,6 @@ class Verdict:
     instance: Optional[int] = None  # failing instance of a machine-premise step
 
     @staticmethod
-    def accept() -> "Verdict":
-        return Verdict(True)
-
-    @staticmethod
     def reject(step: int, reason: str, detail: str = "") -> "Verdict":
         return Verdict(False, step, reason, detail or None)
 
@@ -456,7 +452,7 @@ def check_units(
         dependencies.append(deps)
     if steps[-1].conclusion != target:
         return Verdict.reject(len(steps) - 1, REASON_TARGET_MISMATCH)
-    return Verdict.accept()
+    return Verdict(True)
 
 
 def _drain(units: Generator[None, None, Verdict]) -> Verdict:

@@ -8,7 +8,7 @@ the yes/no/loops trichotomy exhaustive for arbitrary descriptions.
 
 `configs` is the one simulation loop and the only code that applies a
 transition; every other layer that follows a run (`run`, the trace
-encoding, the run analysis, the witness search and the loops premise
+window, the run analysis, the witness search and the loops premise
 machine) consumes it. A stuck run simply ends there. It fixes the
 step-count convention: a run has halted within t steps when its first t
 configurations include an accepting one, so the step that observes the

@@ -393,32 +393,13 @@ def _check_alphabet(alphabet: tuple[int, ...]) -> tuple[int, ...]:
 
 def shortlex(alphabet: tuple[int, ...] = DEFAULT_ALPHABET) -> Iterator[bytes]:
     """All byte strings over `alphabet` in shortlex order, from b'': what
-    `string_at_index` gives for 0, 1, 2, ..., with the alphabet checked once."""
+    `proof_at_index` gives for 0, 1, 2, ..., with the alphabet checked once."""
     alphabet = _check_alphabet(alphabet)
     return (bytes(t) for n in count() for t in product(alphabet, repeat=n))
 
 
-def string_at_index(i: int, alphabet: tuple[int, ...] = DEFAULT_ALPHABET) -> bytes:
-    """The i-th byte string in shortlex order over `alphabet` (0 -> b'')."""
-    alphabet = _check_alphabet(alphabet)
-    if i < 0:
-        raise ValueError("index must be a natural number")
-    base = len(alphabet)
-    length = 0
-    count = 1  # number of strings of the current length
-    while i >= count:
-        i -= count
-        length += 1
-        count *= base
-    digits = []
-    for _ in range(length):
-        i, d = divmod(i, base)
-        digits.append(alphabet[d])
-    return bytes(reversed(digits))
-
-
 def index_of_string(data: bytes, alphabet: tuple[int, ...] = DEFAULT_ALPHABET) -> int:
-    """Inverse of string_at_index; ValueError on out-of-alphabet bytes."""
+    """Inverse of proof_at_index; ValueError on out-of-alphabet bytes."""
     alphabet = _check_alphabet(alphabet)
     base = len(alphabet)
     positions = {b: k for k, b in enumerate(alphabet)}
@@ -436,5 +417,19 @@ def index_of_string(data: bytes, alphabet: tuple[int, ...] = DEFAULT_ALPHABET) -
 
 
 def proof_at_index(i: int, alphabet: tuple[int, ...] = DEFAULT_ALPHABET) -> bytes:
-    """Candidate bytes for proof search: total, injective, shortlex order."""
-    return string_at_index(i, alphabet)
+    """The i-th byte string in shortlex order over `alphabet` (0 -> b'')."""
+    alphabet = _check_alphabet(alphabet)
+    if i < 0:
+        raise ValueError("index must be a natural number")
+    base = len(alphabet)
+    length = 0
+    count = 1  # number of strings of the current length
+    while i >= count:
+        i -= count
+        length += 1
+        count *= base
+    digits = []
+    for _ in range(length):
+        i, d = divmod(i, base)
+        digits.append(alphabet[d])
+    return bytes(reversed(digits))

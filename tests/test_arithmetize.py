@@ -10,8 +10,6 @@ from omegacheck import wire
 from omegacheck.arithmetize import (
     EncodingOverflow,
     RunAnalysisError,
-    RunSummary,
-    TraceEncoding,
     _TableauBuilder,
     analyze_run,
     halted_by_formula,
@@ -77,31 +75,13 @@ PACER = MachineDesc(
 STUCK = MachineDesc((), start="q", accept_yes="Y", accept_no="N")
 
 
-def test_trace_encoding_base_exceeds_product():
-    for m in CORPUS.values():
-        enc = TraceEncoding(m)
-        assert enc.base > len(enc.symbols) * len(enc.states)
-
-
-def test_trace_encoding_injective_on_real_configs():
-    # Equal digit rows in one window are equal configurations, blanks aside.
-    for m in (EVEN, BUSY3, LOOP, PACER):
-        enc = TraceEncoding(m)
-        for n in range(4):
-            lo, hi = trace_window(m, n, 12)
-            rows: dict[tuple, tuple] = {}
-            for c in islice(configs(m, n), 12):
-                cells = tuple(c.symbol(pos, m.blank) for pos in range(lo, hi + 1))
-                config = (c.state, c.head, cells)
-                digits = tuple(enc.config_digits(c, lo, hi))
-                assert rows.setdefault(digits, config) == config
-
-
-def test_trace_encoding_overflow():
-    enc = TraceEncoding(LOOP)
-    history = list(islice(configs(LOOP, 0), 10))
-    with pytest.raises(EncodingOverflow):
-        enc.config_digits(history[-1], 0, 3)
+def test_builder_codes_are_distinct_digits_below_the_base():
+    for m in (*CORPUS.values(), PACER, STUCK):
+        builder = _TableauBuilder(m, 0, 1)
+        cells = [builder.symbols.index(sym) for sym in m.alphabet]
+        heads = [builder.head_code(q, code) for q in m.states for code in cells]
+        codes = cells + heads
+        assert len(set(codes)) == len(codes) and max(codes) < builder.base, m
 
 
 def test_row0_is_the_first_configuration():
@@ -192,11 +172,11 @@ def test_stuck_machine_never_halts_arithmetically():
 
 
 def test_analyze_run_classifications():
-    assert analyze_run(ALWAYS_YES, 3) == RunSummary("halts", "yes", 1)
-    assert analyze_run(EVEN, 3) == RunSummary("halts", "no", 5)
-    assert analyze_run(LOOP, 2).kind == "runner"
-    assert analyze_run(PACER, 0).kind == "cycle"
-    assert analyze_run(STUCK, 0).kind == "stuck"
+    assert analyze_run(ALWAYS_YES, 3) == ("yes", 1)
+    assert analyze_run(EVEN, 3) == ("no", 5)
+    assert analyze_run(LOOP, 2) is None  # a right-runner
+    assert analyze_run(PACER, 0) is None  # a configuration repeat
+    assert analyze_run(STUCK, 0) is None
     with pytest.raises(RunAnalysisError):
         analyze_run(LEFT_WALKER, 0)
 
@@ -277,16 +257,16 @@ def test_every_layer_counts_steps_alike(m):
         result = run(m, n, 100)
         history = list(islice(configs(m, n), 100))
         halted = {m.accept_yes: "yes", m.accept_no: "no"}.get(history[-1].state)
-        summary = analyze_run(m, n)
+        halt = analyze_run(m, n)
         verdict = check_omega_bounded(build_loops_certificate(m, n), 30)
         if result.outcome == "timeout":
-            assert halted is None and summary.kind != "halts"
+            assert halted is None and halt is None
             assert verdict.kind == "accepted_up_to"
             continue
         u = result.steps
         assert [run(m, n, b) for b in range(u, u + 3)] == [result] * 3
         assert u == 1 or run(m, n, u - 1).outcome == "timeout"
-        assert summary == RunSummary("halts", result.outcome, u)
+        assert halt == (result.outcome, u)
         assert (len(history), halted) == (u, result.outcome)
         lo, hi = trace_window(m, n, u)
         assert all(lo < c.head < hi for c in history)
