@@ -75,13 +75,36 @@ PACER = MachineDesc(
 STUCK = MachineDesc((), start="q", accept_yes="Y", accept_no="N")
 
 
-def test_builder_codes_are_distinct_digits_below_the_base():
+def test_trace_encoding_base_exceeds_product():
+    # Every digit the builder writes, plain cell or head cell, is below the base.
     for m in (*CORPUS.values(), PACER, STUCK):
         builder = _TableauBuilder(m, 0, 1)
-        cells = [builder.symbols.index(sym) for sym in m.alphabet]
-        heads = [builder.head_code(q, code) for q in m.states for code in cells]
-        codes = cells + heads
-        assert len(set(codes)) == len(codes) and max(codes) < builder.base, m
+        assert builder.base > len(builder.symbols) * len(builder.states)
+        heads = [
+            builder.head_code(q, code)
+            for q in m.states
+            for code in range(builder.n_symbols)
+        ]
+        assert max(heads) < builder.base, m
+
+
+def test_trace_encoding_injective_on_real_configs():
+    # The symbol and head codes are distinct, so equal digit rows in one
+    # window are equal configurations, blanks aside.
+    for m in (EVEN, BUSY3, LOOP, PACER):
+        for n in range(4):
+            builder = _TableauBuilder(m, n, 12)
+            cells = list(range(builder.n_symbols))
+            heads = [builder.head_code(q, code) for q in m.states for code in cells]
+            assert len(set(cells + heads)) == len(cells) + len(heads), m
+            lo, hi = trace_window(m, n, 12)
+            rows: dict[tuple, tuple] = {}
+            for c in islice(configs(m, n), 12):
+                syms = tuple(c.symbol(pos, m.blank) for pos in range(lo, hi + 1))
+                digits = [builder.symbols.index(sym) for sym in syms]
+                digits[c.head - lo] = builder.head_code(c.state, digits[c.head - lo])
+                config = (c.state, c.head, syms)
+                assert rows.setdefault(tuple(digits), config) == config
 
 
 def test_row0_is_the_first_configuration():
