@@ -337,7 +337,13 @@ def halting_body(m: MachineDesc, n: int, outcome: str) -> Formula:
     `u <= t & <digit tableau at u>`; otherwise it is `t + 1 <= t`, false
     at every numeral.
     """
-    halt = analyze_run(m, n)
+    return _halting_body(m, n, outcome, analyze_run(m, n))
+
+
+def _halting_body(
+    m: MachineDesc, n: int, outcome: str, halt: Optional[tuple[str, int]]
+) -> Formula:
+    """`halting_body` for the run's halt, as `analyze_run` gives it."""
     t = Var(LOOPS_VAR)
     if halt is not None and halt[0] == outcome:
         u = halt[1]
@@ -360,7 +366,9 @@ def loops_formula(m: MachineDesc, n: int) -> Formula:
 
 
 def halting_statements(m: MachineDesc, n: int) -> tuple[Formula, Formula, Formula]:
-    """The halts-yes, halts-no and loops formulas, each body built once."""
-    yes, no = halting_body(m, n, "yes"), halting_body(m, n, "no")
+    """The halts-yes, halts-no and loops formulas, each body built once from
+    one analysis of the run."""
+    halt = analyze_run(m, n)
+    yes, no = (_halting_body(m, n, outcome, halt) for outcome in ("yes", "no"))
     loops = ForAll(LOOPS_VAR, Not(Or(yes, no)))
     return Exists(LOOPS_VAR, yes), Exists(LOOPS_VAR, no), loops

@@ -17,6 +17,12 @@ reaches interesting proofs and exists to demonstrate exactly that. In
 witness mode candidates are generated from simulation (`machines.configs`,
 one unit per configuration) and the certificate builder, then pushed
 through the same unmodified verifier.
+
+In witness mode the three statements share one closed tableau, which the
+codec walks once each way: the loops certificate is built before the first
+round, and the span memos of encoding its phi and reading it back (`omega`)
+seed the other encodes and the default oracle's decodes, which changes no
+byte and no verdict (`wire`). A caller's `oracle_factory` gets no seed.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .machines import MachineDesc, configs
 from .omega import (
     DEFAULT_INSTANCE_BUDGET,
     DEFAULT_OMEGA_BOUND,
+    OmegaStep,
     build_loops_certificate,
     deserialize_omega_proof,
     serialize_omega_proof,
@@ -101,9 +108,11 @@ class OmegaVerifierOracle(VerifierOracle):
         self,
         k: Optional[int] = DEFAULT_OMEGA_BOUND,
         per_instance_budget: int = DEFAULT_INSTANCE_BUDGET,
+        spans: Optional[dict] = None,
     ):
         self.k = k
         self.per_instance_budget = per_instance_budget
+        self.spans = spans  # the decoder's seed memo (`wire.deserialize_proof`)
 
     def open(self, candidate: bytes, target: Formula) -> OracleRun:
         tags = wire.STEP_TAGS if self.k is None else omega.STEP_TAGS
@@ -114,7 +123,7 @@ class OmegaVerifierOracle(VerifierOracle):
     def _verify(self, candidate: bytes, target: Formula):
         decode = wire.deserialize_proof if self.k is None else deserialize_omega_proof
         try:
-            proof = decode(candidate)
+            proof = decode(candidate, spans=self.spans)
         except wire.MalformedEncoding:
             return False
         yield
@@ -247,10 +256,12 @@ def _witness_halt_thread(
     wanted: str,
     target: Formula,
     oracle: VerifierOracle,
+    spans: Optional[dict],
 ) -> Generator[int, None, Optional[tuple[bytes, Optional[int]]]]:
     """Simulate, one unit per non-accepting configuration; on halting the
-    wanted way, assemble the instance-plus-introduction proof and verify it.
-    A stuck run, or one that halts the other way, idles forever."""
+    wanted way, assemble the instance-plus-introduction proof, encode it
+    from the seed `spans`, and verify it. A stuck run, or one that halts
+    the other way, idles forever."""
     accepting = (m.accept_yes, m.accept_no)
     for used, config in enumerate(configs(m, n), 1):
         if config.state not in accepting:
@@ -260,7 +271,7 @@ def _witness_halt_thread(
     yield used  # the unit that observed the halt
     assert isinstance(target, Exists)
     proof = existence_proof(target.body, target.var, used)
-    data = wire.serialize_proof(proof)
+    data = wire.serialize_proof(proof, spans=spans)
     run_ = oracle.open(data, target)
     while True:
         answer = run_.step()
@@ -272,20 +283,19 @@ def _witness_halt_thread(
 
 
 def _witness_loops_thread(
-    m: MachineDesc,
-    n: int,
-    target: Formula,
+    cert: OmegaStep,
     k: int,
     instance_budget: int,
+    spans: Optional[dict],
 ) -> Generator[Optional[int], None, Optional[tuple[bytes, Optional[int]]]]:
     """Check the loops certificate one instance per unit; instances still
-    flow through the unmodified kernel."""
-    cert = build_loops_certificate(m, n, target)
-    proof = Proof((cert,), cert.conclusion)
+    flow through the unmodified kernel. An accepted certificate is encoded
+    from the seed `spans`."""
+    target = cert.conclusion
     verdict = yield from check_units(frozenset(), (cert,), target, k, instance_budget)
     if not verdict.accepted:
         yield from _idle()
-    return (serialize_omega_proof(proof), None)
+    return (serialize_omega_proof(Proof((cert,), target), spans=spans), None)
 
 
 def halting_search(
@@ -307,9 +317,13 @@ def halting_search(
     if mode not in ("pure", "witness"):
         raise ValueError("mode is 'pure' or 'witness'")
     targets = q_yes, q_no, q_loops = halting_statements(m, n)
+    written = read = None  # the codec's seed memos, in witness mode
+    if mode == "witness":
+        cert = build_loops_certificate(m, n, q_loops)
+        written, read = cert._readable_closed_spans or (None, None)
     if oracle_factory is None:
         oracle_factory = lambda thread, _target: OmegaVerifierOracle(
-            omega_bound if thread == 3 else None, instance_budget
+            omega_bound if thread == 3 else None, instance_budget, read
         )
     if mode == "pure":
         threads = [
@@ -323,9 +337,9 @@ def halting_search(
         ]
     else:
         threads = [
-            _witness_halt_thread(m, n, "yes", q_yes, oracle_factory(1, q_yes)),
-            _witness_halt_thread(m, n, "no", q_no, oracle_factory(2, q_no)),
-            _witness_loops_thread(m, n, q_loops, omega_bound, instance_budget),
+            _witness_halt_thread(m, n, "yes", q_yes, oracle_factory(1, q_yes), written),
+            _witness_halt_thread(m, n, "no", q_no, oracle_factory(2, q_no), written),
+            _witness_loops_thread(cert, omega_bound, instance_budget, written),
         ]
     units = [0, 0, 0]
     finished = [False, False, False]

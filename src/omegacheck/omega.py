@@ -14,6 +14,8 @@ with it rather than decoded, which is sound when phi's own encoding reads
 back to phi (`OmegaStep._readable_closed_spans`); other output is decoded.
 That encoding copies phi's closed quantifiers, which `substitute` leaves as
 they are, from phi's one encoding (`_closed_spans`, the codec's span memo).
+The readback keeps the decoder's memo too, and a witness-mode halting search
+seeds its other encodes and decodes with the two memos (`dovetail`).
 """
 
 from __future__ import annotations
@@ -140,10 +142,13 @@ class OmegaStep:
             raise ValueError("conclusion must be the universal closure of phi")
 
     @cached_property
-    def _readable_closed_spans(self) -> Optional[dict]:
-        """The spans of phi's closed quantifiers if phi's encoding reads back
-        to phi, else None. Substituting a closed numeral renames nothing and
-        keeps names and nesting, so then every instance reads back too."""
+    def _readable_closed_spans(self) -> Optional[tuple[dict, dict]]:
+        """If phi's encoding reads back to phi, the encoder's spans of phi's
+        closed quantifiers and the decoder's own span memo of that readback
+        (`wire.Reader.spans`, possibly None), else None. Substituting a
+        closed numeral renames nothing and keeps names and nesting, so then
+        every instance reads back too. Both memos are seeds for the codec,
+        which copies them."""
         pm = self.premise_machine
         try:
             if isinstance(pm, LoopsPremiseMachine) and pm.phi is self.phi:
@@ -152,7 +157,7 @@ class OmegaStep:
                 data, closed = _closed_spans(self.phi)
             r = wire.Reader(data)
             if wire.decode_formula(r) is self.phi and r.at_end():
-                return closed
+                return closed, r.spans
         except (ValueError, wire.MalformedEncoding):
             pass
         return None
@@ -199,8 +204,8 @@ def check_instance(
     if produced.exhausted:
         return REASON_BUDGET_EXHAUSTED
     target = substitute(s.phi, s.var, numeral(index))
-    closed = s._readable_closed_spans
-    if closed is not None and produced.proof_bytes == _encode_eval_true(target, closed):
+    readable = s._readable_closed_spans
+    if readable and produced.proof_bytes == _encode_eval_true(target, readable[0]):
         proof = Proof((ProofStep(target, RULE_EVAL_TRUE),), target)
     else:
         try:

@@ -12,11 +12,19 @@ depend on the interpreter's recursion limit; formula nesting is capped at
 `MAX_FORMULA_DEPTH` as part of the format, and term nesting only by memory.
 
 A proof repeats whole quantifiers (a witness proof holds five copies of one
-tableau): one `serialize_proof` or `deserialize_proof` call walks each once,
-through one memo of the quantifiers it has handled. The decoder skips a
-repeat by `syntax.recall`, the text parser's rule too, where it fits under
-the nesting cap. The encoder has no other memo; `omega` seeds a copy of it
-with phi's closed quantifiers per instance.
+tableau): one `serialize_proof` or `deserialize_proof` call walks each at
+most once, through one memo of the quantifiers it has handled. The decoder
+skips a repeat by `syntax.recall`, the text parser's rule too, where it fits
+under the nesting cap. Either call may start from a copy of a seed memo:
+`omega` seeds the encoder with phi's closed quantifiers per instance, and a
+witness-mode halting search seeds both directions with what encoding phi and
+reading it back left (`dovetail`). A seed changes no result. An encoder
+entry is a quantifier's own encoding, the same wherever it stands. A decoder
+entry is a span read before, with its tree and nesting; `recall` reuses it
+only where the bytes equal the whole span and the nesting fits under the
+cap, and a quantifier's bytes decode to one tree in any context (names are
+checked afresh, nodes interned). So a seeded decode returns the identical
+proof, or raises, exactly where an unseeded one does.
 """
 
 from __future__ import annotations
@@ -148,10 +156,11 @@ def put_field(out: bytearray, kind: str, value, spans: dict | None = None) -> No
 
 
 class Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, spans: dict | None = None):
         self.data = data
         self.pos = 0
-        self.spans: dict | None = None  # `S.recall`'s (data, start, end, node, nesting)
+        # `S.recall`'s (data, start, end, node, nesting), from a copy of a seed
+        self.spans: dict | None = dict(spans) if spans else None
         self.missed = 0  # bytes of failed comparisons, at most len(data)
 
     def reuse(self, start: int, depth: int) -> tuple | None:
@@ -356,17 +365,23 @@ def decode_step(r: Reader) -> K.ProofStep:
     return shape.step(values, decode_formula(r))
 
 
-def serialize_proof(proof: K.Proof, *, write_step=encode_step) -> bytes:
-    """Steps back to back, with one `spans`; `omega` passes its own `write_step`."""
-    out, spans = bytearray(), {}
+def serialize_proof(
+    proof: K.Proof, *, write_step=encode_step, spans: dict | None = None
+) -> bytes:
+    """Steps back to back, with one memo, a copy of the seed `spans` if given
+    (see the module docstring); `omega` passes its own `write_step`."""
+    out, spans = bytearray(), dict(spans or ())
     for step in proof.steps:
         write_step(step, out, spans=spans)
     return bytes(out)
 
 
-def deserialize_proof(data: bytes, *, read_step=decode_step) -> K.Proof:
-    """Steps back to back; `omega` passes a `read_step` of its own."""
-    r = Reader(data)
+def deserialize_proof(
+    data: bytes, *, read_step=decode_step, spans: dict | None = None
+) -> K.Proof:
+    """Steps back to back, with a copy of the seed `spans` if given (see the
+    module docstring); `omega` passes a `read_step` of its own."""
+    r = Reader(data, spans)
     steps = []
     if r.at_end():
         raise MalformedEncoding("empty input")

@@ -6,7 +6,7 @@ from itertools import islice
 import pytest
 
 from conftest import VARS, random_formula, random_term
-from omegacheck import wire
+from omegacheck import arithmetize, wire
 from omegacheck.arithmetize import (
     EncodingOverflow,
     RunAnalysisError,
@@ -14,6 +14,7 @@ from omegacheck.arithmetize import (
     analyze_run,
     halted_by_formula,
     halting_body,
+    halting_statements,
     halts_no_formula,
     halts_yes_formula,
     loops_formula,
@@ -221,6 +222,24 @@ def test_pi1_shape_and_matrix():
     assert is_delta0(q3.body)
     assert q3.body.body.left == halting_body(LOOP, 0, "yes")
     assert q3.body.body.right == halting_body(LOOP, 0, "no")
+
+
+def test_halting_statements_analyze_the_run_once(monkeypatch):
+    calls = []
+    analyze = arithmetize.analyze_run
+
+    def counted(*args):
+        calls.append(args)
+        return analyze(*args)
+
+    monkeypatch.setattr(arithmetize, "analyze_run", counted)
+    q_yes, q_no, q_loops = halting_statements(BUSY3, 16)
+    assert calls == [(BUSY3, 16)]
+    # The statements are the ones built from a body per outcome.
+    monkeypatch.undo()
+    assert q_yes == halts_yes_formula(BUSY3, 16)
+    assert q_no == halts_no_formula(BUSY3, 16)
+    assert q_loops.body.body == Or(q_yes.body, q_no.body)
 
 
 def test_halts_yes_true_at_witness_instance():

@@ -474,3 +474,127 @@ def test_closed_bytes_are_unchanged_by_the_memo():
         assert step.premise_machine._closed_spans is cached
         assert _closed_bytes(step) == before
         assert deserialize_omega_proof(data).steps == (step, step)
+
+
+# ---------------------------------------------------------------------------
+# Seeded codec: a witness-mode search encodes and decodes from the memos that
+# reading its loops certificate's phi back left. A seed must change no byte
+# and no decoded tree, and no error.
+
+
+@pytest.fixture(scope="module")
+def seeded(corpus):
+    """(proof bytes, encoder seed, decoder seed) for each corpus search, in
+    the order of `_corpus_proofs`."""
+    cases = [(m, n) for m in CORPUS.values() for n in range(4)]
+    seeds = [build_loops_certificate(m, n)._readable_closed_spans for m, n in cases]
+    return [(data, *seed) for data, seed in zip(corpus, seeds, strict=True)]
+
+
+def test_seeded_encodes_give_the_unseeded_bytes(seeded):
+    assert any(written for _, written, _ in seeded)
+    for data, written, _ in seeded:
+        before = dict(written)
+        proof = deserialize_omega_proof(data)
+        assert serialize_omega_proof(proof) == data
+        assert serialize_omega_proof(proof, spans=written) == data
+        if data[0] != wire.OMEGA_STEP_TAG:
+            assert wire.serialize_proof(proof, spans=written) == data
+        assert written == before  # each call grew a copy
+
+
+def decoded(decode, data: bytes, spans=None):
+    try:
+        return decode(data, spans=spans)
+    except MalformedEncoding as exc:
+        return str(exc)
+
+
+def recalled_span(data: bytes, read: dict) -> tuple[int, int]:
+    """Where in `data` the longest span of `read` first stands."""
+    source, start, end = max(read.values(), key=lambda e: e[2] - e[1])[:3]
+    at = data.find(source[start:end])
+    assert at >= 0
+    return at, at + end - start
+
+
+def seeded_inputs(rng: random.Random, data: bytes, read: dict | None):
+    """The proof, the proof cut by one byte, and single-byte mutations: some
+    anywhere, and some inside the first copy of the seed's longest span,
+    past its first 16 bytes so that its memo key still matches."""
+    yield data
+    yield data[:-1]
+    places = [rng.randrange(len(data)) for _ in range(6)]
+    if read:
+        start, end = recalled_span(data, read)
+        places += [rng.randrange(start, start + 16) for _ in range(2)]
+        places += [rng.randrange(start + 16, end) for _ in range(10)]
+    for at in places:
+        flipped = data[at] ^ rng.randrange(1, 256)
+        yield data[:at] + bytes([flipped]) + data[at + 1 :]
+
+
+def test_seeded_decodes_give_the_unseeded_trees_and_errors(seeded):
+    rng = random.Random(25)
+    recalled = 0
+    for data, _, read in seeded:
+        before = dict(read or {})
+        for item in seeded_inputs(rng, data, read):
+            decodes = [deserialize_omega_proof]
+            if item[0] != wire.OMEGA_STEP_TAG:
+                decodes.append(wire.deserialize_proof)
+            for decode in decodes:
+                plain, seeded_ = decoded(decode, item), decoded(decode, item, read)
+                if isinstance(plain, str):
+                    assert seeded_ == plain
+                    continue
+                assert plain == seeded_
+                conclusions = zip(plain.steps, seeded_.steps, strict=True)
+                assert all(a.conclusion is b.conclusion for a, b in conclusions)
+                recalled += item is data and bool(read)
+        assert (read or {}) == before  # each decode pruned a copy
+    assert recalled > 0
+
+
+def test_a_search_walks_its_tableau_once_each_way(monkeypatch):
+    """BUSY3 halts on 2: thread 1's witness proof holds five copies of the
+    tableau of the loops certificate's phi, which the search also encodes
+    and reads back. Each tableau quantifier is built once by decoding, and
+    each name of the tableau is written once by encoding."""
+    decoding = []
+    decode = wire._decode
+
+    def tracked(*args):
+        decoding.append(True)
+        try:
+            return decode(*args)
+        finally:
+            decoding.pop()
+
+    new = S._Bounded.__new__
+    built = []
+
+    def counted(cls, *args):
+        node = new(cls, *args)
+        if decoding:
+            built.append(node)
+        return node
+
+    monkeypatch.setattr(wire, "_decode", tracked)
+    monkeypatch.setattr(S._Bounded, "__new__", counted)
+    written = record_calls(monkeypatch, wire, "_put_name")
+    outcome = halting_search(CORPUS["BUSY3"], 2)
+    monkeypatch.undo()
+    assert outcome.kind == "halts_yes"
+    ids = [id(node) for node in built]
+    assert 0 < len(ids) == len(set(ids))
+
+    proof = wire.deserialize_proof(outcome.proof)
+    cert = build_loops_certificate(CORPUS["BUSY3"], 2)
+    tableau = _tableau(cert)
+    fields = [step.conclusion for step in proof.steps]
+    fields += proof.steps[1].payload[1]  # exists-intro: var, body, witness
+    outside = sum(_names(field, skip=tableau) for field in fields)
+    # The instances thread 3 checked have no names outside the tableau.
+    outside += _names(cert.phi, skip=tableau)
+    assert len(written) <= _names(tableau) + outside

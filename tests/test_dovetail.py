@@ -519,6 +519,26 @@ def test_a_search_builds_each_halting_body_once(monkeypatch):
     assert (outcome.kind, len(built)) == ("halts_yes", 1)
 
 
+@pytest.mark.parametrize("name, n", [("BUSY3", 2), ("EVEN", 1)])
+def test_a_callers_oracle_sees_the_unseeded_candidates(name, n):
+    # A caller's oracle gets no seed memo, and the candidate it sees is the
+    # unseeded encoding of the witness proof, byte for byte.
+    m = CORPUS[name]
+    seen = []
+
+    class Counting(OmegaVerifierOracle):
+        def open(self, candidate, target):
+            seen.append((self.spans, candidate, target))
+            return super().open(candidate, target)
+
+    outcome = halting_search(m, n, oracle_factory=lambda thread, _: Counting(None))
+    assert outcome == halting_search(m, n)
+    [(spans, candidate, target)] = seen
+    _, u = arithmetize.analyze_run(m, n)
+    assert spans is None and candidate == outcome.proof
+    assert candidate == serialize_proof(existence_proof(target.body, target.var, u))
+
+
 # ---------------------------------------------------------------------------
 # The oracle refuses by the first byte at `open`: every candidate gets the
 # answers it got when every candidate went to the decoder.
