@@ -323,7 +323,7 @@ def halting_search(
         written, read = cert._readable_closed_spans or (None, None)
     if oracle_factory is None:
         oracle_factory = lambda thread, _target: OmegaVerifierOracle(
-            omega_bound if thread == 3 else None, instance_budget, read
+            omega_bound if thread == 3 else None, instance_budget, spans=read
         )
     if mode == "pure":
         threads = [
