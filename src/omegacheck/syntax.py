@@ -7,7 +7,9 @@ Bounded quantifiers are their own node types so that the decidable class
 
 Nodes are hash-consed (see `_Node`): equal trees are one object, and each
 node records its free variables and whether it is bounded; a successor
-also records the number it denotes, if it is a numeral.
+also records the number it denotes, if it is a numeral. A constructor that
+finds no live node builds the new one in one step, and the evaluator reads
+an atom's variable or numeral operand directly rather than evaluating it.
 
 Truth is only ever computed for closed bounded sentences; `eval_bounded`
 refuses anything else.
@@ -69,18 +71,16 @@ def _forget(ref: _Ref, table: dict = _INTERNED) -> None:
 
 
 _EMPTY: frozenset[str] = frozenset()
-_set = object.__setattr__
+_new = object.__new__
 
 
-def _intern(cls, key: tuple, fv: frozenset[str], d0: bool, *fields):
-    """Build the node of class `cls` with these fields and record it."""
-    node = object.__new__(cls)
-    for name, value in zip(cls.__match_args__, fields):
-        _set(node, name, value)
-    _set(node, "_fv", fv)
-    _set(node, "_d0", d0)
+def _record(node, key: tuple, fv: frozenset[str], d0: bool):
+    """Give the node just built its free variables and Δ0 flag, enter it
+    under its key, and return it."""
+    _set_fv(node, fv)
+    _set_d0(node, d0)
     ref = _INTERNED[key] = _Ref(node, _forget)
-    ref.key = key
+    _set_key(ref, key)
     return node
 
 
@@ -101,19 +101,22 @@ class _Node:
 
     Nodes are hash-consed: a constructor looks its class and fields (child
     nodes by identity) up in one weak table and returns the live node with
-    those fields when there is one. Structurally equal trees are therefore
-    one object, so `==` is `is` and the hash is the identity's. The table
-    holds its nodes weakly and has one entry per live node; nodes are built
-    from one thread at a time (the package starts none). Each node also
-    records, when it is built, its free variables (`_fv`: closed nodes share
-    one empty set, and a node whose set is a child's shares that child's)
-    and whether every quantifier in it is bounded (`_d0`). Zero and each
-    successor record a third property, the number the node denotes if it
-    is a numeral and else None (`_n`), so a numeral's value is one read.
+    those fields when there is one; otherwise it checks the fields, makes
+    the node with `object.__new__`, sets each slot through its descriptor
+    and enters the node in the table. Structurally equal trees are
+    therefore one object, so `==` is `is` and the hash is the identity's.
+    The table holds its nodes weakly and has one entry per live node; nodes
+    are built from one thread at a time (the package starts none). Each
+    node also records its free variables (`_fv`: closed nodes share one
+    empty set, and a node whose set is a child's shares that child's) and
+    whether every quantifier in it is bounded (`_d0`). `_n` is the number a
+    node denotes if it is a numeral and else None (a successor records it,
+    and Zero's class holds 0, every other's None), so it is one read.
     Nodes are immutable, and `repr` renders them without recursion."""
 
     __slots__ = ("__weakref__", "_fv", "_d0")
     __match_args__: tuple[str, ...] = ()
+    _n = None  # a slot of Succ
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
@@ -139,11 +142,13 @@ class _Unary(_Node):
             return node
         if not isinstance(child, _Node):
             raise _not_a_node(cls)
-        node = _intern(cls, key, child._fv, child._d0, child)
+        node = _new(cls)
         if cls is Succ:
-            n = getattr(child, "_n", None)
-            _set(node, "_n", None if n is None else n + 1)
-        return node
+            _set_arg(node, child)
+            _set_n(node, None if child._n is None else child._n + 1)
+        else:
+            _set_negated(node, child)
+        return _record(node, key, child._fv, child._d0)
 
 
 class _Binary(_Node):
@@ -157,8 +162,10 @@ class _Binary(_Node):
             return node
         if not (isinstance(left, _Node) and isinstance(right, _Node)):
             raise _not_a_node(cls)
-        fv = _union(left._fv, right._fv)
-        return _intern(cls, key, fv, left._d0 and right._d0, left, right)
+        node = _new(cls)
+        _set_left(node, left)
+        _set_right(node, right)
+        return _record(node, key, _union(left._fv, right._fv), left._d0 and right._d0)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +173,8 @@ class _Binary(_Node):
 
 
 class Zero(_Node):
-    __slots__ = ("_n",)
+    __slots__ = ()
+    _n = 0
 
     def __new__(cls):
         return ZERO
@@ -195,16 +203,12 @@ class Var(_Node):
         if ref is not None and (node := ref()) is not None:
             return node
         _check_name(name)
-        return _intern(cls, key, frozenset((name,)), True, name)
+        node = _new(cls)
+        _set_name(node, name)
+        return _record(node, key, frozenset((name,)), True)
 
 
 Term = Union[Zero, Succ, Add, Mul, Var]
-
-ZERO = object.__new__(Zero)
-_set(ZERO, "_fv", _EMPTY)
-_set(ZERO, "_d0", True)
-_set(ZERO, "_n", 0)
-_latest: list[Term] = [ZERO]  # the numeral that `numeral` built last
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +252,10 @@ class _Unbounded(_Node):
         if not isinstance(body, _Node):
             raise _not_a_node(cls)
         _check_name(var)
-        return _intern(cls, key, _bind(var, body._fv), False, var, body)
+        node = _new(cls)
+        _set_var(node, var)
+        _set_body(node, body)
+        return _record(node, key, _bind(var, body._fv), False)
 
 
 class ForAll(_Unbounded):
@@ -273,8 +280,12 @@ class _Bounded(_Node):
         _check_name(var)
         if var in bound._fv:
             raise ValueError(f"bound of {var} mentions {var}")
+        node = _new(cls)
+        _set_bounded_var(node, var)
+        _set_bound(node, bound)
+        _set_bounded_body(node, body)
         fv = _union(bound._fv, _bind(var, body._fv))
-        return _intern(cls, key, fv, body._d0, var, bound, body)
+        return _record(node, key, fv, body._d0)
 
 
 class BoundedForAll(_Bounded):
@@ -288,6 +299,22 @@ class BoundedExists(_Bounded):
 Formula = Union[
     Eq, Le, Not, And, Or, Implies, ForAll, Exists, BoundedForAll, BoundedExists
 ]
+
+# Each slot is set through its descriptor, bound once here: nodes refuse
+# `setattr`, and the descriptor's `__set__` needs no lookup by name.
+_set_key, _set_fv, _set_d0 = _Ref.key.__set__, _Node._fv.__set__, _Node._d0.__set__
+_set_arg, _set_n, _set_negated = Succ.arg.__set__, Succ._n.__set__, Not.body.__set__
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
+_set_name = Var.name.__set__
+_set_var, _set_body = _Unbounded.var.__set__, _Unbounded.body.__set__
+_set_bounded_var, _set_bound, _set_bounded_body = (
+    _Bounded.var.__set__, _Bounded.bound.__set__, _Bounded.body.__set__
+)
+
+ZERO = _new(Zero)
+_set_fv(ZERO, _EMPTY)
+_set_d0(ZERO, True)
+_latest: list[Term] = [ZERO]  # the numeral that `numeral` built last
 
 
 # ---------------------------------------------------------------------------
@@ -698,10 +725,8 @@ def eval_term(t: Term, env: dict[str, int]) -> int:
     while True:
         cls = t.__class__
         # Down to a variable or a numeral, which records its value.
-        while cls is not Var and cls is not Zero:
+        while cls is not Var and t._n is None:
             if cls is Succ:
-                if t._n is not None:
-                    break
                 above += 1
                 t = t.arg
             else:
@@ -733,8 +758,14 @@ def _eval(f: Formula, env: dict[str, int]) -> bool:
         while True:
             cls = node.__class__
             if cls is Eq or cls is Le:
-                left, right = eval_term(node.left, env), eval_term(node.right, env)
-                value = left == right if cls is Eq else left <= right
+                # A numeral or a variable operand is one read.
+                s, t = node.left, node.right
+                a, b = s._n, t._n
+                if a is None:
+                    a = env[s.name] if s.__class__ is Var else eval_term(s, env)
+                if b is None:
+                    b = env[t.name] if t.__class__ is Var else eval_term(t, env)
+                value = a == b if cls is Eq else a <= b
                 break
             if cls is Not:
                 frames.append(node)

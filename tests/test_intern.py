@@ -29,9 +29,11 @@ from omegacheck.syntax import (
     Eq,
     Exists,
     ForAll,
+    Implies,
     Le,
     Mul,
     Not,
+    Or,
     Succ,
     Var,
     ZERO,
@@ -68,9 +70,55 @@ def test_nodes_are_immutable():
     assert Var("x").name == "x"
 
 
-def test_children_must_be_nodes():
-    with pytest.raises(TypeError):
-        Eq(0, ZERO)
+_BODY = Eq(Var("x"), ZERO)
+
+# Every place a constructor takes a child node, as a build of a bad child.
+_SHAPES = {
+    "Succ": Succ,
+    "Not": Not,
+    **{
+        f"{cls.__name__}.{side}": (
+            (lambda bad, cls=cls: cls(bad, ZERO))
+            if side == "left"
+            else (lambda bad, cls=cls: cls(ZERO, bad))
+        )
+        for cls in (Add, Mul, Eq, Le, And, Or, Implies)
+        for side in ("left", "right")
+    },
+    "ForAll.body": lambda bad: ForAll("x", bad),
+    "Exists.body": lambda bad: Exists("x", bad),
+    "BoundedForAll.bound": lambda bad: BoundedForAll("x", bad, _BODY),
+    "BoundedForAll.body": lambda bad: BoundedForAll("x", ZERO, bad),
+    "BoundedExists.bound": lambda bad: BoundedExists("x", bad, _BODY),
+    "BoundedExists.body": lambda bad: BoundedExists("x", ZERO, bad),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_children_must_be_nodes(shape):
+    # Every check runs before anything is recorded: a refused call leaves
+    # no half-built node in the table, even while its frames are kept.
+    before = _table_size()
+    for bad in (0, "x", None, (ZERO,)):
+        with pytest.raises(TypeError, match="are nodes") as refused:
+            _SHAPES[shape](bad)
+        assert len(syntax._INTERNED) == before, refused.traceback
+
+
+@pytest.mark.parametrize("build", [BoundedForAll, BoundedExists])
+def test_a_bound_must_not_mention_its_variable(build):
+    bounds = [Var("x"), Succ(Var("x")), Add(Var("y"), Mul(Var("x"), ZERO))]
+    before = _table_size()
+    for bound in bounds:
+        with pytest.raises(ValueError, match="mentions x") as refused:
+            build("x", bound, _BODY)
+        assert len(syntax._INTERNED) == before, refused.traceback
+    node = build("y", bounds[0], _BODY)  # the bound of another variable
+    assert node.bound is bounds[0]
+    assert len(syntax._INTERNED) == before + 1
+
+
+def test_only_a_term_is_substituted():
     with pytest.raises(TypeError):
         substitute(Eq(Var("x"), ZERO), "x", Eq(ZERO, ZERO))
 
@@ -227,3 +275,66 @@ def test_decoded_numerals_carry_their_record(n):
         built = Succ(built)
     assert node is built is numeral(n)
     assert numeral_value(node) == _walked_value(node) == n
+
+
+# ---------------------------------------------------------------------------
+# What a node records when it is built is what a walk of its tree computes
+
+
+def _children(node):
+    return [getattr(node, a) for a in node.__match_args__ if a not in ("name", "var")]
+
+
+def _textbook_free_vars(node, memo: dict) -> frozenset:
+    if node not in memo:
+        if isinstance(node, Var):
+            fv = {node.name}
+        elif isinstance(node, (ForAll, Exists)):
+            fv = _textbook_free_vars(node.body, memo) - {node.var}
+        elif isinstance(node, (BoundedForAll, BoundedExists)):
+            body = _textbook_free_vars(node.body, memo) - {node.var}
+            fv = _textbook_free_vars(node.bound, memo) | body
+        else:
+            fv = set()
+            for child in _children(node):
+                fv |= _textbook_free_vars(child, memo)
+        memo[node] = frozenset(fv)
+    return memo[node]
+
+
+def _has_unbounded(node, memo: dict) -> bool:
+    if node not in memo:
+        memo[node] = isinstance(node, (ForAll, Exists)) or any(
+            _has_unbounded(child, memo) for child in _children(node)
+        )
+    return memo[node]
+
+
+def test_recorded_attributes_match_a_naive_walk():
+    rng = random.Random(2606)
+    roots = [random_formula(rng, i % 5) for i in range(1000)]
+    roots.append(halted_by_formula(LOOP, 1, 6, "yes"))
+    fv_memo: dict = {}
+    unbounded_memo: dict = {}
+    seen: set = set()
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        fv = syntax.free_vars(node)
+        assert fv == _textbook_free_vars(node, fv_memo)
+        assert syntax.is_delta0(node) is not _has_unbounded(node, unbounded_memo)
+        assert numeral_value(node) == _walked_value(node)
+        # The sets are shared: closed nodes have one, and a node whose set
+        # equals a child's has that child's.
+        assert fv or fv is syntax.free_vars(ZERO)
+        kids = _children(node)
+        if any(fv == syntax.free_vars(kid) for kid in kids):
+            assert any(fv is syntax.free_vars(kid) for kid in kids)
+        stack += kids
+    kinds = {node.__class__ for node in seen}
+    assert len(seen) > 5_000
+    assert {ForAll, Exists, BoundedForAll, BoundedExists, Succ, Var} <= kinds
+    assert any(syntax.free_vars(root) for root in roots)  # open formulas too

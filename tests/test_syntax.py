@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,6 +181,64 @@ def test_eval_agrees_with_naive_interpreter(seed):
     f = random_closed_delta0(rng, 3)
     assert is_closed(f) and is_delta0(f)
     assert eval_bounded(f) == naive_eval(f)
+
+
+_BIG = "S(" * 5000 + "0" + ")" * 5000  # past the numeral cache's 4096 entries
+_SMALLER = "S(" * 4999 + "0" + ")" * 4999
+
+
+# Each shape of `=`/`<=` operand the evaluator reads directly (a variable, a
+# numeral, zero) or hands to `eval_term` (anything else), on either side.
+@pytest.mark.parametrize(
+    "text, truth",
+    [
+        pytest.param("exists x <= S(S(S(0))). x = S(S(0))", True, id="var=num"),
+        pytest.param("forall x <= S(S(S(0))). x <= S(S(0))", False, id="var<=num"),
+        pytest.param("exists x <= S(S(0)). S(S(S(0))) = x", False, id="num=var"),
+        pytest.param("forall x <= S(S(0)). S(0) <= x", False, id="num<=var"),
+        pytest.param("exists x <= S(S(0)). 0 = x", True, id="zero=var"),
+        pytest.param("forall x <= S(S(0)). x <= 0", False, id="var<=zero"),
+        pytest.param("forall x <= S(S(0)). 0 <= x", True, id="zero<=var"),
+        pytest.param("0 = 0 & 0 <= 0 & ~S(0) <= 0", True, id="zero-num"),
+        pytest.param("exists x <= S(S(0)). S(x) = S(S(S(0)))", True, id="succ=num"),
+        pytest.param(
+            "forall x <= S(S(0)). x <= S(x) & ~S(S(x)) <= x", True, id="var-succ"
+        ),
+        pytest.param(
+            "exists x <= S(S(0)). S(S(0)) <= S(x) & S(x) <= S(S(0))",
+            True,
+            id="num-succ",
+        ),
+        pytest.param(
+            "exists x <= S(S(S(0))). x + x = S(S(S(S(0))))", True, id="add=num"
+        ),
+        pytest.param(
+            "forall x <= S(S(0)). x * 0 = 0 & 0 = 0 * x", True, id="mul-zero"
+        ),
+        pytest.param("forall x <= S(S(0)). x * x <= x + x", True, id="mul<=add"),
+        pytest.param("exists x <= S(S(0)). S(S(0)) * x <= x", True, id="mul<=var"),
+        pytest.param(
+            "exists x <= S(S(0)). x * S(S(0)) = S(S(S(0)))", False, id="mul=num"
+        ),
+        pytest.param(f"forall x <= S(S(S(0))). x <= {_BIG}", True, id="var<=big"),
+        pytest.param(f"{_BIG} <= {_SMALLER}", False, id="big<=big"),
+        pytest.param(
+            f"exists x <= S(S(0)). x + {_SMALLER} = {_BIG}", True, id="add=big"
+        ),
+        pytest.param(
+            f"exists y <= S(0). {_BIG} = S(y) + {_SMALLER}", True, id="big=add"
+        ),
+    ],
+)
+def test_eval_reads_atom_operands_as_the_naive_interpreter(text, truth):
+    f = parse_formula(text)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(saved, 12_000))  # the naive interpreter recurses
+    try:
+        assert naive_eval(f) is truth
+    finally:
+        sys.setrecursionlimit(saved)
+    assert eval_bounded(f) is truth
 
 
 @pytest.mark.parametrize(
