@@ -183,6 +183,18 @@ def test_eval_agrees_with_naive_interpreter(seed):
     assert eval_bounded(f) == naive_eval(f)
 
 
+def _power_of_two(k: int) -> str:
+    """2^k as a product of k factors S(S(0)) (k >= 1)."""
+    return " * ".join(["S(S(0))"] * k)
+
+
+def test_a_huge_bound_ends_at_the_first_deciding_instance():
+    # 2^64 is past what `len` of a range can report; neither loop sizes it.
+    huge = _power_of_two(64)
+    assert eval_bounded(parse_formula(f"forall x <= {huge}. x = 0")) is False
+    assert eval_bounded(parse_formula(f"exists x <= {huge}. ~(x = 0)")) is True
+
+
 _BIG = "S(" * 5000 + "0" + ")" * 5000  # past the numeral cache's 4096 entries
 _SMALLER = "S(" * 4999 + "0" + ")" * 4999
 
