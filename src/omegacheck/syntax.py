@@ -747,10 +747,57 @@ def eval_term(t: Term, env: dict[str, int]) -> int:
             return value
 
 
+def _pin(var: str, node: Formula) -> Term | None:
+    """t if the node is `var = t` or `t = var` with var not free in t."""
+    if node.__class__ is Eq:
+        s, t = node.left, node.right
+        if s.__class__ is Var and s.name == var and var not in t._fv:
+            return t
+        if t.__class__ is Var and t.name == var and var not in s._fv:
+            return s
+    return None
+
+
+def _pinned(var: str, limit: int, body: Formula, env: dict) -> Iterator[int]:
+    """Lazily, the values in 0..limit at which `body` may hold. A true `|`
+    has a true operand and a true `&` a true left operand, so each leaf
+    reached through them, left first, is tried in turn: a `var = t` leaf
+    gives t's value, and any other leaf every value not given yet."""
+    seen = set()
+    todo = [body]
+    while todo:
+        node = todo.pop()
+        cls = node.__class__
+        if cls is Or:
+            todo.append(node.right)
+            todo.append(node.left)
+        elif cls is And:
+            todo.append(node.left)
+        elif (t := _pin(var, node)) is None:
+            yield from (v for v in range(limit + 1) if v not in seen)
+            return
+        elif (value := eval_term(t, env)) <= limit and value not in seen:
+            seen.add(value)
+            yield value
+
+
+def _values(quantifier: Formula, limit: int, env: dict) -> Iterator[int]:
+    """The values a bounded quantifier tries, in order: those its body pins
+    for an existential whose first leaf (see `_pinned`) pins its variable,
+    and else all of 0..limit."""
+    if quantifier.__class__ is BoundedExists:
+        first = quantifier.body
+        while first.__class__ is Or or first.__class__ is And:
+            first = first.left
+        if _pin(quantifier.var, first) is not None:
+            return _pinned(quantifier.var, limit, quantifier.body, env)
+    return iter(range(limit + 1))
+
+
 def _eval(f: Formula, env: dict[str, int]) -> bool:
     # A frame for each connective or quantifier above the current node: the
-    # node itself while its (left) operand is evaluated, and [quantifier,
-    # value, limit, saved binding] for a bounded quantifier.
+    # node itself while its (left) operand is evaluated, and (quantifier,
+    # values still to try, saved binding) for a bounded quantifier.
     frames: list = []
     node = f
     while True:
@@ -774,8 +821,13 @@ def _eval(f: Formula, env: dict[str, int]) -> bool:
                 frames.append(node)
                 node = node.left
             elif cls is BoundedExists or cls is BoundedForAll:
-                frames.append([node, 0, eval_term(node.bound, env), env.get(node.var)])
-                env[node.var] = 0
+                values = _values(node, eval_term(node.bound, env), env)
+                v = next(values, None)
+                if v is None:  # an existential with nothing to try
+                    value = False
+                    break
+                frames.append((node, values, env.get(node.var)))
+                env[node.var] = v
                 node = node.body
             else:
                 raise NotBounded("unbounded quantifier in eval_bounded")
@@ -783,13 +835,14 @@ def _eval(f: Formula, env: dict[str, int]) -> bool:
         while frames:
             frame = frames.pop()
             cls = frame.__class__
-            if cls is list:
-                quantifier, v, limit, saved = frame
+            if cls is tuple:
+                quantifier, values, saved = frame
                 # An existential stops at the first true instance, a
                 # universal at the first false one.
-                if value is not (quantifier.__class__ is BoundedExists) and v < limit:
-                    frame[1] = v + 1
-                    env[quantifier.var] = v + 1
+                if value is not (quantifier.__class__ is BoundedExists) and (
+                    v := next(values, None)
+                ) is not None:
+                    env[quantifier.var] = v
                     frames.append(frame)
                     node = quantifier.body
                     break
