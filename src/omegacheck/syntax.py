@@ -10,6 +10,9 @@ node records its free variables and whether it is bounded; a successor
 also records the number it denotes, if it is a numeral. A constructor that
 finds no live node builds the new one in one step, and the evaluator reads
 an atom's variable or numeral operand directly rather than evaluating it.
+At a bounded quantifier the evaluator tries the values of an iterator: all
+values up to the bound, or, for an existential whose cases open with
+`v = t`, only the values those cases pin (see `_pinned`).
 
 Truth is only ever computed for closed bounded sentences; `eval_bounded`
 refuses anything else.
@@ -866,10 +869,11 @@ def _eval(f: Formula, env: dict[str, int]) -> bool:
 def eval_bounded(sentence: Formula) -> bool:
     """Standard-model truth of a closed sentence with only bounded quantifiers.
 
-    Each bounded variable is enumerated from 0 through its bound's value, so
-    this is total. Anything with an unbounded quantifier or a free variable
-    raises NotBounded: truth outside this fragment is not decidable and the
-    kernel never pretends otherwise.
+    A universal's variable takes each value from 0 through its bound's
+    value, and an existential's those values or only the ones its body pins
+    (see `_pinned`), so this is total. Anything with an unbounded quantifier
+    or a free variable raises NotBounded: truth outside this fragment is not
+    decidable and the kernel never pretends otherwise.
     """
     if not is_delta0(sentence):
         raise NotBounded("sentence has an unbounded quantifier")
