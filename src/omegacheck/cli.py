@@ -449,57 +449,55 @@ def build_parser() -> argparse.ArgumentParser:
         ENV_SEARCH_CANDIDATES, dovetail.DEFAULT_BUDGET.max_candidates
     )
 
-    def add_format(p):
-        p.add_argument(
-            "--format", choices=("text", "records"), default="text",
-            help="report style: human text or key=value records",
-        )
+    # The arguments several subcommands share, each declared once.
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument(
+        "--format", choices=("text", "records"), default="text",
+        help="report style: human text or key=value records",
+    )
+    subject = argparse.ArgumentParser(add_help=False)
+    subject.add_argument("machine", help="machine description file")
+    subject.add_argument("n", type=int, help="input value")
+    bounds = argparse.ArgumentParser(add_help=False)
+    bounds.add_argument("--k", type=int, default=default_k, help="omega instance bound")
+    bounds.add_argument("--instance-budget", type=int, default=default_ib)
 
-    p = sub.add_parser("check", help="verify a proof file against a target formula")
+    p = sub.add_parser(
+        "check", parents=[bounds, fmt],
+        help="verify a proof file against a target formula",
+    )
     p.add_argument("proof", help="proof file (binary canonical or text format)")
     p.add_argument("--target", required=True, help="target formula text")
     p.add_argument("--gamma", help="file of assumption formulas, one per line")
-    p.add_argument("--k", type=int, default=default_k, help="omega instance bound")
-    p.add_argument("--instance-budget", type=int, default=default_ib)
-    add_format(p)
     p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("encode", help="emit halting statements as formulas")
-    p.add_argument("machine", help="machine description file")
-    p.add_argument("n", type=int, help="input value")
+    p = sub.add_parser(
+        "encode", parents=[subject, fmt], help="emit halting statements as formulas"
+    )
     p.add_argument("which", choices=("q1", "q2", "q3", "haltedby"))
     p.add_argument("--t", type=int, help="step bound for haltedby")
     p.add_argument("--outcome", choices=("yes", "no"), help="outcome for haltedby")
-    add_format(p)
     p.set_defaults(fn=cmd_encode)
 
-    p = sub.add_parser("simulate", help="run a machine with a step budget")
-    p.add_argument("machine")
-    p.add_argument("n", type=int)
+    p = sub.add_parser(
+        "simulate", parents=[subject, fmt], help="run a machine with a step budget"
+    )
     p.add_argument("--budget", type=int, default=10_000)
-    add_format(p)
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("hsearch", help="three-thread halting search")
-    p.add_argument("machine")
-    p.add_argument("n", type=int)
+    p = sub.add_parser(
+        "hsearch", parents=[subject, bounds, fmt], help="three-thread halting search"
+    )
     p.add_argument("--mode", choices=("pure", "witness"), default="witness")
     p.add_argument("--budget-steps", type=int, default=default_steps)
     p.add_argument("--budget-candidates", type=int, default=default_cand)
-    p.add_argument("--k", type=int, default=default_k)
-    p.add_argument("--instance-budget", type=int, default=default_ib)
     p.add_argument("--out", help="write the winning proof's bytes here")
-    add_format(p)
     p.set_defaults(fn=cmd_hsearch)
 
     p = sub.add_parser(
-        "omega-check", help="build and check the loops certificate for (machine, n)"
+        "omega-check", parents=[subject, bounds, fmt],
+        help="build and check the loops certificate for (machine, n)",
     )
-    p.add_argument("machine")
-    p.add_argument("n", type=int)
-    p.add_argument("--k", type=int, default=default_k)
-    p.add_argument("--instance-budget", type=int, default=default_ib)
-    add_format(p)
     p.set_defaults(fn=cmd_omega_check)
 
     return parser

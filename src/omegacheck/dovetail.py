@@ -14,9 +14,9 @@ deterministic round-robin over single verifier steps; anything calling
 itself parallel must be observationally identical to that. In pure mode
 each thread is the dovetailed search itself, which at desk scale never
 reaches interesting proofs and exists to demonstrate exactly that. In
-witness mode candidates are generated from simulation (`machines.configs`,
-one unit per configuration) and the certificate builder, then pushed
-through the same unmodified verifier.
+witness mode the two halting threads share one walk of the run (one unit
+per configuration each, `machines.configs`) and the certificate builder
+makes the third candidate, all pushed through the same unmodified verifier.
 
 In witness mode the three statements share one closed tableau, which the
 codec walks once each way: the loops certificate is built before the first
@@ -28,8 +28,8 @@ byte and no verdict (`wire`). A caller's `oracle_factory` gets no seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle
-from typing import Callable, Generator, Optional
+from itertools import cycle, tee
+from typing import Callable, Generator, Iterator, Optional
 
 from . import omega, wire
 from .arithmetize import halting_statements
@@ -41,7 +41,7 @@ from .kernel import (
     RULE_MP,
     check_units,
 )
-from .machines import MachineDesc, configs
+from .machines import Config, MachineDesc, configs
 from .omega import (
     DEFAULT_INSTANCE_BUDGET,
     DEFAULT_OMEGA_BOUND,
@@ -251,24 +251,20 @@ def _idle() -> Generator[int, None, None]:
 
 
 def _witness_halt_thread(
-    m: MachineDesc,
-    n: int,
-    wanted: str,
+    walk: Iterator[Config],
+    accept_state: str,
     target: Formula,
     oracle: VerifierOracle,
     spans: Optional[dict],
 ) -> Generator[int, None, Optional[tuple[bytes, Optional[int]]]]:
-    """Simulate, one unit per non-accepting configuration; on halting the
-    wanted way, assemble the instance-plus-introduction proof, encode it
-    from the seed `spans`, and verify it. A stuck run, or one that halts
-    the other way, idles forever."""
-    accepting = (m.accept_yes, m.accept_no)
-    for used, config in enumerate(configs(m, n), 1):
-        if config.state not in accepting:
-            yield used
-    if config.state != (m.accept_yes if wanted == "yes" else m.accept_no):
+    """One unit per configuration of the walk, which ends after an accepting
+    or a stuck one (`machines.configs`). If the last is in `accept_state`,
+    prove the halt with the count of configurations as witness, encoded from
+    the seed `spans`, and verify it; otherwise, or on a no, idle forever."""
+    for used, config in enumerate(walk, 1):
+        yield used
+    if config.state != accept_state:
         yield from _idle()
-    yield used  # the unit that observed the halt
     assert isinstance(target, Exists)
     proof = existence_proof(target.body, target.var, used)
     data = wire.serialize_proof(proof, spans=spans)
@@ -336,9 +332,11 @@ def halting_search(
             for i in range(3)
         ]
     else:
+        yes, no = tee(configs(m, n))  # one walk, read by both halting threads
+        yes_oracle, no_oracle = oracle_factory(1, q_yes), oracle_factory(2, q_no)
         threads = [
-            _witness_halt_thread(m, n, "yes", q_yes, oracle_factory(1, q_yes), written),
-            _witness_halt_thread(m, n, "no", q_no, oracle_factory(2, q_no), written),
+            _witness_halt_thread(yes, m.accept_yes, q_yes, yes_oracle, written),
+            _witness_halt_thread(no, m.accept_no, q_no, no_oracle, written),
             _witness_loops_thread(cert, omega_bound, instance_budget, written),
         ]
     units = [0, 0, 0]

@@ -63,6 +63,8 @@ REASON_EVAL_FALSE = "eval-false"
 REASON_TARGET_MISMATCH = "target-mismatch"
 REASON_BUDGET_EXHAUSTED = "budget-exhausted"
 
+DEFAULT_INSTANCE_BUDGET = 10**6  # units per instance of a machine-premise step
+
 
 @dataclass(frozen=True)
 class ProofStep:
@@ -332,25 +334,25 @@ def check_step(
     gamma members the step transitively rests on (used by `gen`), or a
     rejection verdict.
     """
-    shape = RULE_SHAPES.get(step.rule)
-    if shape is None:
-        return Verdict.reject(index, REASON_RULE_MISMATCH, "unknown rule"), frozenset()
-    if len(step.premises) != shape.premises:
-        return (
-            Verdict.reject(index, REASON_RULE_MISMATCH, "wrong premise count"),
-            frozenset(),
-        )
-    for p in step.premises:
-        if not (0 <= p < index):
-            return Verdict.reject(index, REASON_BAD_PREMISE), frozenset()
-    deps = frozenset().union(*(dependencies[p] for p in step.premises))
 
     def mismatch(detail: str) -> tuple[Verdict, frozenset[Formula]]:
         return Verdict.reject(index, REASON_RULE_MISMATCH, detail), frozenset()
 
+    shape = RULE_SHAPES.get(step.rule)
+    if shape is None:
+        return mismatch("unknown rule")
+    if len(step.premises) != shape.premises:
+        return mismatch("wrong premise count")
+    for p in step.premises:
+        if type(p) is not int:  # not a bool, which would index a list
+            return mismatch("a premise is a step index")
+        if not (0 <= p < index):
+            return Verdict.reject(index, REASON_BAD_PREMISE), frozenset()
+    deps = frozenset().union(*(dependencies[p] for p in step.premises))
+
     if step.rule in _AXIOMS:
         axioms = _AXIOMS[step.rule]
-        if not isinstance(step.payload, int) or not 0 <= step.payload < len(axioms):
+        if type(step.payload) is not int or not 0 <= step.payload < len(axioms):
             return mismatch("bad axiom index")
         if step.conclusion != axioms[step.payload]:
             return mismatch("conclusion is not the cited axiom")
@@ -365,9 +367,10 @@ def check_step(
         if step.conclusion != instance:
             return mismatch("conclusion does not match the scheme instance")
     elif step.rule == RULE_INDUCTION:
-        if not (isinstance(step.payload, tuple) and len(step.payload) == 2):
+        pair = step.payload if isinstance(step.payload, tuple) else ()
+        if len(pair) != 2 or not isinstance(pair[1], Formula):
             return mismatch("induction payload is (var, formula)")
-        var, phi = step.payload
+        var, phi = pair
         try:
             instance = induction_axiom(phi, var)
         except (ValueError, TypeError) as exc:
@@ -424,7 +427,7 @@ def check_units(
     steps: Sequence,
     target: Formula,
     k: Optional[int] = None,
-    per_instance_budget: Optional[int] = None,
+    per_instance_budget: int = DEFAULT_INSTANCE_BUDGET,
 ) -> Generator[None, None, Verdict]:
     """Check `steps` in order, yielding once between metered units; the
     return value is the verdict.

@@ -29,6 +29,7 @@ from typing import Optional
 from . import wire
 from .arithmetize import loops_formula
 from .kernel import (
+    DEFAULT_INSTANCE_BUDGET,
     Proof,
     ProofStep,
     REASON_BUDGET_EXHAUSTED,
@@ -48,7 +49,6 @@ from .machines import (
 from .syntax import ForAll, Formula, free_vars, is_closed, numeral, substitute
 
 DEFAULT_OMEGA_BOUND = 50
-DEFAULT_INSTANCE_BUDGET = 10**6
 
 REASON_MALFORMED = "malformed-encoding"
 

@@ -128,6 +128,13 @@ def test_search_exhausts_on_silent_oracle():
     assert result.rounds > 0
 
 
+def test_search_ends_when_every_candidate_is_refused():
+    # Each of the 5 candidates is refused by its first step, so the search
+    # ends with its candidates spent, well inside its step budget.
+    result = bfs_search(TRUTH, ScriptedOracle({}), SearchBudget(1000, 5))
+    assert result == SearchResult(False, rounds=5, steps=5)
+
+
 def test_search_soundness_only_reports_oracle_yes():
     log = []
     p2 = proof_at_index(2)
@@ -517,6 +524,29 @@ def test_a_search_builds_each_halting_body_once(monkeypatch):
     monkeypatch.setattr(arithmetize, "halted_by_formula", counted)
     outcome = halting_search(CORPUS["BUSY3"], 2)
     assert (outcome.kind, len(built)) == ("halts_yes", 1)
+
+
+@pytest.mark.parametrize(
+    "name, n, k, kind, progress",
+    [
+        ("BUSY3", 2, 50, "halts_yes", ((15, True), (14, False), (14, False))),
+        ("EVEN", 3, 50, "halts_no", ((9, False), (9, True), (8, False))),
+        ("LOOP", 0, 5, "loops", ((6, False), (6, False), (6, True))),
+    ],
+)
+def test_both_halting_threads_read_one_walk(monkeypatch, name, n, k, kind, progress):
+    walks = []
+    walk = dovetail.configs
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(dovetail, "configs", counted)
+    outcome = halting_search(CORPUS[name], n, omega_bound=k)
+    assert walks == [(CORPUS[name], n)]
+    assert outcome.kind == kind
+    assert tuple((p.units, p.done) for p in outcome.progress) == progress
 
 
 @pytest.mark.parametrize("name, n", [("BUSY3", 2), ("EVEN", 1)])

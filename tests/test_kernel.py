@@ -12,18 +12,23 @@ from omegacheck.kernel import (
     ProofStep,
     RULE_EVAL_TRUE,
     RULE_GEN,
+    RULE_INDUCTION,
     RULE_INST,
     RULE_LOGIC,
     RULE_MP,
     RULE_PA_AXIOM,
     RULE_PREMISE,
+    _drain,
     check_proof,
+    check_units,
     equality_axioms,
     induction_axiom,
     logical_axiom_instance,
     make_proof,
     pa_axioms,
 )
+from omegacheck.machines import LOOP
+from omegacheck.omega import build_loops_certificate
 from omegacheck.syntax import (
     Eq,
     ForAll,
@@ -278,3 +283,68 @@ def test_inst_renames_past_the_bound_variables():
         ]
     )
     assert check_proof(frozenset({premise}), proof, conclusion).accepted
+
+
+IMPL = parse_formula("0 = 0 -> 0 <= 0")
+LE = parse_formula("0 <= 0")
+EVERY = parse_formula("forall x. x = x")
+AXIOM = pa_axioms()[1]
+EVAL = ProofStep(TRUTH, RULE_EVAL_TRUE)
+
+
+@pytest.mark.parametrize(
+    "steps, detail",
+    [
+        ([ProofStep(TRUTH, "nope")], "unknown rule"),
+        ([EVAL, ProofStep(LE, RULE_MP, premises=(0,))], "wrong premise count"),
+        ([ProofStep(TRUTH, RULE_INDUCTION, payload="x")], "induction payload"),
+        ([ProofStep(TRUTH, RULE_INDUCTION, payload=("x", 5))], "induction payload"),
+        (
+            [
+                ProofStep(IMPL, RULE_PREMISE),
+                ProofStep(LE, RULE_PREMISE),
+                ProofStep(LE, RULE_MP, premises=(0, 1)),
+            ],
+            "second premise is not the antecedent",
+        ),
+        (
+            [EVAL, ProofStep(ForAll("y", TRUTH), RULE_GEN, (0,), "x")],
+            "conclusion is not the generalization",
+        ),
+        ([EVAL, ProofStep(TRUTH, RULE_INST, (0,), ZERO)], "premise is not a forall"),
+        (
+            [ProofStep(EVERY, RULE_PREMISE), ProofStep(TRUTH, RULE_INST, (0,))],
+            "inst payload is a term",
+        ),
+        (
+            [
+                ProofStep(EVERY, RULE_PREMISE),
+                ProofStep(TRUTH, RULE_INST, premises=(0,), payload=TRUTH),
+            ],
+            "only a term can be substituted",
+        ),
+        (
+            [
+                ProofStep(EVERY, RULE_PREMISE),
+                ProofStep(TRUTH, RULE_INST, premises=(0,), payload=numeral(1)),
+            ],
+            "conclusion is not the instance",
+        ),
+        ([ProofStep(AXIOM, RULE_PA_AXIOM, payload=True)], "bad axiom index"),
+        ([EVAL, ProofStep(TRUTH, RULE_GEN, (None,), "x")], "a premise is a step index"),
+        ([EVAL, ProofStep(TRUTH, RULE_GEN, (0.0,), "x")], "a premise is a step index"),
+        ([EVAL, ProofStep(TRUTH, RULE_GEN, (True,), "x")], "a premise is a step index"),
+    ],
+)
+def test_each_malformed_step_is_a_rule_mismatch(steps, detail):
+    proof = make_proof(steps)
+    verdict = check_proof(frozenset({IMPL, LE, EVERY}), proof, proof.target)
+    assert (verdict.accepted, verdict.step) == (False, len(steps) - 1)
+    assert verdict.reason == "rule-mismatch"
+    assert detail in verdict.detail
+
+
+def test_check_units_defaults_the_instance_budget():
+    cert = build_loops_certificate(LOOP, 0)
+    units = check_units(frozenset(), (cert,), cert.conclusion, 3)
+    assert _drain(units).accepted

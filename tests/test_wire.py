@@ -264,3 +264,10 @@ def test_omega_decoder_is_canonical():
             deserialize_omega_proof(bytes.fromhex(GOLDEN_OMEGA.replace(gamma, bad)))
     data = bytes.fromhex(GOLDEN_OMEGA)
     assert serialize_omega_proof(deserialize_omega_proof(data)) == data
+
+
+def test_a_decoded_bound_that_mentions_its_variable_is_malformed():
+    # eval: exists x <= x. 0 = 0, whose bound x is the variable it binds.
+    data = bytes([0x27, 0x19, 1, ord("x"), 0x05, 1, ord("x"), 0x10, 1, 1])
+    with pytest.raises(MalformedEncoding, match="^bound of x mentions x$"):
+        deserialize_proof(data)
