@@ -345,7 +345,7 @@ def check_step(
         return mismatch("wrong premise count")
     for p in step.premises:
         if type(p) is not int:  # not a bool, which would index a list
-            return mismatch("a premise is a step index")
+            return mismatch("premise is not a step index")
         if not (0 <= p < index):
             return Verdict.reject(index, REASON_BAD_PREMISE), frozenset()
     deps = frozenset().union(*(dependencies[p] for p in step.premises))

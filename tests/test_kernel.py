@@ -331,9 +331,18 @@ EVAL = ProofStep(TRUTH, RULE_EVAL_TRUE)
             "conclusion is not the instance",
         ),
         ([ProofStep(AXIOM, RULE_PA_AXIOM, payload=True)], "bad axiom index"),
-        ([EVAL, ProofStep(TRUTH, RULE_GEN, (None,), "x")], "a premise is a step index"),
-        ([EVAL, ProofStep(TRUTH, RULE_GEN, (0.0,), "x")], "a premise is a step index"),
-        ([EVAL, ProofStep(TRUTH, RULE_GEN, (True,), "x")], "a premise is a step index"),
+        (
+            [EVAL, ProofStep(TRUTH, RULE_GEN, (None,), "x")],
+            "premise is not a step index",
+        ),
+        (
+            [EVAL, ProofStep(TRUTH, RULE_GEN, (0.0,), "x")],
+            "premise is not a step index",
+        ),
+        (
+            [EVAL, ProofStep(TRUTH, RULE_GEN, (True,), "x")],
+            "premise is not a step index",
+        ),
     ],
 )
 def test_each_malformed_step_is_a_rule_mismatch(steps, detail):
