@@ -104,18 +104,6 @@ def _parse_formula_arg(text: str, memo: dict) -> Formula:
     return formula
 
 
-def _require_positive(report_name: str, value: int) -> int:
-    if value < 1:
-        raise CliError(f"{report_name} must be positive", EXIT_PARSE)
-    return value
-
-
-def _require_natural(report_name: str, value: int) -> int:
-    if value < 0:
-        raise CliError(f"{report_name} must be a natural number", EXIT_PARSE)
-    return value
-
-
 def _load_gamma(path: Optional[str], memo: dict) -> frozenset[Formula]:
     if path is None:
         return frozenset()
@@ -286,8 +274,6 @@ def _load_omega_proof(path: str, memo: dict) -> kernel.Proof:
 
 
 def cmd_check(args) -> int:
-    _require_natural("--k", args.k)
-    _require_positive("--instance-budget", args.instance_budget)
     report = Report(args.format)
     memo: dict = {}  # bracket groups, read once for every text of this check
     gamma = _load_gamma(args.gamma, memo)
@@ -320,7 +306,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    _require_natural("n", args.n)
     m = _load_machine(args.machine)
     if args.which == "q1":
         f = arithmetize.halts_yes_formula(m, args.n)
@@ -331,7 +316,8 @@ def cmd_encode(args) -> int:
     else:
         if args.t is None or args.outcome is None:
             raise CliError("haltedby needs --t and --outcome", EXIT_PARSE)
-        _require_natural("--t", args.t)
+        if args.t < 0:
+            raise CliError("--t must be a natural number", EXIT_PARSE)
         f = arithmetize.halted_by_formula(m, args.n, args.t, args.outcome)
     text = print_formula(f)
     print(f"formula={text}" if args.format == "records" else text)
@@ -339,8 +325,6 @@ def cmd_encode(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _require_natural("n", args.n)
-    _require_positive("--budget", args.budget)
     m = _load_machine(args.machine)
     result = machines.run(m, args.n, args.budget)
     report = Report(args.format)
@@ -359,11 +343,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_hsearch(args) -> int:
-    _require_natural("n", args.n)
-    _require_positive("--budget-steps", args.budget_steps)
-    _require_positive("--budget-candidates", args.budget_candidates)
-    _require_natural("--k", args.k)
-    _require_positive("--instance-budget", args.instance_budget)
     m = _load_machine(args.machine)
     budget = dovetail.SearchBudget(args.budget_steps, args.budget_candidates)
     outcome = dovetail.halting_search(
@@ -401,9 +380,6 @@ def cmd_hsearch(args) -> int:
 
 
 def cmd_omega_check(args) -> int:
-    _require_natural("n", args.n)
-    _require_natural("--k", args.k)
-    _require_positive("--instance-budget", args.instance_budget)
     m = _load_machine(args.machine)
     cert = omega.build_loops_certificate(m, args.n)
     verdict = omega.check_omega_bounded(cert, args.k, args.instance_budget)
@@ -503,9 +479,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each bounded argument's least value (0: a natural number, 1: positive), in
+# the order a subcommand checks them.
+_LEAST = dict(
+    n=0, budget=1, budget_steps=1, budget_candidates=1, k=0, instance_budget=1
+)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        for dest, least in _LEAST.items():
+            if getattr(args, dest, least) < least:
+                name = dest if dest == "n" else "--" + dest.replace("_", "-")
+                must = "be positive" if least else "be a natural number"
+                raise CliError(f"{name} must {must}", EXIT_PARSE)
         return args.fn(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)

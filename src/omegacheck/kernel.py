@@ -338,9 +338,11 @@ def check_step(
     def mismatch(detail: str) -> tuple[Verdict, frozenset[Formula]]:
         return Verdict.reject(index, REASON_RULE_MISMATCH, detail), frozenset()
 
-    shape = RULE_SHAPES.get(step.rule)
+    shape = RULE_SHAPES.get(step.rule) if isinstance(step.rule, str) else None
     if shape is None:
         return mismatch("unknown rule")
+    if not isinstance(step.premises, (tuple, list)):
+        return mismatch("premises are not a sequence")
     if len(step.premises) != shape.premises:
         return mismatch("wrong premise count")
     for p in step.premises:
@@ -348,6 +350,8 @@ def check_step(
             return mismatch("premise is not a step index")
         if not (0 <= p < index):
             return Verdict.reject(index, REASON_BAD_PREMISE), frozenset()
+    if not isinstance(step.conclusion, Formula):
+        return mismatch("conclusion is not a formula")
     deps = frozenset().union(*(dependencies[p] for p in step.premises))
 
     if step.rule in _AXIOMS:

@@ -10,9 +10,9 @@ node records its free variables and whether it is bounded; a successor
 also records the number it denotes, if it is a numeral. A constructor that
 finds no live node builds the new one in one step, and the evaluator reads
 an atom's variable or numeral operand directly rather than evaluating it.
-At a bounded quantifier the evaluator tries the values of an iterator: all
-values up to the bound, or, for an existential whose cases open with
-`v = t`, only the values those cases pin (see `_pinned`).
+A bounded universal tries every value up to its bound, and an existential
+the values its cases pin, from the left, until a case pins nothing; from
+there it tries every value not tried yet (see `_pinned`).
 
 Truth is only ever computed for closed bounded sentences; `eval_bounded`
 refuses anything else.
@@ -765,7 +765,8 @@ def _pinned(var: str, limit: int, body: Formula, env: dict) -> Iterator[int]:
     """Lazily, the values in 0..limit at which `body` may hold. A true `|`
     has a true operand and a true `&` a true left operand, so each leaf
     reached through them, left first, is tried in turn: a `var = t` leaf
-    gives t's value, and any other leaf every value not given yet."""
+    gives t's value, and any other leaf every value not given yet (all of
+    0..limit, in order, when nothing was given before it)."""
     seen = set()
     todo = [body]
     while todo:
@@ -777,24 +778,12 @@ def _pinned(var: str, limit: int, body: Formula, env: dict) -> Iterator[int]:
         elif cls is And:
             todo.append(node.left)
         elif (t := _pin(var, node)) is None:
-            yield from (v for v in range(limit + 1) if v not in seen)
+            rest = range(limit + 1)
+            yield from (v for v in rest if v not in seen) if seen else rest
             return
         elif (value := eval_term(t, env)) <= limit and value not in seen:
             seen.add(value)
             yield value
-
-
-def _values(quantifier: Formula, limit: int, env: dict) -> Iterator[int]:
-    """The values a bounded quantifier tries, in order: those its body pins
-    for an existential whose first leaf (see `_pinned`) pins its variable,
-    and else all of 0..limit."""
-    if quantifier.__class__ is BoundedExists:
-        first = quantifier.body
-        while first.__class__ is Or or first.__class__ is And:
-            first = first.left
-        if _pin(quantifier.var, first) is not None:
-            return _pinned(quantifier.var, limit, quantifier.body, env)
-    return iter(range(limit + 1))
 
 
 def _eval(f: Formula, env: dict[str, int]) -> bool:
@@ -824,7 +813,11 @@ def _eval(f: Formula, env: dict[str, int]) -> bool:
                 frames.append(node)
                 node = node.left
             elif cls is BoundedExists or cls is BoundedForAll:
-                values = _values(node, eval_term(node.bound, env), env)
+                limit = eval_term(node.bound, env)
+                if cls is BoundedExists:
+                    values = _pinned(node.var, limit, node.body, env)
+                else:
+                    values = iter(range(limit + 1))
                 v = next(values, None)
                 if v is None:  # an existential with nothing to try
                     value = False

@@ -574,6 +574,62 @@ def test_negative_haltedby_step_bound_is_a_usage_error(machine_files, capsys):
     assert "--t must be a natural number" in err
 
 
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (
+            ["hsearch", "{loop}", "0", "--budget-steps", "0", "--budget-candidates",
+             "0", "--k", "-1", "--instance-budget", "0"],
+            "--budget-steps must be positive",
+        ),
+        (
+            ["hsearch", "{loop}", "-1", "--budget-candidates", "0", "--k", "-1"],
+            "n must be a natural number",
+        ),
+        (
+            ["hsearch", "{loop}", "0", "--budget-candidates", "0", "--k", "-1"],
+            "--budget-candidates must be positive",
+        ),
+        (
+            ["omega-check", "{loop}", "-1", "--k", "-1", "--instance-budget", "0"],
+            "n must be a natural number",
+        ),
+        (
+            ["omega-check", "{loop}", "0", "--k", "-1", "--instance-budget", "0"],
+            "--k must be a natural number",
+        ),
+        (
+            ["simulate", "{loop}", "-1", "--budget", "0"],
+            "n must be a natural number",
+        ),
+        (
+            ["check", "{missing}", "--target", "0 = 0", "--k", "-1",
+             "--instance-budget", "0"],
+            "--k must be a natural number",
+        ),
+        (
+            ["check", "{missing}", "--target", "0 = 0", "--instance-budget", "0"],
+            "--instance-budget must be positive",
+        ),
+    ],
+)
+def test_the_first_bad_bound_is_reported(machine_files, tmp_path, capsys, argv, first):
+    # Bounds are checked before any file is read, in one order for all
+    # subcommands: n, the budgets, --k, --instance-budget.
+    missing = str(tmp_path / "missing.proof")
+    argv = [a.format(loop=machine_files["loop"], missing=missing) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (4, "", first + "\n")
+
+
+def test_a_negative_k_from_the_environment_is_a_usage_error(
+    machine_files, capsys, monkeypatch
+):
+    monkeypatch.setenv("OMEGACHECK_K", "-3")
+    code, out, err = run_cli(capsys, "omega-check", machine_files["loop"], "0")
+    assert (code, out, err) == (4, "", "--k must be a natural number\n")
+
+
 def test_gamma_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
     proof = tmp_path / "p.txt"
     proof.write_text("1. 0 = 0 BY eval\n")

@@ -343,6 +343,13 @@ EVAL = ProofStep(TRUTH, RULE_EVAL_TRUE)
             [EVAL, ProofStep(TRUTH, RULE_GEN, (True,), "x")],
             "premise is not a step index",
         ),
+        (
+            [EVAL, ProofStep(TRUTH, RULE_EVAL_TRUE, premises=None)],
+            "premises are not a sequence",
+        ),
+        ([EVAL, ProofStep(TRUTH, [RULE_MP])], "unknown rule"),
+        ([EVAL, ProofStep(5, RULE_EVAL_TRUE)], "conclusion is not a formula"),
+        ([EVAL, ProofStep([], RULE_PREMISE)], "conclusion is not a formula"),
     ],
 )
 def test_each_malformed_step_is_a_rule_mismatch(steps, detail):

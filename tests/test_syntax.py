@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 import pytest
@@ -16,6 +17,7 @@ from omegacheck.syntax import (
     SyntaxError_,
     Var,
     ZERO,
+    _pinned,
     eval_bounded,
     free_vars,
     is_closed,
@@ -24,6 +26,7 @@ from omegacheck.syntax import (
     numeral_value,
     parse_formula,
     print_formula,
+    print_term,
     recall,
     substitute,
 )
@@ -270,3 +273,23 @@ def test_recall_tests_room_and_fit_before_comparing(source):
     assert memo == {source[:16]: entry}
     assert recall(memo, other, 0, 18, lambda hit: hit is entry) == (None, 18)
     assert memo == {}
+
+
+@pytest.mark.parametrize(
+    "text, values",
+    [
+        # The first leaf pins nothing: every value, in order.
+        ("exists x <= 5. S(x) = 3", [0, 1, 2, 3, 4, 5]),
+        ("exists x <= 3. x <= 1 | x = 2", [0, 1, 2, 3]),
+        # A pin, then a leaf that pins nothing: the pinned value first, then
+        # the rest without it.
+        ("exists x <= 5. x = 3 | S(x) = 2", [3, 0, 1, 2, 4, 5]),
+        ("exists x <= 4. (x = 2 | 4 = x) & 0 = 0 | x <= 1", [2, 4, 0, 1, 3]),
+        # Only pins: their values in case order, each once, none past the bound.
+        ("exists x <= 5. x = 4 | x = 9 | S(S(0)) = x | x = 4", [4, 2]),
+    ],
+)
+def test_pinned_values_in_order(text, values):
+    # Each number in the text stands for its numeral.
+    q = parse_formula(re.sub(r"\d+", lambda m: print_term(numeral(int(m[0]))), text))
+    assert list(_pinned(q.var, numeral_value(q.bound), q.body, {})) == values
