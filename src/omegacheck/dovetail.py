@@ -2,11 +2,12 @@
 three-thread halting search built on top of it.
 
 The search enumerates candidate byte strings in shortlex order and runs the
-verifier on them triangularly: in round r, candidates 0..r each receive one
-verifier step (already-decided candidates are final and step vacuously).
-This keeps a candidate the verifier diverges on from blocking everything
-behind it. A candidate whose first byte no decoder accepts is refused when the
-verifier opens it, without a reader, and still takes its one step.
+verifier on them triangularly: in round r, candidate r joins, and every
+undecided candidate receives one verifier step, oldest first; a decided one
+leaves the list and takes no more units. This keeps a candidate the verifier
+diverges on from blocking everything behind it. A candidate whose first byte
+no decoder accepts is refused when the verifier opens it, without a reader:
+it never enters the list, and its one unit comes last in its round.
 
 The halting search for (m, n) spins up three fair logical threads hunting
 proofs of "halts with yes", "halts with no" and "never halts". It is a
@@ -84,7 +85,8 @@ class OracleRun:
         return self.state
 
 
-_REFUSED = OracleRun(iter(()))  # the one run of every refused candidate
+_REFUSED = OracleRun(iter(()))  # the one run of every refused candidate,
+_REFUSED.step()  # decided ("no") before any search opens it
 
 
 class VerifierOracle:
@@ -97,7 +99,8 @@ class OmegaVerifierOracle(VerifierOracle):
     proof step, and one more between consecutive instances of an omega
     step; the last step also settles the target comparison. A candidate
     whose first byte is no step tag of the decoder is refused at `open`
-    without a reader, and still takes its one step.
+    without a reader: its run is already decided no, and a search charges
+    it one unit, the last of its round (`_bfs_units`).
 
     With k None it is the finitary kernel, whose decoder refuses omega
     steps. With a k, a yes on a proof containing an omega step means "all
@@ -155,24 +158,39 @@ def _bfs_units(
 ) -> Generator[int, None, Optional[tuple[bytes, int]]]:
     """Triangular dovetailing. Yields the current round number once per
     oracle step taken; the step that elicits a yes is reported by the
-    return value (the candidate and its index) instead of a final yield."""
+    return value (the candidate and its index) instead of a final yield.
+
+    A run already decided when it is opened never enters the list of
+    undecided runs: its one unit is yielded, or its yes returned, after the
+    round's undecided runs are stepped, where it would come as the newest."""
     fresh = wire.shortlex(alphabet)
     live: list[tuple[int, bytes, OracleRun]] = []  # the undecided candidates
     round_index = 0
     while True:
+        decided = None  # the state of this round's candidate, if known at open
         if round_index < max_candidates:
             data = next(fresh)
-            live.append((round_index, data, oracle.open(data, target)))
-        still = []
-        for entry in live:
-            answer = entry[2].step()
-            if answer == "yes":
-                return (entry[1], entry[0])
+            run_ = oracle.open(data, target)
+            if run_.state == "running":
+                live.append((round_index, data, run_))
+            else:
+                decided = run_.state
+            del run_  # it may be decided later, and only undecided runs are kept
+        if live:
+            still = []
+            for entry in live:
+                answer = entry[2].step()
+                if answer == "yes":
+                    return (entry[1], entry[0])
+                yield round_index
+                if answer == "running":
+                    still.append(entry)
+            live = still
+            del entry  # it may be decided, and only undecided runs are kept
+        if decided == "yes":
+            return (data, round_index)
+        if decided is not None:
             yield round_index
-            if answer == "running":
-                still.append(entry)
-        live = still
-        del entry  # it may be decided, and only undecided runs are kept
         round_index += 1
         if not live and round_index >= max_candidates:
             return None

@@ -30,7 +30,7 @@ proof, or raises, exactly where an unseeded one does.
 from __future__ import annotations
 
 import re
-from itertools import count, product
+from itertools import chain, count, product
 from typing import Iterator
 
 from . import syntax as S
@@ -410,7 +410,7 @@ def shortlex(alphabet: tuple[int, ...] = DEFAULT_ALPHABET) -> Iterator[bytes]:
     """All byte strings over `alphabet` in shortlex order, from b'': what
     `proof_at_index` gives for 0, 1, 2, ..., with the alphabet checked once."""
     alphabet = _check_alphabet(alphabet)
-    return (bytes(t) for n in count() for t in product(alphabet, repeat=n))
+    return map(bytes, chain.from_iterable(product(alphabet, repeat=n) for n in count()))
 
 
 def index_of_string(data: bytes, alphabet: tuple[int, ...] = DEFAULT_ALPHABET) -> int:

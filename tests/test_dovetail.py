@@ -1,7 +1,11 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -299,25 +303,30 @@ def test_bfs_search_golden(text, alphabet, index, rounds, steps):
     assert result == SearchResult(True, index, canonical, rounds, steps)
 
 
-def triangular_order(latency, max_candidates, max_steps):
-    """Candidate indices in the order a triangular dovetail steps them: in
-    round r candidate r joins, then every undecided candidate is stepped
-    once, lowest index first. `latency[i]` is the number of steps candidate
-    i takes to be decided (None: never)."""
-    order, active, taken = [], [], {}
+def triangular_order(latency, max_candidates, max_steps, yes=()):
+    """Candidate indices in the order a triangular dovetail steps them, and
+    the SearchResult of that search: in round r candidate r joins, then
+    every undecided candidate is stepped once, lowest index first.
+    `latency[i]` is the number of steps candidate i takes to be decided
+    (None: never; 0: decided when it is opened, which still costs it one
+    unit, the last of its round). The candidates in `yes` are decided yes."""
+    order, active, taken, rounds = [], [], {}, 0
     for r in itertools.count():
         if r < max_candidates:
             active.append(r)
         elif not active:
-            return order
+            return order, SearchResult(False, rounds=rounds, steps=len(order))
         for i in list(active):
             if len(order) == max_steps:
-                return order
+                return order, SearchResult(False, rounds=rounds, steps=max_steps)
             order.append(i)
             taken[i] = taken.get(i, 0) + 1
-            if taken[i] == latency[i]:
+            if latency[i] == 0 or taken[i] == latency[i]:
+                if i in yes:
+                    found = SearchResult(True, i, proof_at_index(i), rounds, len(order))
+                    return order, found
                 active.remove(i)
-    return order
+            rounds = r + 1
 
 
 def test_bfs_search_steps_in_triangular_order():
@@ -326,9 +335,80 @@ def test_bfs_search_steps_in_triangular_order():
     script = {proof_at_index(i): ("no", n) for i, n in enumerate(latency)}
     log = []
     result = bfs_search(TRUTH, ScriptedOracle(script, log=log), SearchBudget(500, 40))
-    assert not result.found and result.steps == 500
     order = [index_of_string(candidate) for _, candidate in log]
-    assert order == triangular_order(latency, 40, 500)
+    assert (order, result) == triangular_order(latency, 40, 500)
+    assert not result.found and result.steps == 500
+
+
+class DecidedAtOpenOracle(ScriptedOracle):
+    """A ScriptedOracle whose latency-0 candidates are decided when they are
+    opened: their runs are never stepped and leave nothing in the log."""
+
+    def open(self, candidate, target):
+        answer, latency = self.script.get(candidate, ("no", 1))
+        if latency != 0:
+            return super().open(candidate, target)
+        run_ = OracleRun(iter(()))
+        run_.state = answer
+        return run_
+
+
+def units_taken(oracle, max_candidates, max_steps):
+    """The candidate index of each unit the dovetail yields: a stepped run's
+    from the oracle's log, else its round's own candidate, decided at open."""
+    units = dovetail._bfs_units(TRUTH, oracle, max_candidates, DEFAULT_ALPHABET)
+    order, stepped = [], 0
+    for round_index in itertools.islice(units, max_steps):
+        if len(oracle.log) > stepped:
+            order.append(index_of_string(oracle.log[stepped][1]))
+            stepped += 1
+        else:
+            order.append(round_index)
+    return order
+
+
+def decided_at_open_script(seed, count):
+    rng = random.Random(seed)
+    latency = [rng.choice([0, 0, 0, 1, 2, 3, 5, None]) for _ in range(count)]
+    return latency, {proof_at_index(i): ("no", n) for i, n in enumerate(latency)}
+
+
+def test_a_run_decided_at_open_takes_the_last_unit_of_its_round():
+    latency, script = decided_at_open_script(11, 40)
+    assert latency.count(0) > 10
+    order, result = triangular_order(latency, 40, 300)
+    assert not result.found and result.steps == 300
+    assert units_taken(DecidedAtOpenOracle(script), 40, 300) == order
+    # A step budget that ends at every unit of each of the first rounds.
+    for steps in range(1, 301):
+        expected = triangular_order(latency, 40, steps)[1]
+        oracle = DecidedAtOpenOracle(script)
+        assert bfs_search(TRUTH, oracle, SearchBudget(steps, 40)) == expected
+
+
+def test_a_yes_at_open_is_found_where_the_model_finds_it():
+    latency, script = decided_at_open_script(13, 40)
+    script[proof_at_index(23)] = ("yes", 0)
+    latency[23] = 0
+    order, found = triangular_order(latency, 40, 10_000, yes={23})
+    assert found == SearchResult(True, 23, proof_at_index(23), 24, len(order))
+    for steps in range(len(order) - 2, len(order) + 2):
+        expected = triangular_order(latency, 40, steps, yes={23})[1]
+        oracle = DecidedAtOpenOracle(script)
+        assert bfs_search(TRUTH, oracle, SearchBudget(steps, 40)) == expected
+    assert not bfs_search(TRUTH, oracle, SearchBudget(len(order) - 1, 40)).found
+
+
+def test_an_older_yes_comes_before_the_unit_of_a_run_decided_at_open():
+    # Round 1 steps candidate 0 to its yes, then charges candidate 1, which
+    # was refused when opened: a budget of two units finds candidate 0.
+    latency = [2, 0]
+    script = {proof_at_index(0): ("yes", 2), proof_at_index(1): ("no", 0)}
+    order, expected = triangular_order(latency, 2, 2, yes={0})
+    assert order == [0, 0]
+    assert expected == SearchResult(True, 0, b"", 1, 2)
+    oracle = DecidedAtOpenOracle(script)
+    assert bfs_search(TRUTH, oracle, SearchBudget(2, 2)) == expected
 
 
 class CountingOracle(VerifierOracle):
@@ -638,3 +718,22 @@ def test_oracle_refuses_a_first_byte_without_the_decoder(monkeypatch):
     assert OmegaVerifierOracle(k=None).open(b"\x30" + CANONICAL, TRUTH) is refused
     assert OmegaVerifierOracle(k=50).open(b"\x00" + CANONICAL, TRUTH) is refused
     assert refused.step() == "no"
+
+
+def test_a_refused_run_is_decided_in_a_fresh_interpreter():
+    # In this process an earlier test may have stepped the shared run, so the
+    # state is read in a new interpreter, before any search has run.
+    probe = (
+        "from omegacheck.dovetail import OmegaVerifierOracle; "
+        "from omegacheck.syntax import parse_formula; "
+        "print(OmegaVerifierOracle(k=None).open(b'', parse_formula('0 = 0')).state)"
+    )
+    source = Path(dovetail.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(source)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "no\n", "")
