@@ -367,6 +367,7 @@ def cmd_hsearch(args) -> int:
         report.add("candidate-index", outcome.candidate_index)
     if outcome.omega_bound is not None:
         report.add("omega-bound", outcome.omega_bound)
+        report.add("conditional", f"conditional on k={outcome.omega_bound}")
     for i, progress in enumerate(outcome.progress, start=1):
         report.add(f"thread{i}-units", progress.units)
     if outcome.proof is not None and args.out:

@@ -15,9 +15,11 @@ deterministic round-robin over single verifier steps; anything calling
 itself parallel must be observationally identical to that. In pure mode
 each thread is the dovetailed search itself, which at desk scale never
 reaches interesting proofs and exists to demonstrate exactly that. In
-witness mode the two halting threads share one walk of the run (one unit
-per configuration each, `machines.configs`) and the certificate builder
-makes the third candidate, all pushed through the same unmodified verifier.
+witness mode a halting thread whose body is the false `S(t) <= t` ends at
+once and any other walks the run (one unit per configuration,
+`machines.configs`); the certificate builder makes the third candidate, all
+pushed through the same unmodified verifier. A thread that cannot win ends,
+and a loops answer waits for the halting threads.
 
 In witness mode the three statements share one closed tableau, which the
 codec walks once each way: the loops certificate is built before the first
@@ -29,7 +31,7 @@ byte and no verdict (`wire`). A caller's `oracle_factory` gets no seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle, tee
+from itertools import cycle
 from typing import Callable, Generator, Iterator, Optional
 
 from . import omega, wire
@@ -51,7 +53,7 @@ from .omega import (
     deserialize_omega_proof,
     serialize_omega_proof,
 )
-from .syntax import Exists, Formula, Implies, numeral, substitute
+from .syntax import Exists, Formula, Implies, Le, Succ, Var, numeral, substitute
 
 
 @dataclass(frozen=True)
@@ -263,11 +265,6 @@ def existence_proof(body: Formula, var: str, witness: int) -> Proof:
     return Proof(steps, target)
 
 
-def _idle() -> Generator[int, None, None]:
-    while True:
-        yield 0
-
-
 def _witness_halt_thread(
     walk: Iterator[Config],
     accept_state: str,
@@ -275,15 +272,18 @@ def _witness_halt_thread(
     oracle: VerifierOracle,
     spans: Optional[dict],
 ) -> Generator[int, None, Optional[tuple[bytes, Optional[int]]]]:
-    """One unit per configuration of the walk, which ends after an accepting
-    or a stuck one (`machines.configs`). If the last is in `accept_state`,
-    prove the halt with the count of configurations as witness, encoded from
-    the seed `spans`, and verify it; otherwise, or on a no, idle forever."""
+    """End at once on the false body `S(t) <= t`. Otherwise take one unit per
+    configuration of the walk, which ends after an accepting or a stuck one
+    (`machines.configs`). If the last is in `accept_state`, prove the halt
+    with the count of configurations as witness, encoded from the seed
+    `spans`, and verify it; end without a result otherwise or on a no."""
+    assert isinstance(target, Exists)
+    if target.body is Le(Succ(Var(target.var)), Var(target.var)):
+        return None
     for used, config in enumerate(walk, 1):
         yield used
     if config.state != accept_state:
-        yield from _idle()
-    assert isinstance(target, Exists)
+        return None
     proof = existence_proof(target.body, target.var, used)
     data = wire.serialize_proof(proof, spans=spans)
     run_ = oracle.open(data, target)
@@ -292,7 +292,7 @@ def _witness_halt_thread(
         if answer == "yes":
             return (data, None)
         if answer == "no":
-            yield from _idle()
+            return None
         yield used
 
 
@@ -308,7 +308,7 @@ def _witness_loops_thread(
     target = cert.conclusion
     verdict = yield from check_units(frozenset(), (cert,), target, k, instance_budget)
     if not verdict.accepted:
-        yield from _idle()
+        return None
     return (serialize_omega_proof(Proof((cert,), target), spans=spans), None)
 
 
@@ -321,8 +321,9 @@ def halting_search(
     instance_budget: int = DEFAULT_INSTANCE_BUDGET,
     oracle_factory: Optional[Callable[[int, Formula], VerifierOracle]] = None,
 ) -> HOutcome:
-    """Search for a proof of one of the three halting statements for (m, n);
-    the first thread to verify a candidate wins.
+    """Search for a proof of one of the three halting statements for (m, n).
+    A verified halting proof wins at once; a loops proof, which shows no halt
+    up to `omega_bound` only, waits for threads 1 and 2 to end or the budget.
 
     Scheduling is a deterministic round-robin granting each thread one
     verifier/simulation unit per round, so outcomes are reproducible and
@@ -350,11 +351,11 @@ def halting_search(
             for i in range(3)
         ]
     else:
-        yes, no = tee(configs(m, n))  # one walk, read by both halting threads
+        walk = configs(m, n)  # read by the one halting thread without a false body
         yes_oracle, no_oracle = oracle_factory(1, q_yes), oracle_factory(2, q_no)
         threads = [
-            _witness_halt_thread(yes, m.accept_yes, q_yes, yes_oracle, written),
-            _witness_halt_thread(no, m.accept_no, q_no, no_oracle, written),
+            _witness_halt_thread(walk, m.accept_yes, q_yes, yes_oracle, written),
+            _witness_halt_thread(walk, m.accept_no, q_no, no_oracle, written),
             _witness_loops_thread(cert, omega_bound, instance_budget, written),
         ]
     units = [0, 0, 0]
@@ -372,10 +373,8 @@ def halting_search(
         except StopIteration as stop:
             finished[thread] = True
             if stop.value is not None:
-                winner = thread
-                found, index = stop.value
-                break
-            if all(finished):
+                winner, (found, index) = thread, stop.value
+            if winner in (0, 1) or all(finished):
                 break
     progress = tuple(map(ThreadProgress, units, finished))
     if winner is None:

@@ -271,6 +271,19 @@ def test_hsearch_witness_reports_thread(machine_files, capsys):
     assert "thread: 1" in out
 
 
+def test_hsearch_labels_a_loops_answer_conditional(machine_files, capsys):
+    # A loops answer holds up to k only, so it carries the label `check`
+    # gives an accepted machine-premise proof; a halting answer has none.
+    args = ("hsearch", machine_files["loop"], "0", "--k", "5", "--format", "records")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    lines = out.splitlines()
+    assert "outcome=loops" in lines and "conditional=conditional on k=5" in lines
+    code, out, _ = run_cli(capsys, "hsearch", machine_files["even"], "7", "--k", "5")
+    assert code == 0
+    assert "outcome: halts_no" in out and "conditional" not in out
+
+
 def test_hsearch_out_in_a_missing_directory_exits_4(machine_files, tmp_path, capsys):
     target = tmp_path / "nodir" / "x.bin"
     code, out, err = run_cli(

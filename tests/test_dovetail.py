@@ -471,88 +471,89 @@ def test_bfs_search_keeps_only_undecided_runs():
 
 # Witness-mode outcomes of every corpus machine on n <= 3 at the default
 # budget and k = 50: the kind, the winning thread, the omega bound, each
-# thread's (units, done) and the sha256 of the winning proof. Holding a
-# conditional loops answer while a halting thread is still live (ROADMAP
-# item 1) will change the LOOP rows on purpose.
+# thread's (units, done) and the sha256 of the winning proof. A halting
+# thread whose body is the false `S(t) <= t` ends at its first unit, and the
+# loops thread ends where its certificate is refused, or holds its answer
+# until both halting threads have ended.
 WITNESS_GOLDEN = [
     (
-        "ALWAYS_YES", 0, "halts_yes", 1, None, ((5, True), (4, False), (4, False)),
+        "ALWAYS_YES", 0, "halts_yes", 1, None, ((5, True), (1, True), (2, True)),
         "05357d0b3514b7a3a4f50cab4486c0e1191148e67566fc2ca6000c230850599b",
     ),
     (
-        "ALWAYS_YES", 1, "halts_yes", 1, None, ((5, True), (4, False), (4, False)),
+        "ALWAYS_YES", 1, "halts_yes", 1, None, ((5, True), (1, True), (2, True)),
         "08a8043f1e10e6edac3e98d20ff5fa45f82170cd18ffc2746ae6b118078f515d",
     ),
     (
-        "ALWAYS_YES", 2, "halts_yes", 1, None, ((5, True), (4, False), (4, False)),
+        "ALWAYS_YES", 2, "halts_yes", 1, None, ((5, True), (1, True), (2, True)),
         "36c5d5cdb03b075cfe063c1724b27c0bc2b20abb742d0eee2938658fdc07a263",
     ),
     (
-        "ALWAYS_YES", 3, "halts_yes", 1, None, ((5, True), (4, False), (4, False)),
+        "ALWAYS_YES", 3, "halts_yes", 1, None, ((5, True), (1, True), (2, True)),
         "55e1b0374993e87b656e1885382ba2ecd0a120364cba9d863c66c82716e92efb",
     ),
     (
-        "ALWAYS_NO", 0, "halts_no", 2, None, ((5, False), (5, True), (4, False)),
+        "ALWAYS_NO", 0, "halts_no", 2, None, ((1, True), (5, True), (2, True)),
         "bf4a9528eed2aeddda9f9b9d843e7b701929def78a9a7f39cefba956cba8d761",
     ),
     (
-        "ALWAYS_NO", 1, "halts_no", 2, None, ((5, False), (5, True), (4, False)),
+        "ALWAYS_NO", 1, "halts_no", 2, None, ((1, True), (5, True), (2, True)),
         "2040b00d0de739fcf834e8bc56ba5c00a401e84d0e1941905736096acc30554c",
     ),
     (
-        "ALWAYS_NO", 2, "halts_no", 2, None, ((5, False), (5, True), (4, False)),
+        "ALWAYS_NO", 2, "halts_no", 2, None, ((1, True), (5, True), (2, True)),
         "30ae54f93540ddd812f9e190548632e350f6646b66adc2a1d3747b89016b93a0",
     ),
     (
-        "ALWAYS_NO", 3, "halts_no", 2, None, ((5, False), (5, True), (4, False)),
+        "ALWAYS_NO", 3, "halts_no", 2, None, ((1, True), (5, True), (2, True)),
         "62db397e84c6fe39411c2ace747a5999bb7b1416c4a5c4bcf8d3a684dce972a1",
     ),
     (
-        "LOOP", 0, "loops", 3, 50, ((51, False), (51, False), (51, True)),
+        "LOOP", 0, "loops", 3, 50, ((1, True), (1, True), (51, True)),
         "7f6f82fbf5570089e1af3a90966b43bf553102bab975b46454331ef6efc62241",
     ),
     (
-        "LOOP", 1, "loops", 3, 50, ((51, False), (51, False), (51, True)),
+        "LOOP", 1, "loops", 3, 50, ((1, True), (1, True), (51, True)),
         "17982e4c1aa386b893796805100fd4df885d1f63d656865291e39f50dd829993",
     ),
     (
-        "LOOP", 2, "loops", 3, 50, ((51, False), (51, False), (51, True)),
+        "LOOP", 2, "loops", 3, 50, ((1, True), (1, True), (51, True)),
         "30245fcefa05ec3ade34e7e7a5b6f2ad7b7975c3759212cd797830c0d31de51e",
     ),
     (
-        "LOOP", 3, "loops", 3, 50, ((51, False), (51, False), (51, True)),
+        "LOOP", 3, "loops", 3, 50, ((1, True), (1, True), (51, True)),
         "c0ef423477bddecfce8eb5783f21c73bc87a0946fa318d1001df5e5c8ee63321",
     ),
     (
-        "EVEN", 0, "halts_yes", 1, None, ((6, True), (5, False), (5, False)),
+        "EVEN", 0, "halts_yes", 1, None, ((6, True), (1, True), (3, True)),
         "1d0024996e6a4ba5b0b39924b49211b0c2f3b30bb584e043c3a7e11a87bfed56",
     ),
     (
-        "EVEN", 1, "halts_no", 2, None, ((7, False), (7, True), (6, False)),
+        "EVEN", 1, "halts_no", 2, None, ((1, True), (7, True), (4, True)),
         "b03dab87a4cafb2074ece3837f8ff39c420b350f7f3f05f6a13893b39d821635",
     ),
     (
-        "EVEN", 2, "halts_yes", 1, None, ((8, True), (7, False), (7, False)),
+        "EVEN", 2, "halts_yes", 1, None, ((8, True), (1, True), (5, True)),
         "5a31a409f364a87a2171803bc1a28c4cdb614391fdd1c1695b388225b8ff2ec4",
     ),
     (
-        "EVEN", 3, "halts_no", 2, None, ((9, False), (9, True), (8, False)),
+        "EVEN", 3, "halts_no", 2, None, ((1, True), (9, True), (6, True)),
         "d4dad41f9e0530e9b1aaf2c5fb2719ed5bd31e09e0321d10083350dd60e1459a",
     ),
     (
-        "BUSY3", 0, "halts_yes", 1, None, ((9, True), (8, False), (8, False)),
+        "BUSY3", 0, "halts_yes", 1, None, ((9, True), (1, True), (6, True)),
         "61c7a3e8854ba7efbb1622d15d09044206593221df86522a47b828d0602a537a",
     ),
     (
-        "BUSY3", 1, "halts_yes", 1, None, ((12, True), (11, False), (11, False)),
+        "BUSY3", 1, "halts_yes", 1, None, ((12, True), (1, True), (9, True)),
         "be6c77ebcaa36cd8151800d6b20c971d746fddd0f3dcbe2e1c85f1b5b9b69a5b",
     ),
     (
-        "BUSY3", 2, "halts_yes", 1, None, ((15, True), (14, False), (14, False)),
+        "BUSY3", 2, "halts_yes", 1, None, ((15, True), (1, True), (12, True)),
         "458bb964c8f7693f0627a561e4b3ab8ad65303a68ccf2dc906722173383159cf",
     ),
     (
-        "BUSY3", 3, "halts_yes", 1, None, ((18, True), (17, False), (17, False)),
+        "BUSY3", 3, "halts_yes", 1, None, ((18, True), (1, True), (15, True)),
         "74fc22e536317c26cc1b1ea48d9a5ba36142c27e9f19cd61ed61c0b6b7c75fd2",
     ),
 ]
@@ -609,12 +610,14 @@ def test_a_search_builds_each_halting_body_once(monkeypatch):
 @pytest.mark.parametrize(
     "name, n, k, kind, progress",
     [
-        ("BUSY3", 2, 50, "halts_yes", ((15, True), (14, False), (14, False))),
-        ("EVEN", 3, 50, "halts_no", ((9, False), (9, True), (8, False))),
-        ("LOOP", 0, 5, "loops", ((6, False), (6, False), (6, True))),
+        ("BUSY3", 2, 50, "halts_yes", ((15, True), (1, True), (12, True))),
+        ("EVEN", 3, 50, "halts_no", ((1, True), (9, True), (6, True))),
+        ("LOOP", 0, 5, "loops", ((1, True), (1, True), (6, True))),
     ],
 )
 def test_both_halting_threads_read_one_walk(monkeypatch, name, n, k, kind, progress):
+    """The search makes one walk of the run, which at most one halting thread
+    reads: the other's body is the false `S(t) <= t`, and it ends at once."""
     walks = []
     walk = dovetail.configs
 
@@ -627,6 +630,30 @@ def test_both_halting_threads_read_one_walk(monkeypatch, name, n, k, kind, progr
     assert walks == [(CORPUS[name], n)]
     assert outcome.kind == kind
     assert tuple((p.units, p.done) for p in outcome.progress) == progress
+
+
+@pytest.mark.parametrize(
+    "name, n, k, kind",
+    [
+        ("BUSY3", 16, 50, "halts_yes"),
+        ("BUSY3", 2, 5, "halts_yes"),
+        ("EVEN", 7, 5, "halts_no"),
+        ("LOOP", 0, 5, "loops"),
+    ],
+)
+def test_a_loops_answer_waits_for_the_halting_threads(name, n, k, kind):
+    # A certificate accepted up to k is no decision: BUSY3 16 halts at step
+    # 53, BUSY3 2 at 11 and EVEN 7 at 9, all past k, and the halting proof wins.
+    assert halting_search(CORPUS[name], n, omega_bound=k).kind == kind
+
+
+def test_a_held_loops_answer_is_returned_when_the_budget_ends():
+    # BUSY3 16's halting thread is still walking after 30 units, so the
+    # certificate accepted up to k=5 is the answer, labelled with its bound.
+    outcome = halting_search(CORPUS["BUSY3"], 16, SearchBudget(30), omega_bound=5)
+    assert (outcome.kind, outcome.thread, outcome.omega_bound) == ("loops", 3, 5)
+    progress = tuple((p.units, p.done) for p in outcome.progress)
+    assert progress == ((23, False), (1, True), (6, True))
 
 
 @pytest.mark.parametrize("name, n", [("BUSY3", 2), ("EVEN", 1)])

@@ -64,10 +64,10 @@ def test_omega_oracle_units():
 @pytest.mark.parametrize(
     "m, n, k, kind, units",
     [
-        (LOOP, 0, 5, "loops", (6, 6, 6)),
-        (EVEN, 3, 50, "halts_no", (9, 9, 8)),
-        (ALWAYS_YES, 1, 50, "halts_yes", (5, 4, 4)),
-        (BUSY3, 2, 50, "halts_yes", (15, 14, 14)),
+        (LOOP, 0, 5, "loops", (1, 1, 6)),
+        (EVEN, 3, 50, "halts_no", (1, 9, 6)),
+        (ALWAYS_YES, 1, 50, "halts_yes", (5, 1, 2)),
+        (BUSY3, 2, 50, "halts_yes", (15, 1, 12)),
     ],
 )
 def test_halting_search_units(m, n, k, kind, units):
