@@ -6,8 +6,8 @@ verifier on them triangularly: in round r, candidate r joins, and every
 undecided candidate receives one verifier step, oldest first; a decided one
 leaves the list and takes no more units. This keeps a candidate the verifier
 diverges on from blocking everything behind it. A candidate whose first byte
-no decoder accepts is refused when the verifier opens it, without a reader:
-it never enters the list, and its one unit comes last in its round.
+no decoder accepts is never built or opened, never enters the list and takes
+the last unit of its round; while the list is empty, one step charges a run.
 
 The halting search for (m, n) spins up three fair logical threads hunting
 proofs of "halts with yes", "halts with no" and "never halts". It is a
@@ -92,6 +92,12 @@ _REFUSED.step()  # decided ("no") before any search opens it
 
 
 class VerifierOracle:
+    """`first_bytes` None promises nothing; a set, that `open` refuses every
+    candidate that is empty or starts outside it, which a search then charges
+    unbuilt. A subclass that overrides `open` keeps this or sets it to None."""
+
+    first_bytes: Optional[frozenset[int]] = None
+
     def open(self, candidate: bytes, target: Formula) -> OracleRun:
         raise NotImplementedError
 
@@ -100,9 +106,8 @@ class OmegaVerifierOracle(VerifierOracle):
     """The kernel as a stepped oracle: one step to deserialize, one per
     proof step, and one more between consecutive instances of an omega
     step; the last step also settles the target comparison. A candidate
-    whose first byte is no step tag of the decoder is refused at `open`
-    without a reader: its run is already decided no, and a search charges
-    it one unit, the last of its round (`_bfs_units`).
+    whose first byte is no step tag of the decoder (`first_bytes`) is
+    refused at `open` without a reader: its run is already decided no.
 
     With k None it is the finitary kernel, whose decoder refuses omega
     steps. With a k, a yes on a proof containing an omega step means "all
@@ -118,10 +123,10 @@ class OmegaVerifierOracle(VerifierOracle):
         self.k = k
         self.per_instance_budget = per_instance_budget
         self.spans = spans  # the decoder's seed memo (`wire.deserialize_proof`)
+        self.first_bytes = wire.STEP_TAGS if k is None else omega.STEP_TAGS
 
     def open(self, candidate: bytes, target: Formula) -> OracleRun:
-        tags = wire.STEP_TAGS if self.k is None else omega.STEP_TAGS
-        if not candidate or candidate[0] not in tags:
+        if not candidate or candidate[0] not in self.first_bytes:
             return _REFUSED
         return OracleRun(self._verify(candidate, target))
 
@@ -156,28 +161,44 @@ def _bfs_units(
     target: Formula,
     oracle: VerifierOracle,
     max_candidates: int,
-    alphabet: tuple[int, ...],
-) -> Generator[int, None, Optional[tuple[bytes, int]]]:
+    alphabet: tuple[int, ...] = wire.DEFAULT_ALPHABET,
+) -> Generator[int | range, None, Optional[tuple[bytes, int]]]:
     """Triangular dovetailing. Yields the current round number once per
     oracle step taken; the step that elicits a yes is reported by the
     return value (the candidate and its index) instead of a final yield.
 
     A run already decided when it is opened never enters the list of
     undecided runs: its one unit is yielded, or its yes returned, after the
-    round's undecided runs are stepped, where it would come as the newest."""
-    fresh = wire.shortlex(alphabet)
+    round's undecided runs are stepped, where it would come as the newest.
+    A candidate the oracle's `first_bytes` refuses is never built. While no
+    run is undecided, a run of them up to the next block the oracle keeps is
+    one yield, the range of their rounds, one unit each (`wire.shortlex_blocks`)."""
+    blocks = wire.shortlex_blocks(alphabet, oracle.first_bytes)
     live: list[tuple[int, bytes, OracleRun]] = []  # the undecided candidates
-    round_index = 0
+    round_index = end = 0  # end: the round after the current block
     while True:
         decided = None  # the state of this round's candidate, if known at open
         if round_index < max_candidates:
-            data = next(fresh)
-            run_ = oracle.open(data, target)
-            if run_.state == "running":
-                live.append((round_index, data, run_))
-            else:
-                decided = run_.state
-            del run_  # it may be decided later, and only undecided runs are kept
+            if round_index == end:
+                size, fresh = next(blocks)
+                end += size
+            if fresh is not None:
+                data = next(fresh)
+                run_ = oracle.open(data, target)
+                if run_.state == "running":
+                    live.append((round_index, data, run_))
+                else:
+                    decided = run_.state
+                del run_  # it may be decided later, and only undecided runs are kept
+            elif live:
+                decided = "no"
+            else:  # the refused rounds up to the next block the oracle keeps
+                while fresh is None and (stop := end) < max_candidates:
+                    size, fresh = next(blocks)
+                    end += size
+                rest = range(round_index, min(stop, max_candidates))
+                yield rest
+                round_index = rest[-1]  # its last round ends below
         if live:
             still = []
             for entry in live:
@@ -210,21 +231,23 @@ def bfs_search(
     candidate's enumeration index so callers can audit where it was found.
     """
     units = _bfs_units(target, oracle, budget.max_candidates, alphabet)
-    steps = 0
-    rounds = 0
-    while True:
-        if steps >= budget.max_total_oracle_steps:
-            return SearchResult(False, rounds=rounds, steps=steps)
+    limit = budget.max_total_oracle_steps
+    steps = rounds = 0
+    while steps < limit:
         try:
             seen_round = next(units)
         except StopIteration as stop:
-            steps += 1
             if stop.value is None:
-                return SearchResult(False, rounds=rounds, steps=steps - 1)
+                break
             data, index = stop.value
-            return SearchResult(True, index, data, rounds, steps)
+            return SearchResult(True, index, data, rounds, steps + 1)
+        if type(seen_round) is range:  # refused rounds, cut at the budget
+            seen_round = seen_round[: limit - steps]
+            steps += len(seen_round) - 1
+            seen_round = seen_round[-1]
         steps += 1
         rounds = seen_round + 1
+    return SearchResult(False, rounds=rounds, steps=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +365,8 @@ def halting_search(
         )
     if mode == "pure":
         threads = [
-            _bfs_units(
-                targets[i],
-                oracle_factory(i + 1, targets[i]),
-                budget.max_candidates,
-                wire.DEFAULT_ALPHABET,
-            )
-            for i in range(3)
+            _bfs_units(q, oracle_factory(i, q), budget.max_candidates)
+            for i, q in enumerate(targets, 1)
         ]
     else:
         walk = configs(m, n)  # read by the one halting thread without a false body
@@ -358,24 +376,36 @@ def halting_search(
             _witness_halt_thread(walk, m.accept_no, q_no, no_oracle, written),
             _witness_loops_thread(cert, omega_bound, instance_budget, written),
         ]
-    units = [0, 0, 0]
-    finished = [False, False, False]
+    limit = budget.max_total_oracle_steps
+    units, finished = [0, 0, 0], [False, False, False]
+    owed = [0, 0, 0]  # the units left of the refused rounds a thread yielded
     total, winner = 0, None
     for thread in cycle((0, 1, 2)):
         if finished[thread]:
             continue
-        if total >= budget.max_total_oracle_steps:
+        if owed[thread]:  # whole rotations at once, while every thread left owes
+            waiting = [i for i in (0, 1, 2) if not finished[i]]
+            turns = min(min(owed[i] for i in waiting), (limit - total) // len(waiting))
+            for i in waiting:
+                owed[i], units[i] = owed[i] - turns, units[i] + turns
+            total += turns * len(waiting)
+        if total >= limit:
             break
         units[thread] += 1
         total += 1
+        if owed[thread]:
+            owed[thread] -= 1
+            continue
         try:
-            next(threads[thread])
+            seen = next(threads[thread])
         except StopIteration as stop:
             finished[thread] = True
             if stop.value is not None:
                 winner, (found, index) = thread, stop.value
             if winner in (0, 1) or all(finished):
                 break
+        else:
+            owed[thread] = len(seen) - 1 if type(seen) is range else 0
     progress = tuple(map(ThreadProgress, units, finished))
     if winner is None:
         return HOutcome("budget_exhausted", progress=progress)

@@ -406,11 +406,25 @@ def _check_alphabet(alphabet: tuple[int, ...]) -> tuple[int, ...]:
     return alphabet
 
 
+def shortlex_blocks(
+    alphabet: tuple[int, ...] = DEFAULT_ALPHABET, first_bytes: frozenset | None = None
+) -> Iterator[tuple[int, Iterator[bytes] | None]]:
+    """`shortlex` by first-byte blocks, as (size, strings): b'' alone, then
+    each length's strings by first byte. With a set `first_bytes`, b'' and a
+    block whose first byte is outside it have None, and are never built."""
+    alphabet = _check_alphabet(alphabet)
+    kept = frozenset(alphabet) if first_bytes is None else first_bytes
+    blocks = (
+        (len(alphabet) ** n, map(bytes, product((b,), *tails)) if b in kept else None)
+        for n in count() for tails in [(alphabet,) * n] for b in alphabet
+    )
+    return chain([(1, iter((b"",)) if first_bytes is None else None)], blocks)
+
+
 def shortlex(alphabet: tuple[int, ...] = DEFAULT_ALPHABET) -> Iterator[bytes]:
     """All byte strings over `alphabet` in shortlex order, from b'': what
     `proof_at_index` gives for 0, 1, 2, ..., with the alphabet checked once."""
-    alphabet = _check_alphabet(alphabet)
-    return map(bytes, chain.from_iterable(product(alphabet, repeat=n) for n in count()))
+    return chain.from_iterable(block[1] for block in shortlex_blocks(alphabet))
 
 
 def index_of_string(data: bytes, alphabet: tuple[int, ...] = DEFAULT_ALPHABET) -> int:
