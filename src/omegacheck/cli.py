@@ -90,9 +90,10 @@ def _load_machine(path: str) -> machines.MachineDesc:
         raise CliError(f"machine file: {exc}", EXIT_PARSE)
 
 
-def _parse_formula_arg(text: str, memo: dict) -> Formula:
+def _parse_formula_arg(text: str, memo: dict, printed: Optional[Formula]) -> Formula:
+    """`text` as a formula; `printed`, if given, is the formula it prints."""
     try:
-        formula = parse_formula(text, memo)
+        formula = printed or parse_formula(text, memo)
     except SyntaxError_ as exc:
         raise CliError(f"formula: {exc}", EXIT_PARSE)
     unbound = free_vars(formula)
@@ -277,10 +278,21 @@ def cmd_check(args) -> int:
     report = Report(args.format)
     memo: dict = {}  # bracket groups, read once for every text of this check
     gamma = _load_gamma(args.gamma, memo)
-    target = _parse_formula_arg(args.target, memo)
-    proof = _load_omega_proof(args.proof, memo)
+    try:
+        proof = _load_omega_proof(args.proof, memo)
+    except Exception as exc:  # raised after any error in the target, as before
+        proof, failure = None, exc
+    # parse_formula(print_formula(f)) is f, nodes being interned, so a target
+    # that is the print of the proof's conclusion is that conclusion, unparsed.
+    shown = print_formula(proof.target) if proof else None
+    printed = proof.target if shown == args.target else None
+    target = _parse_formula_arg(args.target, memo, printed)
+    if proof is None:
+        raise failure
+    if target is not proof.target:
+        shown = print_formula(target)
     report.add("proof", args.proof)
-    report.add("target", print_formula(target))
+    report.add("target", shown)
     report.add("k", args.k)
     report.add("instance-budget", args.instance_budget)
     verdict = kernel._drain(

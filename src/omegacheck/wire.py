@@ -397,13 +397,17 @@ DEFAULT_ALPHABET: tuple[int, ...] = tuple(range(256))
 
 
 def _check_alphabet(alphabet: tuple[int, ...]) -> tuple[int, ...]:
-    if (
+    if alphabet is not DEFAULT_ALPHABET and (
         not all(isinstance(b, int) and 0 <= b <= 255 for b in alphabet)
         or len(alphabet) < 2
         or sorted(set(alphabet)) != list(alphabet)
     ):
         raise ValueError("alphabet must be >= 2 distinct sorted byte values")
     return alphabet
+
+
+# The default is checked here, once and in full: a copy is not the default.
+_check_alphabet(list(DEFAULT_ALPHABET))
 
 
 def shortlex_blocks(

@@ -388,6 +388,57 @@ def test_unbound_target_variables_warned(tmp_path, capsys):
     assert "unbound" in err
 
 
+# `check` loads the proof before it reads the target, but reports as if it did
+# not: a target error first, and the unbound-variable warning before the
+# proof's error or report.
+
+
+def test_a_bad_target_is_reported_before_a_missing_proof(tmp_path, capsys):
+    missing = tmp_path / "missing.proof"
+    code, out, err = run_cli(capsys, "check", str(missing), "--target", "0 = ?")
+    assert (code, out) == (4, "")
+    assert err == "formula: unexpected character '?' (at position 4)\n"
+
+
+def test_an_unbound_target_is_warned_of_before_the_proof_error(tmp_path, capsys):
+    proof = tmp_path / "p.proof"
+    proof.write_bytes(b"\xff")
+    code, out, err = run_cli(capsys, "check", str(proof), "--target", "x = x")
+    assert (code, out) == (4, "")
+    assert err == (
+        "warning: unbound variables in formula: x\n"
+        "proof file: neither valid binary nor text\n"
+    )
+
+
+def test_a_target_that_is_the_printed_conclusion_still_warns(tmp_path, capsys):
+    proof = tmp_path / "p.proof"
+    proof.write_text("1. x = x BY eval\n")
+    argv = ["check", str(proof), "--target", "x = x", "--format", "records"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "target=x = x" in out.splitlines()
+    assert err == "warning: unbound variables in formula: x\n"
+
+
+def test_a_target_that_is_the_printed_conclusion_is_not_parsed(
+    tmp_path, capsys, monkeypatch
+):
+    proof = make_proof([ProofStep(parse_formula("S(0) = S(0)"), RULE_EVAL_TRUE)])
+    path = tmp_path / "p.opb"
+    path.write_bytes(serialize_proof(proof))
+    parsed = []
+    monkeypatch.setattr(
+        "omegacheck.cli.parse_formula",
+        lambda text, memo=None: parsed.append(text) or parse_formula(text, memo),
+    )
+    for target in ["S(0) = S(0)", " S(0) = S(0)", "S(0)  = S(0)"]:
+        code, out, _ = run_cli(capsys, "check", str(path), "--target", target)
+        assert code == 0
+        assert "target: S(0) = S(0)" in out.splitlines()
+    assert parsed == [" S(0) = S(0)", "S(0)  = S(0)"]
+
+
 def test_analysis_failure_reported_as_encoding_limit(tmp_path, capsys):
     walker = tmp_path / "walker.tm"
     walker.write_text(

@@ -10,7 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_formula
 from omegacheck import syntax
-from omegacheck.arithmetize import halted_by_formula
+from omegacheck.arithmetize import (
+    halted_by_formula,
+    halts_no_formula,
+    halts_yes_formula,
+)
+from omegacheck.dovetail import existence_proof
 from omegacheck.kernel import (
     Proof,
     ProofStep,
@@ -19,8 +24,13 @@ from omegacheck.kernel import (
     check_proof,
     make_proof,
 )
-from omegacheck.machines import CORPUS, LOOP
-from omegacheck.omega import build_loops_certificate
+from omegacheck.machines import CORPUS, LOOP, run
+from omegacheck.omega import (
+    OmegaProof,
+    build_loops_certificate,
+    deserialize_omega_proof,
+    serialize_omega_proof,
+)
 from omegacheck.syntax import (
     Add,
     And,
@@ -45,7 +55,13 @@ from omegacheck.syntax import (
     print_formula,
     substitute,
 )
-from omegacheck.wire import Reader, decode_formula, encode_formula, serialize_proof
+from omegacheck.wire import (
+    Reader,
+    decode_formula,
+    deserialize_proof,
+    encode_formula,
+    serialize_proof,
+)
 
 
 def _table_size() -> int:
@@ -148,11 +164,31 @@ def test_generalizing_over_a_non_name_is_a_rule_mismatch():
     assert (verdict.step, verdict.reason) == (1, "rule-mismatch")
 
 
+def corpus_conclusions(top: int = 3) -> list:
+    """The step conclusions of every corpus witness proof and loops
+    certificate for n <= top, as decoded from their files' bytes: wide
+    tableaux, numerals and nested bounded quantifiers."""
+    out = []
+    for m in CORPUS.values():
+        for n in range(top + 1):
+            result = run(m, n, 10_000)
+            if result.outcome in ("yes", "no"):
+                yes = result.outcome == "yes"
+                target = (halts_yes_formula if yes else halts_no_formula)(m, n)
+                proof = existence_proof(target.body, target.var, result.steps)
+                out += deserialize_proof(serialize_proof(proof)).steps
+            cert = build_loops_certificate(m, n)
+            data = serialize_omega_proof(OmegaProof((cert,), cert.conclusion))
+            out += deserialize_omega_proof(data).steps
+    return list({id(s.conclusion): s.conclusion for s in out}.values())
+
+
 def test_roundtrips_give_back_the_same_object():
-    # The formulas of acceptance criterion 8.
+    # The formulas of acceptance criterion 8, and the conclusions `check`
+    # compares a target's text with.
     rng = random.Random(808)
-    for _ in range(1000):
-        f = random_formula(rng, rng.randrange(1, 4))
+    formulas = [random_formula(rng, rng.randrange(1, 4)) for _ in range(1000)]
+    for f in formulas + corpus_conclusions():
         assert parse_formula(print_formula(f)) is f
         data = bytes(encode_formula(f, bytearray()))
         assert decode_formula(Reader(data)) is f

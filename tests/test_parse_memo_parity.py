@@ -14,9 +14,10 @@ import pytest
 from conftest import random_formula, random_term
 from test_parse_parity import mutate, random_text
 from omegacheck import cli, syntax
-from omegacheck.arithmetize import halts_no_formula, halts_yes_formula
+from omegacheck.arithmetize import halts_no_formula, halts_yes_formula, loops_formula
 from omegacheck.dovetail import existence_proof
 from omegacheck.machines import CORPUS, run
+from omegacheck.omega import OmegaProof, build_loops_certificate, serialize_omega_proof
 from omegacheck.syntax import (
     _INFIX,
     _KEYWORDS,
@@ -38,6 +39,7 @@ from omegacheck.syntax import (
     print_formula,
     print_term,
 )
+from omegacheck.wire import serialize_proof
 
 _OLD_TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:S\()+0\)+)|(?P<sym>->|<=|[()=~&|.+*0])"
@@ -295,6 +297,33 @@ def check_report(argv) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
+def corpus_checks(tmp_path, top: int = 2) -> list[tuple[str, str, str]]:
+    """(machine, proof file, target text) for the corpus witness proofs, as
+    binary and as text, and the loops certificates, for n <= top."""
+    checks = []
+    for name, m in CORPUS.items():
+        for n in range(top + 1):
+            stem = tmp_path / f"{name}{n}"
+            case = witness(m, n)
+            if case is not None:
+                target_text, text, proof = case
+                stem.with_suffix(".bin").write_bytes(serialize_proof(proof))
+                stem.with_suffix(".txt").write_text(text, encoding="utf-8")
+                checks += [(name, f"{stem}.{s}", target_text) for s in ("bin", "txt")]
+            cert = build_loops_certificate(m, n)
+            proof = OmegaProof((cert,), cert.conclusion)
+            stem.with_suffix(".oob").write_bytes(serialize_omega_proof(proof))
+            checks.append((name, f"{stem}.oob", print_formula(loops_formula(m, n))))
+    return checks
+
+
+def respaced(target_text: str) -> list[str]:
+    """Texts that read as the target but are not its print: a leading space,
+    and a doubled space after the first `&` (or `|` where there is none)."""
+    op = "& " if "& " in target_text else "| "
+    return [" " + target_text, target_text.replace(op, op[0] + "  ", 1)]
+
+
 def test_check_reports_as_before(tmp_path, monkeypatch):
     target_text, text, _ = next(w for w in witness_texts(3) if len(w[1]) > 80_000)
     late = text.rindex("d2_1")
@@ -312,11 +341,22 @@ def test_check_reports_as_before(tmp_path, monkeypatch):
     gamma = tmp_path / "gamma"
     gamma.write_text(f"{target_text}\n{target_text}\n", encoding="utf-8")
     argvs.append(argvs[0] + ["--gamma", str(gamma)])
+    # A re-spaced target is parsed, not taken for the proof's conclusion, and
+    # must report as the printed conclusion does; another machine's target
+    # must report as it does under the copied parser.
+    checks = corpus_checks(tmp_path)
+    for name, path, printed in checks:
+        argv = ["check", path, "--k", "12", "--format", "records", "--target"]
+        canonical = check_report(argv + [printed])
+        assert [check_report(argv + [t]) for t in respaced(printed)] == [canonical] * 2
+        other = next(t for m, _, t in checks if m != name)
+        argvs.append(argv + [other])
     reports = [check_report(argv) for argv in argvs]
     with monkeypatch.context() as patched:
         patched.setattr(syntax, "_parse", reference)
         want = [check_report(argv) for argv in argvs]
-    assert [code for code, _, _ in want] == [0, 0, 2, 2, 4, 4, 4, 4, 0]
+    assert [code for code, _, _ in want[:9]] == [0, 0, 2, 2, 4, 4, 4, 4, 0]
+    assert {code for code, _, _ in want[9:]} == {2}
     assert reports == want
 
 
