@@ -6,7 +6,7 @@ uniform so shell harnesses can assert outcomes:
     0  accepted / decided / emitted
     2  rejected / answered no
     3  budget or step limit exhausted / timeout
-    4  unparseable input (position reported where available), usage errors
+    4  unparseable or unreadable input (position where available), usage errors
     5  encoding limits exceeded
 
 Reports are line oriented. With --format records every line is `key=value`
@@ -80,7 +80,10 @@ def _read_file(path: str) -> bytes:
     p = Path(path)
     if not p.is_file():
         raise CliError(f"no such file: {path}", EXIT_PARSE)
-    return p.read_bytes()
+    try:
+        return p.read_bytes()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}", EXIT_PARSE) from None
 
 
 def _load_machine(path: str) -> machines.MachineDesc:
@@ -280,7 +283,7 @@ def cmd_check(args) -> int:
     gamma = _load_gamma(args.gamma, memo)
     try:
         proof = _load_omega_proof(args.proof, memo)
-    except Exception as exc:  # raised after any error in the target, as before
+    except CliError as exc:  # raised after any error in the target, as before
         proof, failure = None, exc
     # parse_formula(print_formula(f)) is f, nodes being interned, so a target
     # that is the print of the proof's conclusion is that conclusion, unparsed.

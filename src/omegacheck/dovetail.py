@@ -5,9 +5,9 @@ The search enumerates candidate byte strings in shortlex order and runs the
 verifier on them triangularly: in round r, candidate r joins, and every
 undecided candidate receives one verifier step, oldest first; a decided one
 leaves the list and takes no more units. This keeps a candidate the verifier
-diverges on from blocking everything behind it. A candidate whose first byte
-no decoder accepts is never built or opened, never enters the list and takes
-the last unit of its round; while the list is empty, one step charges a run.
+diverges on from blocking everything behind it. A candidate outside the
+oracle's `first_bytes` is never built or opened and takes the last unit of
+its round; while the list is empty, one step charges a run of them.
 
 The halting search for (m, n) spins up three fair logical threads hunting
 proofs of "halts with yes", "halts with no" and "never halts". It is a
@@ -87,14 +87,10 @@ class OracleRun:
         return self.state
 
 
-_REFUSED = OracleRun(iter(()))  # the one run of every refused candidate,
-_REFUSED.step()  # decided ("no") before any search opens it
-
-
 class VerifierOracle:
-    """`first_bytes` None promises nothing; a set, that `open` refuses every
-    candidate that is empty or starts outside it, which a search then charges
-    unbuilt. A subclass that overrides `open` keeps this or sets it to None."""
+    """`first_bytes` None promises nothing; a set, that the run of a candidate
+    that is empty or starts outside it answers no at its first step, so a
+    search charges that one unit without building the candidate."""
 
     first_bytes: Optional[frozenset[int]] = None
 
@@ -106,8 +102,8 @@ class OmegaVerifierOracle(VerifierOracle):
     """The kernel as a stepped oracle: one step to deserialize, one per
     proof step, and one more between consecutive instances of an omega
     step; the last step also settles the target comparison. A candidate
-    whose first byte is no step tag of the decoder (`first_bytes`) is
-    refused at `open` without a reader: its run is already decided no.
+    that is empty or starts with no step tag of the decoder (`first_bytes`)
+    does not decode, so its first step answers no.
 
     With k None it is the finitary kernel, whose decoder refuses omega
     steps. With a k, a yes on a proof containing an omega step means "all
@@ -126,8 +122,6 @@ class OmegaVerifierOracle(VerifierOracle):
         self.first_bytes = wire.STEP_TAGS if k is None else omega.STEP_TAGS
 
     def open(self, candidate: bytes, target: Formula) -> OracleRun:
-        if not candidate or candidate[0] not in self.first_bytes:
-            return _REFUSED
         return OracleRun(self._verify(candidate, target))
 
     def _verify(self, candidate: bytes, target: Formula):
@@ -167,31 +161,26 @@ def _bfs_units(
     oracle step taken; the step that elicits a yes is reported by the
     return value (the candidate and its index) instead of a final yield.
 
-    A run already decided when it is opened never enters the list of
-    undecided runs: its one unit is yielded, or its yes returned, after the
-    round's undecided runs are stepped, where it would come as the newest.
-    A candidate the oracle's `first_bytes` refuses is never built. While no
-    run is undecided, a run of them up to the next block the oracle keeps is
-    one yield, the range of their rounds, one unit each (`wire.shortlex_blocks`)."""
+    Each opened run joins the list as the newest of its round, even one that
+    a caller's oracle opens decided, whose step only answers. A candidate the
+    oracle's `first_bytes` refuses is never built; it takes the last unit of
+    its round. While no run is undecided, a run of them up to the next block
+    the oracle keeps is one yield, the range of their rounds, one unit each
+    (`wire.shortlex_blocks`)."""
     blocks = wire.shortlex_blocks(alphabet, oracle.first_bytes)
-    live: list[tuple[int, bytes, OracleRun]] = []  # the undecided candidates
+    live: list[tuple[int, bytes, OracleRun]] = []  # the runs still to answer
     round_index = end = 0  # end: the round after the current block
     while True:
-        decided = None  # the state of this round's candidate, if known at open
+        refused = False  # this round's candidate, unbuilt, takes its last unit
         if round_index < max_candidates:
             if round_index == end:
                 size, fresh = next(blocks)
                 end += size
             if fresh is not None:
                 data = next(fresh)
-                run_ = oracle.open(data, target)
-                if run_.state == "running":
-                    live.append((round_index, data, run_))
-                else:
-                    decided = run_.state
-                del run_  # it may be decided later, and only undecided runs are kept
+                live.append((round_index, data, oracle.open(data, target)))
             elif live:
-                decided = "no"
+                refused = True
             else:  # the refused rounds up to the next block the oracle keeps
                 while fresh is None and (stop := end) < max_candidates:
                     size, fresh = next(blocks)
@@ -210,9 +199,7 @@ def _bfs_units(
                     still.append(entry)
             live = still
             del entry  # it may be decided, and only undecided runs are kept
-        if decided == "yes":
-            return (data, round_index)
-        if decided is not None:
+        if refused:
             yield round_index
         round_index += 1
         if not live and round_index >= max_candidates:

@@ -27,7 +27,7 @@ from types import SimpleNamespace
 from typing import Optional
 
 from . import wire
-from .arithmetize import loops_formula
+from .arithmetize import EncodingOverflow, loops_formula
 from .kernel import (
     DEFAULT_INSTANCE_BUDGET,
     Proof,
@@ -322,6 +322,8 @@ def _encode_step(s, out: bytearray, spans: dict | None = None) -> None:
     out.append(_PM_LOOPS)
     out += len(text).to_bytes(4, "big")
     out += text
+    if s.premise_machine.input_n >= 1 << 32:
+        raise EncodingOverflow(f"input {s.premise_machine.input_n} is over a u32")
     out += s.premise_machine.input_n.to_bytes(4, "big")
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from omegacheck.cli import main, parse_proof_text, proof_to_text
@@ -437,6 +439,41 @@ def test_a_target_that_is_the_printed_conclusion_is_not_parsed(
         assert code == 0
         assert "target: S(0) = S(0)" in out.splitlines()
     assert parsed == [" S(0) = S(0)", "S(0)  = S(0)"]
+
+
+@pytest.mark.parametrize("unreadable", ["proof", "gamma", "machine"])
+def test_a_file_that_cannot_be_read_exits_4(
+    machine_files, tmp_path, capsys, monkeypatch, unreadable
+):
+    files = {"proof": tmp_path / "p.proof", "gamma": tmp_path / "gamma.txt"}
+    files["proof"].write_text("1. 0 = 0 BY eval\n")
+    files["gamma"].write_text("0 = 0\n")
+    files["machine"] = Path(machine_files["loop"])
+    path, read_bytes = files[unreadable], Path.read_bytes
+
+    def refuse(self):
+        if self == path:
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    check = ["check", str(files["proof"]), "--gamma", str(files["gamma"])]
+    if unreadable == "machine":
+        argv = ["simulate", str(path), "0"]
+    else:
+        argv = check + ["--target", "0 = 0"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (4, "", f"cannot read {path}: Permission denied\n")
+    if unreadable == "proof":  # a bad target is still reported first
+        code, out, err = run_cli(capsys, *check, "--target", "0 = ?")
+        assert (code, out) == (4, "")
+        assert err == "formula: unexpected character '?' (at position 4)\n"
+
+
+def test_a_missing_file_is_reported_as_before(tmp_path, capsys):
+    missing = tmp_path / "missing.tm"
+    code, out, err = run_cli(capsys, "simulate", str(missing), "0")
+    assert (code, out, err) == (4, "", f"no such file: {missing}\n")
 
 
 def test_analysis_failure_reported_as_encoding_limit(tmp_path, capsys):

@@ -1,15 +1,11 @@
 import hashlib
 import itertools
-import os
 import random
-import subprocess
-import sys
 import weakref
-from pathlib import Path
 
 import pytest
 
-from omegacheck import arithmetize, dovetail, wire
+from omegacheck import arithmetize, dovetail
 from omegacheck.arithmetize import halts_no_formula, halts_yes_formula, loops_formula
 from omegacheck.dovetail import (
     HOutcome,
@@ -729,38 +725,3 @@ def test_oracle_answers_as_without_the_first_byte_refusal(k):
         != answers(OracleRun(old_verify(k, data, target)))
     ]
     assert differ == []
-
-
-def test_oracle_refuses_a_first_byte_without_the_decoder(monkeypatch):
-    # Every refused candidate gets one shared run, which answers no on its
-    # first step and never reaches a decoder.
-    def fail(data):
-        raise AssertionError("decoded")
-
-    monkeypatch.setattr(wire, "deserialize_proof", fail)
-    monkeypatch.setattr(dovetail, "deserialize_omega_proof", fail)
-    refused = OmegaVerifierOracle(k=50).open(b"\x29\x00", TRUTH)
-    assert refused.step() == "no"
-    assert OmegaVerifierOracle(k=None).open(b"", TRUTH) is refused
-    assert OmegaVerifierOracle(k=None).open(b"\x30" + CANONICAL, TRUTH) is refused
-    assert OmegaVerifierOracle(k=50).open(b"\x00" + CANONICAL, TRUTH) is refused
-    assert refused.step() == "no"
-
-
-def test_a_refused_run_is_decided_in_a_fresh_interpreter():
-    # In this process an earlier test may have stepped the shared run, so the
-    # state is read in a new interpreter, before any search has run.
-    probe = (
-        "from omegacheck.dovetail import OmegaVerifierOracle; "
-        "from omegacheck.syntax import parse_formula; "
-        "print(OmegaVerifierOracle(k=None).open(b'', parse_formula('0 = 0')).state)"
-    )
-    source = Path(dovetail.__file__).parents[1]
-    done = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=dict(os.environ, PYTHONPATH=str(source)),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "no\n", "")

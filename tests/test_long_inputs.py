@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import omegacheck
-from omegacheck.machines import ALWAYS_YES, EVEN, LOOP, machine_to_text
+from omegacheck.machines import ALWAYS_YES, EVEN, LOOP, MachineDesc, machine_to_text
 
 resource = pytest.importorskip("resource")
 
@@ -34,11 +34,17 @@ def _cap_address_space():
         (("hsearch", "even.tm", "10000000"), 5, "encoding failed:"),
         (("omega-check", "loop.tm", "20000", "--k", "3"), 5, "encoding failed:"),
         (("hsearch", "always_yes.tm", "100000000"), 5, "encoding overflow:"),
+        # A loops certificate writes its input as a u32.
+        (("hsearch", "stuck.tm", str(2**32), "--k", "3"), 5, "encoding overflow:"),
+        (("hsearch", "stuck.tm", str(2**32 - 1), "--k", "3"), 0, ""),
         (("omega-check", "loop.tm", "2000", "--k", "3"), 0, ""),
     ],
 )
 def test_a_long_input_exits_with_a_documented_code(tmp_path, argv, code, stderr):
-    for name, m in (("even", EVEN), ("loop", LOOP), ("always_yes", ALWAYS_YES)):
+    stuck = MachineDesc((), "q", "Y", "N")  # no transitions
+    for name, m in (
+        ("even", EVEN), ("loop", LOOP), ("always_yes", ALWAYS_YES), ("stuck", stuck)
+    ):
         (tmp_path / f"{name}.tm").write_text(machine_to_text(m))
     env = dict(os.environ, PYTHONPATH=str(Path(omegacheck.__file__).parents[1]))
     done = subprocess.run(

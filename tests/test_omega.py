@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from omegacheck.arithmetize import loops_formula
+from omegacheck.arithmetize import EncodingOverflow, loops_formula
 from omegacheck.dovetail import OmegaVerifierOracle
 from omegacheck.kernel import Proof, ProofStep, RULE_EVAL_TRUE, check_proof, make_proof
 from omegacheck import machines, omega, wire
@@ -293,6 +293,19 @@ def test_certificate_input_does_not_set_the_memory_used():
         tracemalloc.stop()
     assert (verdict.kind, verdict.instance) == ("budget_exhausted", 3)
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("n, fits", [(2**32 - 1, True), (2**32, False)])
+def test_a_certificate_input_over_a_u32_is_an_encoding_overflow(n, fits):
+    # The wire writes the input as a u32: a larger one cannot be written.
+    cert = build_loops_certificate(MachineDesc((), "q", "Y", "N"), n)
+    proof = OmegaProof((cert,), cert.conclusion)
+    if fits:
+        back = deserialize_omega_proof(serialize_omega_proof(proof))
+        assert back.steps[0].premise_machine.input_n == n
+    else:
+        with pytest.raises(EncodingOverflow, match=str(n)):
+            serialize_omega_proof(proof)
 
 
 def test_rejected_certificate_for_even_reports_halt_point():

@@ -1,6 +1,7 @@
 """A search charges a run of refused candidates in one step, without building
 them. Every result must be the one the search gets when each candidate is
-built and opened, which is what an oracle with `first_bytes` None gets."""
+built and opened, which is what an oracle with `first_bytes` None gets, and
+the search must never open a candidate outside the oracle's `first_bytes`."""
 
 import functools
 import itertools
@@ -47,6 +48,19 @@ class EveryCandidate(VerifierOracle):
         return self.oracle.open(candidate, target)
 
 
+class KeptOnly(VerifierOracle):
+    """The oracle it wraps, with its `first_bytes`, failing on a candidate
+    that is empty or starts outside them: a search never opens one."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.first_bytes = oracle.first_bytes
+
+    def open(self, candidate, target):
+        assert candidate and candidate[0] in self.first_bytes, candidate
+        return self.oracle.open(candidate, target)
+
+
 def test_pure_halting_search_charges_as_when_every_candidate_is_opened(monkeypatch):
     # The statements do not depend on the budget: each pair's are built once.
     statements = functools.cache(dovetail.halting_statements)
@@ -55,6 +69,10 @@ def test_pure_halting_search_charges_as_when_every_candidate_is_opened(monkeypat
     def every_candidate(thread, _target):
         k = DEFAULT_OMEGA_BOUND if thread == 3 else None
         return EveryCandidate(OmegaVerifierOracle(k))
+
+    def kept_only(thread, _target):
+        k = DEFAULT_OMEGA_BOUND if thread == 3 else None
+        return KeptOnly(OmegaVerifierOracle(k))
 
     steps = (1, 2, 3, 33, 34, 100, 257, 258, 771, 772, 3000, 20000, 20001)
     candidates = (1, 2, 33, 258, 1000, 20000)
@@ -66,7 +84,8 @@ def test_pure_halting_search_charges_as_when_every_candidate_is_opened(monkeypat
             opened = halting_search(
                 m, n, budget, mode="pure", oracle_factory=every_candidate
             )
-            if fast != opened:
+            kept = halting_search(m, n, budget, mode="pure", oracle_factory=kept_only)
+            if not fast == opened == kept:
                 differ.append((name, n, s, c))
     assert differ == []
 
@@ -120,7 +139,12 @@ def test_bfs_search_charges_as_when_every_candidate_is_opened(k):
         for budget in budgets:
             fast = bfs_search(target, OmegaVerifierOracle(k), budget, alphabet)
             opened = EveryCandidate(OmegaVerifierOracle(k))
-            if fast != bfs_search(target, opened, budget, alphabet):
+            kept = KeptOnly(OmegaVerifierOracle(k))
+            if not (
+                fast
+                == bfs_search(target, opened, budget, alphabet)
+                == bfs_search(target, kept, budget, alphabet)
+            ):
                 differ.append((text, alphabet, budget))
     assert differ == []
 
@@ -145,11 +169,15 @@ def test_a_run_of_refused_candidates_is_one_yield_across_blocks():
 def test_the_oracle_refuses_exactly_outside_its_first_bytes(k):
     oracle = OmegaVerifierOracle(k)
     assert oracle.first_bytes == (wire.STEP_TAGS if k is None else omega.STEP_TAGS)
-    wrong = [
-        data
+    # Each candidate that is empty or starts outside them answers no at once.
+    refused = [
+        (data, target)
         for data, target in parity_inputs()
-        if (oracle.open(data, target) is dovetail._REFUSED)
-        != (not data or data[0] not in oracle.first_bytes)
+        if not data or data[0] not in oracle.first_bytes
+    ]
+    assert refused
+    wrong = [
+        data for data, target in refused if oracle.open(data, target).step() != "no"
     ]
     assert wrong == []
 
