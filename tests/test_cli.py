@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from omegacheck.arithmetize import halts_no_formula, halts_yes_formula, loops_formula
 from omegacheck.cli import main, parse_proof_text, proof_to_text
 from omegacheck.kernel import (
     ProofStep,
@@ -14,6 +15,7 @@ from omegacheck.kernel import (
 from omegacheck.omega import OmegaProof, build_loops_certificate, serialize_omega_proof
 from omegacheck.machines import (
     ALWAYS_YES,
+    CORPUS,
     EVEN,
     LOOP,
     MachineDesc,
@@ -194,6 +196,18 @@ def test_encode_q3_is_pi1(machine_files, capsys):
     f = parse_formula(out.strip())
     assert isinstance(f, ForAll)
     assert is_delta0(f.body)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_encode_prints_the_librarys_statements(tmp_path, capsys, name):
+    m, path = CORPUS[name], tmp_path / "m.tm"
+    path.write_text(machine_to_text(m))
+    statements = {"q1": halts_yes_formula, "q2": halts_no_formula, "q3": loops_formula}
+    for n in (0, 2):
+        for which, statement in statements.items():
+            argv = ["encode", str(path), str(n), which, "--format", "records"]
+            expected = f"formula={print_formula(statement(m, n))}\n"
+            assert run_cli(capsys, *argv) == (0, expected, ""), (which, n)
 
 
 def test_encode_haltedby_true_by_simulator(machine_files, capsys):
@@ -400,6 +414,31 @@ def test_a_bad_target_is_reported_before_a_missing_proof(tmp_path, capsys):
     code, out, err = run_cli(capsys, "check", str(missing), "--target", "0 = ?")
     assert (code, out) == (4, "")
     assert err == "formula: unexpected character '?' (at position 4)\n"
+
+
+@pytest.mark.parametrize(
+    "gamma, proof, target, first",
+    [
+        ("missing", "missing", "0 = ?", "gamma"),
+        (None, "missing", "0 = ?", "target"),
+        ("readable", "missing", "0 = 0", "proof"),
+    ],
+)
+def test_check_reports_gamma_then_target_then_proof(
+    tmp_path, capsys, gamma, proof, target, first
+):
+    files = {name: tmp_path / f"{name}.txt" for name in ("gamma", "proof")}
+    if gamma == "readable":
+        files["gamma"].write_text("0 = 0\n")
+    argv = ["check", str(files["proof"]), "--target", target]
+    if gamma is not None:
+        argv += ["--gamma", str(files["gamma"])]
+    errors = {
+        "gamma": f"no such file: {files['gamma']}\n",
+        "target": "formula: unexpected character '?' (at position 4)\n",
+        "proof": f"no such file: {files['proof']}\n",
+    }
+    assert run_cli(capsys, *argv) == (4, "", errors[first])
 
 
 def test_an_unbound_target_is_warned_of_before_the_proof_error(tmp_path, capsys):

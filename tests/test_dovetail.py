@@ -652,6 +652,32 @@ def test_a_held_loops_answer_is_returned_when_the_budget_ends():
     assert progress == ((23, False), (1, True), (6, True))
 
 
+class NoAtSecondStep(VerifierOracle):
+    def open(self, candidate, target):
+        def work():
+            yield
+            return False
+
+        return OracleRun(work())
+
+
+@pytest.mark.parametrize(
+    "name, n, progress",
+    [
+        ("BUSY3", 2, ((13, True), (1, True), (12, True))),
+        ("EVEN", 3, ((1, True), (7, True), (6, True))),
+    ],
+)
+def test_a_witness_the_oracle_refuses_ends_its_thread(name, n, progress):
+    # The walk's units, then the oracle's two steps on the witness proof; the
+    # loops thread is refused at the run's halt, so no thread answers.
+    factory = lambda thread, _target: NoAtSecondStep()
+    outcome = halting_search(CORPUS[name], n, oracle_factory=factory)
+    assert outcome == HOutcome(
+        "budget_exhausted", progress=tuple(ThreadProgress(*p) for p in progress)
+    )
+
+
 @pytest.mark.parametrize("name, n", [("BUSY3", 2), ("EVEN", 1)])
 def test_a_callers_oracle_sees_the_unseeded_candidates(name, n):
     # A caller's oracle gets no seed memo, and the candidate it sees is the

@@ -22,7 +22,12 @@ from omegacheck.kernel import ProofStep, RULE_EVAL_TRUE, make_proof
 from omegacheck.machines import CORPUS, LOOP
 from omegacheck.omega import DEFAULT_OMEGA_BOUND
 from omegacheck.syntax import parse_formula
-from omegacheck.wire import DEFAULT_ALPHABET, serialize_proof, shortlex
+from omegacheck.wire import (
+    DEFAULT_ALPHABET,
+    index_of_string,
+    serialize_proof,
+    shortlex,
+)
 from test_dovetail import TRUTH, parity_inputs
 
 # The benchmark's restricted searches: each target's one-step eval proof is
@@ -163,6 +168,51 @@ def test_a_run_of_refused_candidates_is_one_yield_across_blocks():
     # A candidate budget inside a run cuts it there.
     units = dovetail._bfs_units(TRUTH, RealProofOracle(), 20)
     assert list(units) == [range(0, 20)]
+
+
+class ByteOneRuns(VerifierOracle):
+    """Over the alphabet (0, 1), a candidate i that starts with 1 answers at
+    its step 1 + i % 4, yes on b'\\x01' * 5 only; any other answers no at its
+    first step. Logs each candidate it opens."""
+
+    def __init__(self, first_bytes):
+        self.first_bytes = first_bytes
+        self.opened = []
+
+    def open(self, candidate, target):
+        self.opened.append(candidate)
+
+        def work():
+            if candidate[:1] == b"\x01":
+                for _ in range(index_of_string(candidate, (0, 1)) % 4):
+                    yield
+            return candidate == b"\x01" * 5
+
+        return OracleRun(work())
+
+
+def unit_rounds(oracle, max_candidates):
+    """The round of each unit the dovetail yields, a run of refused rounds
+    one by one."""
+    units = dovetail._bfs_units(TRUTH, oracle, max_candidates, (0, 1))
+    return [r for seen in units for r in (seen if type(seen) is range else (seen,))]
+
+
+def test_a_refused_candidate_takes_its_unit_while_runs_are_live():
+    # Candidates that start with 0 are refused between the live runs of those
+    # that start with 1, and each takes the last unit of its round.
+    refusing, opening = ByteOneRuns(frozenset({1})), ByteOneRuns(None)
+    assert unit_rounds(refusing, 100) == unit_rounds(opening, 100)
+    assert all(data[:1] == b"\x01" for data in refusing.opened)
+    found = bfs_search(TRUTH, ByteOneRuns(None), SearchBudget(120, 100), (0, 1))
+    assert found.found and found.steps < 120
+    for steps in range(1, 121):
+        budget = SearchBudget(steps, 100)
+        refusing = ByteOneRuns(frozenset({1}))
+        assert bfs_search(TRUTH, refusing, budget, (0, 1)) == bfs_search(
+            TRUTH, ByteOneRuns(None), budget, (0, 1)
+        )
+        assert all(data[:1] == b"\x01" for data in refusing.opened)
 
 
 @pytest.mark.parametrize("k", [None, 50], ids=["finitary", "k=50"])
