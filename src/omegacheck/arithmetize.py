@@ -76,6 +76,7 @@ class RunAnalysisError(Exception):
 
 
 FALSE_SENTENCE: Formula = Le(Succ(ZERO), ZERO)  # 1 <= 0
+NEVER: Formula = Le(Succ(Var(LOOPS_VAR)), Var(LOOPS_VAR))  # false at every t
 
 
 # ---------------------------------------------------------------------------
@@ -330,45 +331,34 @@ def analyze_run(m: MachineDesc, n: int) -> Optional[tuple[str, int]]:
     return None
 
 
+def halting_statements(m: MachineDesc, n: int) -> tuple[Formula, Formula, Formula]:
+    """The halts-yes, halts-no and loops formulas, from one analysis of the
+    run. For a run that halts with an outcome at step u, that outcome's body
+    is `u <= t & <digit tableau at u>`; any other halting body is `NEVER`."""
+    halt = analyze_run(m, n)
+    yes = no = NEVER
+    if halt is not None:
+        outcome, u = halt
+        body = And(Le(numeral(u), Var(LOOPS_VAR)), halted_by_formula(m, n, u, outcome))
+        yes, no = (body, NEVER) if outcome == "yes" else (NEVER, body)
+    loops = ForAll(LOOPS_VAR, Not(Or(yes, no)))
+    return Exists(LOOPS_VAR, yes), Exists(LOOPS_VAR, no), loops
+
+
 def halting_body(m: MachineDesc, n: int, outcome: str) -> Formula:
-    """Open formula in `t`: the run halts with `outcome` within t steps.
-
-    For a run that halts this way at step u the body is
-    `u <= t & <digit tableau at u>`; otherwise it is `t + 1 <= t`, false
-    at every numeral.
-    """
-    return _halting_body(m, n, outcome, analyze_run(m, n))
-
-
-def _halting_body(
-    m: MachineDesc, n: int, outcome: str, halt: Optional[tuple[str, int]]
-) -> Formula:
-    """`halting_body` for the run's halt, as `analyze_run` gives it."""
-    t = Var(LOOPS_VAR)
-    if halt is not None and halt[0] == outcome:
-        u = halt[1]
-        return And(Le(numeral(u), t), halted_by_formula(m, n, u, outcome))
-    return Le(Succ(t), t)
+    """Open formula in `t`: the run halts with `outcome` within t steps."""
+    return halting_statements(m, n)[("yes", "no").index(outcome)].body
 
 
 def halts_yes_formula(m: MachineDesc, n: int) -> Formula:
     """One unbounded exists over a bounded body: the run halts with yes."""
-    return Exists(LOOPS_VAR, halting_body(m, n, "yes"))
+    return halting_statements(m, n)[0]
 
 
 def halts_no_formula(m: MachineDesc, n: int) -> Formula:
-    return Exists(LOOPS_VAR, halting_body(m, n, "no"))
+    return halting_statements(m, n)[1]
 
 
 def loops_formula(m: MachineDesc, n: int) -> Formula:
     """One unbounded forall over a bounded body: the run never halts."""
     return halting_statements(m, n)[2]
-
-
-def halting_statements(m: MachineDesc, n: int) -> tuple[Formula, Formula, Formula]:
-    """The halts-yes, halts-no and loops formulas, each body built once from
-    one analysis of the run."""
-    halt = analyze_run(m, n)
-    yes, no = (_halting_body(m, n, outcome, halt) for outcome in ("yes", "no"))
-    loops = ForAll(LOOPS_VAR, Not(Or(yes, no)))
-    return Exists(LOOPS_VAR, yes), Exists(LOOPS_VAR, no), loops

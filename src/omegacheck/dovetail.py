@@ -3,8 +3,9 @@ three-thread halting search built on top of it.
 
 The search enumerates candidate byte strings in shortlex order and runs the
 verifier on them triangularly: in round r, candidate r joins, and every
-undecided candidate receives one verifier step, oldest first; a decided one
-leaves the list and takes no more units. This keeps a candidate the verifier
+undecided candidate receives one verifier step, a `next` of the run its
+oracle opens (`VerifierOracle`), oldest first; a decided one leaves the
+list and takes no more units. This keeps a candidate the verifier
 diverges on from blocking everything behind it. A candidate outside the
 oracle's `first_bytes` is never built or opened and takes the last unit of
 its round; while the list is empty, one step charges a run of them.
@@ -15,8 +16,8 @@ deterministic round-robin over single verifier steps; anything calling
 itself parallel must be observationally identical to that. In pure mode
 each thread is the dovetailed search itself, which at desk scale never
 reaches interesting proofs and exists to demonstrate exactly that. In
-witness mode a halting thread whose body is the false `S(t) <= t` ends at
-once and any other walks the run (one unit per configuration,
+witness mode a halting thread whose body is the false `arithmetize.NEVER`
+ends at once and any other walks the run (one unit per configuration,
 `machines.configs`); the certificate builder makes the third candidate, all
 pushed through the same unmodified verifier. A thread that cannot win ends,
 and a loops answer waits for the halting threads.
@@ -35,7 +36,7 @@ from itertools import cycle
 from typing import Callable, Generator, Iterator, Optional
 
 from . import omega, wire
-from .arithmetize import halting_statements
+from .arithmetize import NEVER, halting_statements
 from .kernel import (
     Proof,
     ProofStep,
@@ -53,7 +54,7 @@ from .omega import (
     deserialize_omega_proof,
     serialize_omega_proof,
 )
-from .syntax import Exists, Formula, Implies, Le, Succ, Var, numeral, substitute
+from .syntax import Exists, Formula, Implies, numeral, substitute
 
 
 @dataclass(frozen=True)
@@ -69,32 +70,19 @@ class SearchBudget:
 DEFAULT_BUDGET = SearchBudget()
 
 
-class OracleRun:
-    """One candidate under verification: deterministic single-stepping,
-    final once yes or no."""
-
-    def __init__(self, work: Generator[None, None, bool]):
-        self._work = work
-        self.state = "running"
-
-    def step(self) -> str:
-        if self.state != "running":
-            return self.state
-        try:
-            next(self._work)
-        except StopIteration as stop:
-            self.state = "yes" if stop.value else "no"
-        return self.state
-
-
 class VerifierOracle:
-    """`first_bytes` None promises nothing; a set, that the run of a candidate
+    """`open` gives the run of the verifier on one candidate: a generator
+    that yields between units and returns whether the candidate is accepted.
+    A search takes one unit per `next`, and the last unit's `StopIteration`
+    carries the answer.
+
+    `first_bytes` None promises nothing; a set, that the run of a candidate
     that is empty or starts outside it answers no at its first step, so a
     search charges that one unit without building the candidate."""
 
     first_bytes: Optional[frozenset[int]] = None
 
-    def open(self, candidate: bytes, target: Formula) -> OracleRun:
+    def open(self, candidate: bytes, target: Formula) -> Generator[None, None, bool]:
         raise NotImplementedError
 
 
@@ -121,10 +109,7 @@ class OmegaVerifierOracle(VerifierOracle):
         self.spans = spans  # the decoder's seed memo (`wire.deserialize_proof`)
         self.first_bytes = wire.STEP_TAGS if k is None else omega.STEP_TAGS
 
-    def open(self, candidate: bytes, target: Formula) -> OracleRun:
-        return OracleRun(self._verify(candidate, target))
-
-    def _verify(self, candidate: bytes, target: Formula):
+    def open(self, candidate: bytes, target: Formula) -> Generator[None, None, bool]:
         decode = wire.deserialize_proof if self.k is None else deserialize_omega_proof
         try:
             proof = decode(candidate, spans=self.spans)
@@ -161,14 +146,13 @@ def _bfs_units(
     oracle step taken; the step that elicits a yes is reported by the
     return value (the candidate and its index) instead of a final yield.
 
-    Each opened run joins the list as the newest of its round, even one that
-    a caller's oracle opens decided, whose step only answers. A candidate the
-    oracle's `first_bytes` refuses is never built; it takes the last unit of
-    its round. While no run is undecided, a run of them up to the next block
-    the oracle keeps is one yield, the range of their rounds, one unit each
-    (`wire.shortlex_blocks`)."""
+    Each opened run (`VerifierOracle`) joins the list as the newest of its
+    round. A candidate the oracle's `first_bytes` refuses is never built; it
+    takes the last unit of its round. While no run is undecided, a run of
+    them up to the next block the oracle keeps is one yield, the range of
+    their rounds, one unit each (`wire.shortlex_blocks`)."""
     blocks = wire.shortlex_blocks(alphabet, oracle.first_bytes)
-    live: list[tuple[int, bytes, OracleRun]] = []  # the runs still to answer
+    live: list[tuple[int, bytes, Generator]] = []  # the runs still to answer
     round_index = end = 0  # end: the round after the current block
     while True:
         refused = False  # this round's candidate, unbuilt, takes its last unit
@@ -191,12 +175,14 @@ def _bfs_units(
         if live:
             still = []
             for entry in live:
-                answer = entry[2].step()
-                if answer == "yes":
-                    return (entry[1], entry[0])
-                yield round_index
-                if answer == "running":
+                try:
+                    next(entry[2])
+                except StopIteration as stop:
+                    if stop.value:
+                        return (entry[1], entry[0])
+                else:
                     still.append(entry)
+                yield round_index
             live = still
             del entry  # it may be decided, and only undecided runs are kept
         if refused:
@@ -277,33 +263,26 @@ def existence_proof(body: Formula, var: str, witness: int) -> Proof:
 
 def _witness_halt_thread(
     walk: Iterator[Config],
-    accept_state: str,
     target: Formula,
     oracle: VerifierOracle,
     spans: Optional[dict],
-) -> Generator[int, None, Optional[tuple[bytes, Optional[int]]]]:
-    """End at once on the false body `S(t) <= t`. Otherwise take one unit per
-    configuration of the walk, which ends after an accepting or a stuck one
-    (`machines.configs`). If the last is in `accept_state`, prove the halt
-    with the count of configurations as witness, encoded from the seed
-    `spans`, and verify it; end without a result otherwise or on a no."""
+) -> Generator[Optional[int], None, Optional[tuple[bytes, Optional[int]]]]:
+    """End at once on the false body `NEVER`. Any other body was built for
+    the run's halt in this outcome (`arithmetize.halting_statements`): take
+    one unit per configuration of the walk, which ends at that halt
+    (`machines.configs`), prove it with the count of configurations as
+    witness, encoded from the seed `spans`, and verify it; end without a
+    result on a no."""
     assert isinstance(target, Exists)
-    if target.body is Le(Succ(Var(target.var)), Var(target.var)):
+    if target.body is NEVER:
         return None
-    for used, config in enumerate(walk, 1):
+    for used, _ in enumerate(walk, 1):
         yield used
-    if config.state != accept_state:
-        return None
     proof = existence_proof(target.body, target.var, used)
     data = wire.serialize_proof(proof, spans=spans)
-    run_ = oracle.open(data, target)
-    while True:
-        answer = run_.step()
-        if answer == "yes":
-            return (data, None)
-        if answer == "no":
-            return None
-        yield used
+    if (yield from oracle.open(data, target)):
+        return (data, None)
+    return None
 
 
 def _witness_loops_thread(
@@ -359,8 +338,8 @@ def halting_search(
         walk = configs(m, n)  # read by the one halting thread without a false body
         yes_oracle, no_oracle = oracle_factory(1, q_yes), oracle_factory(2, q_no)
         threads = [
-            _witness_halt_thread(walk, m.accept_yes, q_yes, yes_oracle, written),
-            _witness_halt_thread(walk, m.accept_no, q_no, no_oracle, written),
+            _witness_halt_thread(walk, q_yes, yes_oracle, written),
+            _witness_halt_thread(walk, q_no, no_oracle, written),
             _witness_loops_thread(cert, omega_bound, instance_budget, written),
         ]
     limit = budget.max_total_oracle_steps

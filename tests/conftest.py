@@ -249,6 +249,18 @@ def mutate_bytes(rng: random.Random, data: bytes) -> bytes:
     return data + bytes([rng.randrange(256)])
 
 
+def answers(run):
+    """Every answer of an oracle's run, stepped until it answers: "running"
+    for each unit it yields, then "yes" or "no"."""
+    seen = []
+    while True:
+        try:
+            next(run)
+        except StopIteration as stop:
+            return seen + ["yes" if stop.value else "no"]
+        seen.append("running")
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260808)

@@ -17,7 +17,6 @@ from omegacheck.arithmetize import (
 )
 from omegacheck.dovetail import (
     HOutcome,
-    OracleRun,
     RealProofOracle,
     SearchBudget,
     VerifierOracle,
@@ -176,7 +175,7 @@ def test_criterion_5_dovetailing_fidelity():
                         yield
                 return True
 
-            return OracleRun(work())
+            return work()
 
     p0, p1 = proof_at_index(0), proof_at_index(1)
     result = bfs_search(truth, Adversarial(p0, p1), SearchBudget(1000, 10))
@@ -223,7 +222,7 @@ def test_criterion_6_fairness_contract():
                             log.append(thread)
                             yield
 
-                    return OracleRun(work())
+                    return work()
 
             return RandomLatency()
 

@@ -409,24 +409,17 @@ def test_unbound_target_variables_warned(tmp_path, capsys):
 # proof's error or report.
 
 
-def test_a_bad_target_is_reported_before_a_missing_proof(tmp_path, capsys):
-    missing = tmp_path / "missing.proof"
-    code, out, err = run_cli(capsys, "check", str(missing), "--target", "0 = ?")
-    assert (code, out) == (4, "")
-    assert err == "formula: unexpected character '?' (at position 4)\n"
-
-
 @pytest.mark.parametrize(
-    "gamma, proof, target, first",
+    "gamma, target, first",
     [
-        ("missing", "missing", "0 = ?", "gamma"),
-        (None, "missing", "0 = ?", "target"),
-        ("readable", "missing", "0 = 0", "proof"),
+        ("missing", "0 = ?", "gamma"),
+        (None, "0 = ?", "target"),
+        ("readable", "0 = 0", "proof"),
     ],
+    ids=["gamma", "target", "proof"],
 )
-def test_check_reports_gamma_then_target_then_proof(
-    tmp_path, capsys, gamma, proof, target, first
-):
+def test_check_reports_its_first_input_error(tmp_path, capsys, gamma, target, first):
+    # The order is --gamma file, target, proof file; the proof file is missing.
     files = {name: tmp_path / f"{name}.txt" for name in ("gamma", "proof")}
     if gamma == "readable":
         files["gamma"].write_text("0 = 0\n")

@@ -10,7 +10,6 @@ from omegacheck.arithmetize import halts_no_formula, halts_yes_formula, loops_fo
 from omegacheck.dovetail import (
     HOutcome,
     OmegaVerifierOracle,
-    OracleRun,
     RealProofOracle,
     SearchBudget,
     SearchResult,
@@ -45,6 +44,7 @@ from omegacheck.wire import (
     proof_at_index,
     serialize_proof,
 )
+from conftest import answers
 from test_wire import END, GOLDEN, GOLDEN_OMEGA
 
 TRUTH = parse_formula("0 = 0")
@@ -75,7 +75,7 @@ class ScriptedOracle(VerifierOracle):
                         return answer == "yes"
                 yield
 
-        return OracleRun(work())
+        return work()
 
 
 def test_dovetailing_gets_past_a_diverging_candidate():
@@ -120,7 +120,7 @@ def test_search_exhausts_on_silent_oracle():
                 while True:
                     yield
 
-            return OracleRun(work())
+            return work()
 
     result = bfs_search(TRUTH, Silent(), SearchBudget(300, 50))
     assert not result.found
@@ -224,7 +224,7 @@ def test_fairness_under_random_latencies():
                             log.append(thread)
                             yield
 
-                    return OracleRun(work())
+                    return work()
 
             return RandomLatency()
 
@@ -240,18 +240,6 @@ def test_fairness_under_random_latencies():
         for thread in log:
             counts[thread] += 1
             assert max(counts.values()) - min(counts.values()) <= 1
-
-
-def test_oracle_state_is_final_once_decided():
-    oracle = RealProofOracle()
-    run_ = oracle.open(CANONICAL, TRUTH)
-    answers = [run_.step() for _ in range(6)]
-    assert "yes" in answers
-    settled = answers[answers.index("yes") :]
-    assert set(settled) == {"yes"}
-    bad = oracle.open(b"\x00garbage", TRUTH)
-    assert bad.step() == "no"
-    assert bad.step() == "no"
 
 
 def test_witness_outcomes_match_simulator_semantics():
@@ -337,21 +325,25 @@ def test_bfs_search_steps_in_triangular_order():
 
 
 class DecidedAtOpenOracle(ScriptedOracle):
-    """A ScriptedOracle whose latency-0 candidates are decided when they are
-    opened: their runs are never stepped and leave nothing in the log."""
+    """A ScriptedOracle whose latency-0 candidates answer at their first step
+    and leave nothing in the log."""
 
     def open(self, candidate, target):
         answer, latency = self.script.get(candidate, ("no", 1))
         if latency != 0:
             return super().open(candidate, target)
-        run_ = OracleRun(iter(()))
-        run_.state = answer
-        return run_
+
+        def work():
+            yield from ()
+            return answer == "yes"
+
+        return work()
 
 
 def units_taken(oracle, max_candidates, max_steps):
-    """The candidate index of each unit the dovetail yields: a stepped run's
-    from the oracle's log, else its round's own candidate, decided at open."""
+    """The candidate index of each unit the dovetail yields: a logged step's
+    from the oracle's log, else its round's own candidate, whose run answers
+    at its first step."""
     units = dovetail._bfs_units(TRUTH, oracle, max_candidates, DEFAULT_ALPHABET)
     order, stepped = [], 0
     for round_index in itertools.islice(units, max_steps):
@@ -415,7 +407,7 @@ class CountingOracle(VerifierOracle):
 
     def open(self, candidate, target):
         self.opened += 1
-        return OracleRun(iter(()))
+        return iter(())
 
 
 @pytest.mark.parametrize(
@@ -453,7 +445,7 @@ class TrackedOracle(VerifierOracle):
             self.undecided -= 1
             return False
 
-        run_ = OracleRun(work())
+        run_ = work()
         self.runs.add(run_)
         return run_
 
@@ -575,17 +567,16 @@ def test_finitary_oracle_refuses_a_loops_certificate_when_decoding():
     cert = build_loops_certificate(LOOP, 0)
     data = serialize_omega_proof(Proof((cert,), cert.conclusion))
     assert data[0] == 0x30
-    run_ = RealProofOracle().open(data, cert.conclusion)
-    assert run_.step() == "no"
+    assert answers(RealProofOracle().open(data, cert.conclusion)) == ["no"]
 
 
 def test_omega_oracle_without_a_bound_is_the_finitary_kernel():
     cert = build_loops_certificate(LOOP, 0)
     data = serialize_omega_proof(Proof((cert,), cert.conclusion))
-    assert OmegaVerifierOracle(k=None).open(data, cert.conclusion).step() == "no"
-    assert OmegaVerifierOracle(k=7).open(data, cert.conclusion).step() == "running"
+    assert answers(OmegaVerifierOracle(k=None).open(data, cert.conclusion)) == ["no"]
+    assert answers(OmegaVerifierOracle(k=7).open(data, cert.conclusion))[0] == "running"
     run_ = OmegaVerifierOracle(k=None).open(CANONICAL, TRUTH)
-    assert [run_.step() for _ in range(2)] == ["running", "yes"]
+    assert answers(run_) == ["running", "yes"]
 
 
 def test_a_search_builds_each_halting_body_once(monkeypatch):
@@ -653,12 +644,14 @@ def test_a_held_loops_answer_is_returned_when_the_budget_ends():
 
 
 class NoAtSecondStep(VerifierOracle):
+    """Answers no at the second step of every run."""
+
     def open(self, candidate, target):
         def work():
             yield
             return False
 
-        return OracleRun(work())
+        return work()
 
 
 @pytest.mark.parametrize(
@@ -671,8 +664,9 @@ class NoAtSecondStep(VerifierOracle):
 def test_a_witness_the_oracle_refuses_ends_its_thread(name, n, progress):
     # The walk's units, then the oracle's two steps on the witness proof; the
     # loops thread is refused at the run's halt, so no thread answers.
-    factory = lambda thread, _target: NoAtSecondStep()
-    outcome = halting_search(CORPUS[name], n, oracle_factory=factory)
+    outcome = halting_search(
+        CORPUS[name], n, oracle_factory=lambda thread, _target: NoAtSecondStep()
+    )
     assert outcome == HOutcome(
         "budget_exhausted", progress=tuple(ThreadProgress(*p) for p in progress)
     )
@@ -717,14 +711,6 @@ def old_verify(k, candidate, target):
     return verdict.accepted
 
 
-def answers(run_):
-    """Every answer of a run, stepped until it is decided."""
-    seen = [run_.step()]
-    while seen[-1] == "running":
-        seen.append(run_.step())
-    return seen
-
-
 def parity_inputs():
     """(candidate, target): every string of up to two bytes, then each golden
     codec proof, cut by one byte, and with each value as its first byte."""
@@ -748,6 +734,6 @@ def test_oracle_answers_as_without_the_first_byte_refusal(k):
         (data, target)
         for data, target in parity_inputs()
         if answers(oracle.open(data, target))
-        != answers(OracleRun(old_verify(k, data, target)))
+        != answers(old_verify(k, data, target))
     ]
     assert differ == []

@@ -8,6 +8,7 @@ counts, so they are asserted exactly.
 
 import pytest
 
+from conftest import answers
 from omegacheck.arithmetize import halts_yes_formula
 from omegacheck.dovetail import (
     OmegaVerifierOracle,
@@ -24,13 +25,8 @@ from omegacheck.wire import serialize_proof
 
 
 def calls_until_final(oracle, candidate, target):
-    run_ = oracle.open(candidate, target)
-    calls = 0
-    while True:
-        calls += 1
-        answer = run_.step()
-        if answer != "running":
-            return calls, answer
+    seen = answers(oracle.open(candidate, target))
+    return len(seen), seen[-1]
 
 
 def witness_bytes():
