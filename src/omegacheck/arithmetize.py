@@ -331,34 +331,42 @@ def analyze_run(m: MachineDesc, n: int) -> Optional[tuple[str, int]]:
     return None
 
 
-def halting_statements(m: MachineDesc, n: int) -> tuple[Formula, Formula, Formula]:
-    """The halts-yes, halts-no and loops formulas, from one analysis of the
-    run. For a run that halts with an outcome at step u, that outcome's body
-    is `u <= t & <digit tableau at u>`; any other halting body is `NEVER`."""
-    halt = analyze_run(m, n)
-    yes = no = NEVER
-    if halt is not None:
-        outcome, u = halt
-        body = And(Le(numeral(u), Var(LOOPS_VAR)), halted_by_formula(m, n, u, outcome))
-        yes, no = (body, NEVER) if outcome == "yes" else (NEVER, body)
-    loops = ForAll(LOOPS_VAR, Not(Or(yes, no)))
-    return Exists(LOOPS_VAR, yes), Exists(LOOPS_VAR, no), loops
-
-
 def halting_body(m: MachineDesc, n: int, outcome: str) -> Formula:
     """Open formula in `t`: the run halts with `outcome` within t steps."""
-    return halting_statements(m, n)[("yes", "no").index(outcome)].body
+    return _halting_body(m, n, outcome, analyze_run(m, n))
+
+
+def _halting_body(
+    m: MachineDesc, n: int, outcome: str, halt: Optional[tuple[str, int]]
+) -> Formula:
+    """`halting_body` for the run's halt, as `analyze_run` gives it. For a run
+    that halts with `outcome` at step u the body is
+    `u <= t & <digit tableau at u>`; otherwise it is `NEVER`, and no tableau
+    is built."""
+    if halt is None or halt[0] != outcome:
+        return NEVER
+    u = halt[1]
+    return And(Le(numeral(u), Var(LOOPS_VAR)), halted_by_formula(m, n, u, outcome))
 
 
 def halts_yes_formula(m: MachineDesc, n: int) -> Formula:
     """One unbounded exists over a bounded body: the run halts with yes."""
-    return halting_statements(m, n)[0]
+    return Exists(LOOPS_VAR, halting_body(m, n, "yes"))
 
 
 def halts_no_formula(m: MachineDesc, n: int) -> Formula:
-    return halting_statements(m, n)[1]
+    return Exists(LOOPS_VAR, halting_body(m, n, "no"))
 
 
 def loops_formula(m: MachineDesc, n: int) -> Formula:
     """One unbounded forall over a bounded body: the run never halts."""
     return halting_statements(m, n)[2]
+
+
+def halting_statements(m: MachineDesc, n: int) -> tuple[Formula, Formula, Formula]:
+    """The halts-yes, halts-no and loops formulas, each body built once from
+    one analysis of the run."""
+    halt = analyze_run(m, n)
+    yes, no = (_halting_body(m, n, outcome, halt) for outcome in ("yes", "no"))
+    loops = ForAll(LOOPS_VAR, Not(Or(yes, no)))
+    return Exists(LOOPS_VAR, yes), Exists(LOOPS_VAR, no), loops

@@ -322,8 +322,12 @@ def cmd_check(args) -> int:
 
 def cmd_encode(args) -> int:
     m = _load_machine(args.machine)
-    if args.which in ("q1", "q2", "q3"):
-        f = arithmetize.halting_statements(m, args.n)[int(args.which[1]) - 1]
+    if args.which == "q1":
+        f = arithmetize.halts_yes_formula(m, args.n)
+    elif args.which == "q2":
+        f = arithmetize.halts_no_formula(m, args.n)
+    elif args.which == "q3":
+        f = arithmetize.loops_formula(m, args.n)
     else:
         if args.t is None or args.outcome is None:
             raise CliError("haltedby needs --t and --outcome", EXIT_PARSE)

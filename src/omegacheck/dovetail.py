@@ -72,7 +72,8 @@ DEFAULT_BUDGET = SearchBudget()
 
 class VerifierOracle:
     """`open` gives the run of the verifier on one candidate: a generator
-    that yields between units and returns whether the candidate is accepted.
+    that yields None between units and returns whether the candidate is
+    accepted.
     A search takes one unit per `next`, and the last unit's `StopIteration`
     carries the answer.
 

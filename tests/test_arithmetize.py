@@ -9,6 +9,7 @@ from conftest import VARS, random_formula, random_term
 from omegacheck import arithmetize, wire
 from omegacheck.arithmetize import (
     EncodingOverflow,
+    NEVER,
     RunAnalysisError,
     _TableauBuilder,
     analyze_run,
@@ -240,6 +241,16 @@ def test_halting_statements_analyze_the_run_once(monkeypatch):
     assert q_yes == halts_yes_formula(BUSY3, 16)
     assert q_no == halts_no_formula(BUSY3, 16)
     assert q_loops.body.body == Or(q_yes.body, q_no.body)
+
+
+def test_the_other_outcome_builds_no_tableau():
+    # Past the coding limit only the reached outcome's tableau overflows.
+    assert analyze_run(EVEN, 201) == ("no", 203)
+    assert analyze_run(BUSY3, 50) == ("yes", 155)
+    assert halts_yes_formula(EVEN, 201) == Exists("t", NEVER)
+    assert halts_no_formula(BUSY3, 50) == Exists("t", NEVER)
+    with pytest.raises(EncodingOverflow):
+        halts_no_formula(EVEN, 201)
 
 
 def test_halts_yes_true_at_witness_instance():

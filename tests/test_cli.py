@@ -210,6 +210,14 @@ def test_encode_prints_the_librarys_statements(tmp_path, capsys, name):
             assert run_cli(capsys, *argv) == (0, expected, ""), (which, n)
 
 
+def test_encode_the_other_outcome_past_the_coding_limit(machine_files, capsys):
+    # EVEN on 201 halts no at step 203, past the 128-step coding limit.
+    even = machine_files["even"]
+    assert run_cli(capsys, "encode", even, "201", "q1") == (0, "exists t. S(t) <= t\n", "")
+    code, _, err = run_cli(capsys, "encode", even, "201", "q2")
+    assert code == 5 and "overflow" in err
+
+
 def test_encode_haltedby_true_by_simulator(machine_files, capsys):
     code, out, _ = run_cli(
         capsys,

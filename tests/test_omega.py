@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import answers
 from omegacheck.arithmetize import EncodingOverflow, loops_formula
 from omegacheck.dovetail import OmegaVerifierOracle
 from omegacheck.kernel import Proof, ProofStep, RULE_EVAL_TRUE, check_proof, make_proof
@@ -242,8 +241,9 @@ def test_negative_bound_is_refused():
     with pytest.raises(ValueError):
         check_omega_proof(frozenset(), proof, cert.conclusion, k=-1)
     run_ = OmegaVerifierOracle(k=-1).open(serialize_omega_proof(proof), cert.conclusion)
+    next(run_)  # the decode
     with pytest.raises(ValueError):
-        answers(run_)
+        next(run_)
 
 
 def test_gamma_containment_enforced():
