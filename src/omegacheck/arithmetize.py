@@ -57,6 +57,7 @@ from .syntax import (
 
 DEFAULT_MAX_TRACE_STEPS = 128
 DEFAULT_HORIZON = 5000
+DEFAULT_CELL_HORIZON = 100_000  # stored tape cells, about 12 MB measured
 
 LOOPS_VAR = "t"
 
@@ -308,19 +309,23 @@ def analyze_run(m: MachineDesc, n: int) -> Optional[tuple[str, int]]:
     """
     outcomes = {m.accept_yes: "yes", m.accept_no: "no"}
     seen: set[tuple] = set()
+    stored = 0  # the tape cells in `seen`, which grows to `DEFAULT_CELL_HORIZON`
     records: dict[str, tuple[int, int]] = {}  # state -> (step index, head)
     max_head = -1
     for index, c in enumerate(configs(m, n)):
         if index >= DEFAULT_HORIZON:
             raise RunAnalysisError(
                 f"no halt or repetition pattern within {DEFAULT_HORIZON} steps"
+                f", or within {DEFAULT_CELL_HORIZON} stored tape cells for a repeat"
             )
         if c.state in outcomes:
             return outcomes[c.state], index + 1
         key = (c.state, c.head, frozenset(c.tape.items()))
         if key in seen:
             return None
-        seen.add(key)
+        if stored < DEFAULT_CELL_HORIZON:
+            seen.add(key)
+            stored += len(c.tape)
         if c.head > max_head:
             max_head = c.head
             if c.head >= n:

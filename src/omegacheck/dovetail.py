@@ -6,9 +6,11 @@ verifier on them triangularly: in round r, candidate r joins, and every
 undecided candidate receives one verifier step, a `next` of the run its
 oracle opens (`VerifierOracle`), oldest first; a decided one leaves the
 list and takes no more units. This keeps a candidate the verifier
-diverges on from blocking everything behind it. A candidate outside the
-oracle's `first_bytes` is never built or opened and takes the last unit of
-its round; while the list is empty, one step charges a run of them.
+diverges on from blocking everything behind it. Each length's strings are
+walked as a prefix tree, and a candidate with a prefix the oracle's
+`least_size` rules out at that length (for the kernel, one that cannot
+decode there) is never built or opened: it takes the last unit of its
+round, and while the list is empty, one step charges a run of them.
 
 The halting search for (m, n) spins up three fair logical threads hunting
 proofs of "halts with yes", "halts with no" and "never halts". It is a
@@ -77,22 +79,31 @@ class VerifierOracle:
     A search takes one unit per `next`, and the last unit's `StopIteration`
     carries the answer.
 
-    `first_bytes` None promises nothing; a set, that the run of a candidate
-    that is empty or starts outside it answers no at its first step, so a
-    search charges that one unit without building the candidate."""
+    `least_size(prefix)` promises that the run of a candidate that starts
+    with `prefix` answers no at its first step when the result is None or
+    over the candidate's length, so a search charges that one unit without
+    building the candidate. The default reads `first_bytes`, which rules out
+    only by the first byte: None promises nothing; a set, that the run of a
+    candidate that is empty or starts outside it answers no at once."""
 
     first_bytes: Optional[frozenset[int]] = None
 
     def open(self, candidate: bytes, target: Formula) -> Generator[None, None, bool]:
         raise NotImplementedError
 
+    def least_size(self, prefix: bytes) -> Optional[int]:
+        if self.first_bytes is None or prefix[:1] and prefix[0] in self.first_bytes:
+            return len(prefix)
+        return None if prefix else 1
+
 
 class OmegaVerifierOracle(VerifierOracle):
     """The kernel as a stepped oracle: one step to deserialize, one per
     proof step, and one more between consecutive instances of an omega
     step; the last step also settles the target comparison. A candidate
-    that is empty or starts with no step tag of the decoder (`first_bytes`)
-    does not decode, so its first step answers no.
+    that does not decode answers no at its first step: one that is empty or
+    starts with no step tag of the decoder (`first_bytes`), and any other
+    that the decoder's least-size bound rules out (`least_size`).
 
     With k None it is the finitary kernel, whose decoder refuses omega
     steps. With a k, a yes on a proof containing an omega step means "all
@@ -109,6 +120,9 @@ class OmegaVerifierOracle(VerifierOracle):
         self.per_instance_budget = per_instance_budget
         self.spans = spans  # the decoder's seed memo (`wire.deserialize_proof`)
         self.first_bytes = wire.STEP_TAGS if k is None else omega.STEP_TAGS
+
+    def least_size(self, prefix: bytes) -> Optional[int]:
+        return (wire.least_size if self.k is None else omega.least_size)(prefix)
 
     def open(self, candidate: bytes, target: Formula) -> Generator[None, None, bool]:
         decode = wire.deserialize_proof if self.k is None else deserialize_omega_proof
@@ -148,29 +162,24 @@ def _bfs_units(
     return value (the candidate and its index) instead of a final yield.
 
     Each opened run (`VerifierOracle`) joins the list as the newest of its
-    round. A candidate the oracle's `first_bytes` refuses is never built; it
-    takes the last unit of its round. While no run is undecided, a run of
-    them up to the next block the oracle keeps is one yield, the range of
-    their rounds, one unit each (`wire.shortlex_blocks`)."""
-    blocks = wire.shortlex_blocks(alphabet, oracle.first_bytes)
+    round. A candidate the oracle's `least_size` rules out is never built
+    (`wire.shortlex_kept`); it takes the last unit of its round. While no
+    run is undecided, the rounds up to the next kept candidate are one
+    yield, the range of their rounds, one unit each."""
+    kept = wire.shortlex_kept(alphabet, oracle.least_size, max_candidates)
+    index, data = next(kept, (max_candidates, b""))  # the next candidate to open
     live: list[tuple[int, bytes, Generator]] = []  # the runs still to answer
-    round_index = end = 0  # end: the round after the current block
+    round_index = 0
     while True:
         refused = False  # this round's candidate, unbuilt, takes its last unit
         if round_index < max_candidates:
-            if round_index == end:
-                size, fresh = next(blocks)
-                end += size
-            if fresh is not None:
-                data = next(fresh)
-                live.append((round_index, data, oracle.open(data, target)))
+            if round_index == index:
+                live.append((index, data, oracle.open(data, target)))
+                index, data = next(kept, (max_candidates, b""))
             elif live:
                 refused = True
-            else:  # the refused rounds up to the next block the oracle keeps
-                while fresh is None and (stop := end) < max_candidates:
-                    size, fresh = next(blocks)
-                    end += size
-                rest = range(round_index, min(stop, max_candidates))
+            else:  # the refused rounds up to the next kept candidate
+                rest = range(round_index, index)
                 yield rest
                 round_index = rest[-1]  # its last round ends below
         if live:

@@ -305,6 +305,10 @@ def check_omega_proof(
 # then UTF-8) and its input (u32).
 
 _PM_LOOPS = 0
+# The least size of the parts after gamma: the variable, phi, the kind, the
+# text's length and the input, the text being empty. The least step, 17
+# bytes, is over the finitary codec's, so a proof's least size is as there.
+_TAIL = wire.least("vf") + 1 + 4 + 4
 STEP_TAGS = wire.STEP_TAGS | {wire.OMEGA_STEP_TAG}  # what a proof starts with
 
 
@@ -331,24 +335,33 @@ def _decode_step(r: wire.Reader):
     if r.data[r.pos] != wire.OMEGA_STEP_TAG:
         return wire.decode_step(r)
     r.pos += 1
-    gamma = []
-    previous = b""
-    for _ in range(r.u16()):
-        start = r.pos
-        gamma.append(r.field("f"))
-        if r.data[start : r.pos] <= previous:
-            raise wire.MalformedEncoding("gamma is not in increasing order")
-        previous = r.data[start : r.pos]
-    var = r.field("v")
-    phi = r.field("f")
-    kind = r.u8()
-    if kind != _PM_LOOPS:
-        raise wire.MalformedEncoding(f"unknown premise machine kind {kind}")
+    rest = _TAIL  # the least size of the parts after the one being read
     try:
-        machine = parse_machine(r.take(r.u32()).decode("utf-8"))
-    except (MachineFormatError, UnicodeDecodeError) as exc:
-        raise wire.MalformedEncoding(str(exc)) from exc
-    premise_machine = LoopsPremiseMachine(machine, r.u32(), var, phi)
+        gamma = []
+        previous = b""
+        for left in reversed(range(r.u16())):
+            rest = _TAIL + left * wire.LEAST["f"]
+            start = r.pos
+            gamma.append(r.field("f"))
+            if r.data[start : r.pos] <= previous:
+                raise wire.MalformedEncoding("gamma is not in increasing order")
+            previous = r.data[start : r.pos]
+        rest = _TAIL - wire.least("vf")
+        var, phi = r.fields("vf")
+        rest -= 1
+        kind = r.u8()
+        if kind != _PM_LOOPS:
+            raise wire.MalformedEncoding(f"unknown premise machine kind {kind}")
+        rest -= 4  # the input
+        try:
+            machine = parse_machine(r.take(r.u32()).decode("utf-8"))
+        except (MachineFormatError, UnicodeDecodeError) as exc:
+            raise wire.MalformedEncoding(str(exc)) from exc
+        rest = 0
+        premise_machine = LoopsPremiseMachine(machine, r.u32(), var, phi)
+    except wire.Truncated as short:  # the end of input (`wire.least_size`)
+        short.need += rest
+        raise
     try:
         return OmegaStep(frozenset(gamma), var, phi, premise_machine, ForAll(var, phi))
     except ValueError as exc:
@@ -358,3 +371,4 @@ def _decode_step(r: wire.Reader):
 # The finitary proof codec, reading and writing omega steps as well.
 serialize_omega_proof = partial(wire.serialize_proof, write_step=_encode_step)
 deserialize_omega_proof = partial(wire.deserialize_proof, read_step=_decode_step)
+least_size = partial(wire.least_size, read_step=_decode_step)

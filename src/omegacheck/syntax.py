@@ -362,8 +362,8 @@ def is_delta0(f: Formula) -> bool:
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
-    if base not in avoid:
-        return base
+    """`base` and the least suffix 1, 2, ... not in `avoid`, which holds
+    `base` itself wherever `substitute` renames a binder."""
     i = 1
     while f"{base}{i}" in avoid:
         i += 1

@@ -25,13 +25,18 @@ only where the bytes equal the whole span and the nesting fits under the
 cap, and a quantifier's bytes decode to one tree in any context (names are
 checked afresh, nodes interned). So a seeded decode returns the identical
 proof, or raises, exactly where an unseeded one does.
+
+A prefix that runs out of input still needs the least sizes of what its
+open frames have left to read (`LEAST`, `least_size`), read off only on the
+end-of-input path (`Truncated`); one that fails otherwise fails in every
+string it starts. `shortlex_kept` walks shortlex order by this bound.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import chain, count, product
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import syntax as S
 from . import kernel as K
@@ -39,6 +44,16 @@ from . import kernel as K
 
 class MalformedEncoding(Exception):
     """Bytes that do not decode; search treats these as rejections."""
+
+
+class Truncated(MalformedEncoding):
+    """Bytes that end inside an encoding: any longer string they start that
+    decodes has at least `need` more bytes, the least size of what the
+    decoder's open frames still read (`least_size`)."""
+
+    def __init__(self, need: int):
+        super().__init__("unexpected end of input")
+        self.need = need
 
 
 # Step tag -> shape; `omega` reads and writes the one other step.
@@ -81,6 +96,38 @@ _NOT_TAG = _TAGS[S.Not]
 # The end of a run of one tag from a position, found at C speed.
 _RUN_END = {t: re.compile(b"\\x%02x+" % t).match for t in (_SUCC_TAG, _NOT_TAG)}
 _BINDERS = frozenset(t for t, (_, k) in _FORMULA_NODES.items() if k[0] == "n")
+
+
+def _least_sizes() -> dict[str, int]:
+    """The least encoded size of each field kind ("n" a node's name): for a
+    term and a formula, the least derivation length in the node grammar
+    (Knuth, IPL 6, 1977), iterated to its fixpoint; "L" the least scheme."""
+    sizes = dict(i=1, p=2, v=2, n=2, t=float("inf"), f=float("inf"))
+    size = lambda kinds: sum(sizes[k] for k in kinds)
+    while True:
+        t, f = (
+            1 + min(size(kinds) for _, kinds in nodes.values())
+            for nodes in (_TERM_NODES, _FORMULA_NODES)
+        )
+        if (t, f) == (sizes["t"], sizes["f"]):
+            schemes = K.LOGIC_SCHEMES.values()
+            return sizes | {"L": 1 + min(size(row.kinds) for row in schemes)}
+        sizes.update(t=t, f=f)
+
+
+LEAST = _least_sizes()
+
+
+def least(kinds: str) -> int:
+    """The least encoded size of fields of these kinds (`LEAST`)."""
+    return sum(LEAST[k] for k in kinds)
+
+
+def _pending(frames: list) -> int:
+    """The least size of what `_decode`'s open frames still read after the
+    field each is in; a run of successors or negations reads nothing more."""
+    return sum(least(f[1][len(f[2]) + 1 :]) for f in frames if len(f) == 3)
+
 
 MAX_FORMULA_DEPTH = 1 << 16
 """Deepest nesting of connectives and quantifiers in a valid encoding;
@@ -173,9 +220,10 @@ class Reader:
             return hit[3], start + size, hit[4]
         self.missed += size
 
-    def u8(self) -> int:
+    def u8(self, need: int = 1) -> int:
+        """The next byte; `need` is the least size of the field it starts."""
         if self.pos >= len(self.data):
-            raise MalformedEncoding("unexpected end of input")
+            raise Truncated(need)
         b = self.data[self.pos]
         self.pos += 1
         return b
@@ -188,7 +236,7 @@ class Reader:
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
-            raise MalformedEncoding("unexpected end of input")
+            raise Truncated(self.pos + n - len(self.data))
         chunk = self.data[self.pos : self.pos + n]
         self.pos += n
         return chunk
@@ -196,7 +244,7 @@ class Reader:
     def var(self) -> S.Var:
         """Read a name as its variable. Building the variable checks the
         name, once for as long as that variable lives."""
-        n = self.u8()
+        n = self.u8(LEAST["v"])
         if n == 0:
             raise MalformedEncoding("empty name")
         raw = self.take(n)
@@ -224,11 +272,23 @@ class Reader:
         if kind == "p":
             return self.u16()
         if kind == "L":
-            scheme = _ID_SCHEMES.get(self.u8())
+            scheme = _ID_SCHEMES.get(self.u8(LEAST["L"]))
             if scheme is None:
                 raise MalformedEncoding("bad scheme id")
-            return scheme, tuple([self.field(k) for k in K.LOGIC_SCHEMES[scheme].kinds])
+            return scheme, tuple(self.fields(K.LOGIC_SCHEMES[scheme].kinds))
         return _decode(self, kind)
+
+    def fields(self, kinds: str) -> list:
+        """Read fields of these kinds in order. At the end of input, the
+        least size of those after the one being read is added to the need."""
+        values = []
+        try:
+            for kind in kinds:
+                values.append(self.field(kind))
+        except Truncated as short:
+            short.need += least(kinds[len(values) + 1 :])
+            raise
+        return values
 
 
 def _decode(r: Reader, kind: str):
@@ -253,7 +313,11 @@ def _decode(r: Reader, kind: str):
         var = names.get(data[pos + 1 : stop]) if stop <= end else None
         if var is None:
             r.pos = pos
-            var = names[data[pos + 1 : stop]] = r.var()
+            try:
+                var = names[data[pos + 1 : stop]] = r.var()
+            except Truncated as short:
+                short.need += _pending(frames)
+                raise
         return var, stop
 
     frames: list[tuple] = []
@@ -263,7 +327,7 @@ def _decode(r: Reader, kind: str):
     spans = r.spans
     while True:
         if pos >= end:
-            raise MalformedEncoding("unexpected end of input")
+            raise Truncated(LEAST[kind] + _pending(frames))
         tag = data[pos]
         if tag == _SUCC_TAG and kind == "t" or tag == _NOT_TAG and kind == "f":
             start, pos = pos, _RUN_END[tag](data, pos).end()
@@ -298,12 +362,12 @@ def _decode(r: Reader, kind: str):
                     if depth > peak:
                         peak = depth
                 fields = []
+                frames.append((cls, kinds, fields))
                 if kinds[0] == "n":  # a quantifier
                     opened.append((pos - 1, peak))
                     peak = depth
                     var, pos = read_var(pos)
                     fields.append(var.name)
-                frames.append((cls, kinds, fields))
                 kind = kinds[len(fields)]
                 continue
             else:
@@ -361,8 +425,8 @@ def decode_step(r: Reader) -> K.ProofStep:
     shape = _STEPS.get(tag)
     if shape is None:
         raise MalformedEncoding(f"bad step tag 0x{tag:02x}")
-    values = [r.field(kind) for kind in shape.kinds]
-    return shape.step(values, decode_formula(r))
+    *values, conclusion = r.fields(shape.kinds + "f")
+    return shape.step(values, conclusion)
 
 
 def serialize_proof(
@@ -390,6 +454,22 @@ def deserialize_proof(
     return K.Proof(tuple(steps), steps[-1].conclusion)
 
 
+def least_size(prefix: bytes, *, read_step=decode_step) -> int | None:
+    """A lower bound on the size of a proof whose encoding starts with
+    `prefix`, or None when none does: its decode raises for a reason other
+    than running out, at a byte every such string shares. `omega` passes its
+    own `read_step`, whose one other step is over the least step's size."""
+    if not prefix:
+        return min(1 + least(shape.kinds + "f") for shape in _STEPS.values())
+    try:
+        deserialize_proof(prefix, read_step=read_step)
+    except Truncated as short:
+        return len(prefix) + short.need
+    except MalformedEncoding:
+        return None
+    return len(prefix)
+
+
 # ---------------------------------------------------------------------------
 # Shortlex enumeration
 
@@ -410,25 +490,41 @@ def _check_alphabet(alphabet: tuple[int, ...]) -> tuple[int, ...]:
 _check_alphabet(list(DEFAULT_ALPHABET))
 
 
-def shortlex_blocks(
-    alphabet: tuple[int, ...] = DEFAULT_ALPHABET, first_bytes: frozenset | None = None
-) -> Iterator[tuple[int, Iterator[bytes] | None]]:
-    """`shortlex` by first-byte blocks, as (size, strings): b'' alone, then
-    each length's strings by first byte. With a set `first_bytes`, b'' and a
-    block whose first byte is outside it have None, and are never built."""
-    alphabet = _check_alphabet(alphabet)
-    kept = frozenset(alphabet) if first_bytes is None else first_bytes
-    blocks = (
-        (len(alphabet) ** n, map(bytes, product((b,), *tails)) if b in kept else None)
-        for n in count() for tails in [(alphabet,) * n] for b in alphabet
-    )
-    return chain([(1, iter((b"",)) if first_bytes is None else None)], blocks)
-
-
 def shortlex(alphabet: tuple[int, ...] = DEFAULT_ALPHABET) -> Iterator[bytes]:
     """All byte strings over `alphabet` in shortlex order, from b'': what
     `proof_at_index` gives for 0, 1, 2, ..., with the alphabet checked once."""
-    return chain.from_iterable(block[1] for block in shortlex_blocks(alphabet))
+    alphabet = _check_alphabet(alphabet)
+    return chain.from_iterable(map(bytes, product(alphabet, repeat=n)) for n in count())
+
+
+def shortlex_kept(
+    alphabet: tuple[int, ...],
+    least_size: Callable[[bytes], int | None],
+    limit: int,
+) -> Iterator[tuple[int, bytes]]:
+    """(index, string) of each string below shortlex index `limit` that no
+    prefix rules out, in order. A string of length n is ruled out when the
+    `least_size` of one of its prefixes, itself included, is None or over n.
+    Each length is walked as a prefix tree, so a prefix that is ruled out
+    skips its whole subtree, unbuilt."""
+    alphabet = _check_alphabet(alphabet)
+    children = [(i, bytes((b,))) for i, b in enumerate(alphabet)]
+    first = 0  # the index of the first string of this length
+    for length in count():
+        stack = [(first, b"")]  # prefixes to walk and their first indexes
+        while stack:
+            index, prefix = stack.pop()
+            if index >= limit:
+                return
+            size = least_size(prefix)
+            if size is None or size > length:
+                continue
+            if len(prefix) == length:
+                yield index, prefix
+                continue
+            span = len(alphabet) ** (length - len(prefix) - 1)
+            stack += [(index + i * span, prefix + b) for i, b in reversed(children)]
+        first += len(alphabet) ** length
 
 
 def index_of_string(data: bytes, alphabet: tuple[int, ...] = DEFAULT_ALPHABET) -> int:

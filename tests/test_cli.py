@@ -213,7 +213,8 @@ def test_encode_prints_the_librarys_statements(tmp_path, capsys, name):
 def test_encode_the_other_outcome_past_the_coding_limit(machine_files, capsys):
     # EVEN on 201 halts no at step 203, past the 128-step coding limit.
     even = machine_files["even"]
-    assert run_cli(capsys, "encode", even, "201", "q1") == (0, "exists t. S(t) <= t\n", "")
+    never = "exists t. S(t) <= t\n"
+    assert run_cli(capsys, "encode", even, "201", "q1") == (0, never, "")
     code, _, err = run_cli(capsys, "encode", even, "201", "q2")
     assert code == 5 and "overflow" in err
 
@@ -706,6 +707,33 @@ def test_negative_input_is_a_usage_error(machine_files, capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 4
     assert "n must be a natural number" in err
+
+
+@pytest.mark.parametrize("given", [[], ["--t", "3"], ["--outcome", "yes"]])
+def test_haltedby_without_its_step_bound_or_outcome_is_a_usage_error(
+    machine_files, capsys, given
+):
+    argv = ["encode", machine_files["loop"], "0", "haltedby", *given]
+    assert run_cli(capsys, *argv) == (4, "", "haltedby needs --t and --outcome\n")
+
+
+def test_a_proof_file_of_comments_and_blank_lines_has_no_steps(tmp_path, capsys):
+    proof = tmp_path / "p.proof"
+    proof.write_text("# nothing proved here\n\n   \n")
+    code, out, err = run_cli(capsys, "check", str(proof), "--target", "0 = 0")
+    assert (code, out) == (4, "")
+    assert err.endswith("proof file has no steps\n")
+
+
+def test_blank_and_comment_lines_of_a_gamma_file_are_skipped(tmp_path, capsys):
+    proof = tmp_path / "p.proof"
+    proof.write_text("1. 0 = 0 BY premise\n")
+    gamma = tmp_path / "gamma.txt"
+    gamma.write_text("# the one assumption\n\n  0 = 0  \n\n")
+    argv = ["check", str(proof), "--target", "0 = 0", "--gamma", str(gamma)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "verdict: accepted" in out
 
 
 def test_negative_haltedby_step_bound_is_a_usage_error(machine_files, capsys):

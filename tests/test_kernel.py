@@ -299,6 +299,9 @@ EVAL = ProofStep(TRUTH, RULE_EVAL_TRUE)
         ([EVAL, ProofStep(LE, RULE_MP, premises=(0,))], "wrong premise count"),
         ([ProofStep(TRUTH, RULE_INDUCTION, payload="x")], "induction payload"),
         ([ProofStep(TRUTH, RULE_INDUCTION, payload=("x", 5))], "induction payload"),
+        # The induction instance cannot be built on a name that is no variable.
+        ([ProofStep(TRUTH, RULE_INDUCTION, payload=("1x", TRUTH))], "bad variable"),
+        ([ProofStep(TRUTH, RULE_INDUCTION, payload=(5, TRUTH))], "expected string"),
         (
             [
                 ProofStep(IMPL, RULE_PREMISE),

@@ -38,12 +38,24 @@ def _cap_address_space():
         # A loops certificate writes its input as a u32.
         (("hsearch", "stuck.tm", str(2**32), "--k", "3"), 5, "encoding overflow:"),
         (("hsearch", "stuck.tm", str(2**32 - 1), "--k", "3"), 0, ""),
+        # The writer adds a tape cell at every step, so the run analysis
+        # keeps configurations for its repeat test only up to its cell
+        # horizon, and gives up at its step horizon.
+        (("encode", "writer.tm", "0", "q1"), 5, "encoding failed:"),
+        (("hsearch", "writer.tm", "0"), 5, "encoding failed:"),
+        (("omega-check", "writer.tm", "0", "--k", "3"), 5, "encoding failed:"),
     ],
 )
 def test_a_long_input_exits_with_a_documented_code(tmp_path, argv, code, stderr):
     stuck = MachineDesc((), "q", "Y", "N")  # no transitions
+    rules = (("q", "_", "q", "1", "L"), ("q", "1", "q", "1", "L"))
+    writer = MachineDesc(rules, "q", "Y", "N")  # writes a 1 and moves left, forever
     for name, m in (
-        ("even", EVEN), ("loop", LOOP), ("always_yes", ALWAYS_YES), ("stuck", stuck)
+        ("even", EVEN),
+        ("loop", LOOP),
+        ("always_yes", ALWAYS_YES),
+        ("stuck", stuck),
+        ("writer", writer),
     ):
         (tmp_path / f"{name}.tm").write_text(machine_to_text(m))
     env = dict(os.environ, PYTHONPATH=str(Path(omegacheck.__file__).parents[1]))
@@ -58,3 +70,4 @@ def test_a_long_input_exits_with_a_documented_code(tmp_path, argv, code, stderr)
     )
     assert done.returncode == code, done.stderr
     assert done.stderr.startswith(stderr), done.stderr
+    assert "Traceback" not in done.stderr, done.stderr

@@ -112,6 +112,11 @@ def test_machine_file_roundtrip_is_bit_exact():
         assert machine_to_text(parse_machine(text)) == text
 
 
+def test_blank_and_comment_lines_of_a_machine_file_are_skipped():
+    text = "# ALWAYS_YES\n\nstart: Y\n   \nyes: Y  # halts at once\nno: N\nblank: _\n"
+    assert parse_machine(text) == ALWAYS_YES
+
+
 def test_machine_file_errors():
     with pytest.raises(MachineFormatError):
         parse_machine("start: q\nyes: Y\nno: N\n")  # missing blank

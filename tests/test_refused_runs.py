@@ -155,16 +155,21 @@ def test_bfs_search_charges_as_when_every_candidate_is_opened(k):
 
 
 def test_a_run_of_refused_candidates_is_one_yield_across_blocks():
-    # b'' and the bytes below the first step tag are one run; each step tag
-    # is opened and decided in one unit; the rest of length 1 and the length-2
-    # blocks below the first step tag are the next run.
-    units = dovetail._bfs_units(TRUTH, RealProofOracle(), 20_000)
+    # By first bytes alone: b'' and the bytes below the first step tag are
+    # one run; each step tag is opened and decided in one unit; the rest of
+    # length 1 and the length-2 blocks below the first step tag are the next
+    # run.
+    units = dovetail._bfs_units(TRUTH, KeptOnly(RealProofOracle()), 20_000)
     tags = [1 + tag for tag in sorted(wire.STEP_TAGS)]  # their rounds
     assert tags == list(range(tags[0], tags[-1] + 1))
     end = 1 + 256 + 256 * min(wire.STEP_TAGS)
     assert list(itertools.islice(units, 2 + len(tags))) == (
         [range(0, tags[0])] + tags + [range(tags[-1] + 1, end)]
     )
+    # The kernel's least-size bound rules out every string of 3 bytes or
+    # fewer, so the whole candidate budget is one run.
+    units = dovetail._bfs_units(TRUTH, RealProofOracle(), 20_000)
+    assert list(units) == [range(0, 20_000)]
     # A candidate budget inside a run cuts it there.
     units = dovetail._bfs_units(TRUTH, RealProofOracle(), 20)
     assert list(units) == [range(0, 20)]
