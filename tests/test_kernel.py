@@ -299,9 +299,6 @@ EVAL = ProofStep(TRUTH, RULE_EVAL_TRUE)
         ([EVAL, ProofStep(LE, RULE_MP, premises=(0,))], "wrong premise count"),
         ([ProofStep(TRUTH, RULE_INDUCTION, payload="x")], "induction payload"),
         ([ProofStep(TRUTH, RULE_INDUCTION, payload=("x", 5))], "induction payload"),
-        # The induction instance cannot be built on a name that is no variable.
-        ([ProofStep(TRUTH, RULE_INDUCTION, payload=("1x", TRUTH))], "bad variable"),
-        ([ProofStep(TRUTH, RULE_INDUCTION, payload=(5, TRUTH))], "expected string"),
         (
             [
                 ProofStep(IMPL, RULE_PREMISE),
@@ -353,6 +350,9 @@ EVAL = ProofStep(TRUTH, RULE_EVAL_TRUE)
         ([EVAL, ProofStep(TRUTH, [RULE_MP])], "unknown rule"),
         ([EVAL, ProofStep(5, RULE_EVAL_TRUE)], "conclusion is not a formula"),
         ([EVAL, ProofStep([], RULE_PREMISE)], "conclusion is not a formula"),
+        # The induction instance cannot be built on a name that is no variable.
+        ([ProofStep(TRUTH, RULE_INDUCTION, payload=("1x", TRUTH))], "bad variable"),
+        ([ProofStep(TRUTH, RULE_INDUCTION, payload=(5, TRUTH))], "expected string"),
     ],
 )
 def test_each_malformed_step_is_a_rule_mismatch(steps, detail):
