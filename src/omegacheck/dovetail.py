@@ -82,27 +82,20 @@ class VerifierOracle:
     `least_size(prefix)` promises that the run of a candidate that starts
     with `prefix` answers no at its first step when the result is None or
     over the candidate's length, so a search charges that one unit without
-    building the candidate. The default reads `first_bytes`, which rules out
-    only by the first byte: None promises nothing; a set, that the run of a
-    candidate that is empty or starts outside it answers no at once."""
-
-    first_bytes: Optional[frozenset[int]] = None
+    building the candidate. The default promises nothing."""
 
     def open(self, candidate: bytes, target: Formula) -> Generator[None, None, bool]:
         raise NotImplementedError
 
     def least_size(self, prefix: bytes) -> Optional[int]:
-        if self.first_bytes is None or prefix[:1] and prefix[0] in self.first_bytes:
-            return len(prefix)
-        return None if prefix else 1
+        return len(prefix)
 
 
 class OmegaVerifierOracle(VerifierOracle):
     """The kernel as a stepped oracle: one step to deserialize, one per
     proof step, and one more between consecutive instances of an omega
     step; the last step also settles the target comparison. A candidate
-    that does not decode answers no at its first step: one that is empty or
-    starts with no step tag of the decoder (`first_bytes`), and any other
+    that does not decode answers no at its first step, among them every one
     that the decoder's least-size bound rules out (`least_size`).
 
     With k None it is the finitary kernel, whose decoder refuses omega
@@ -119,7 +112,6 @@ class OmegaVerifierOracle(VerifierOracle):
         self.k = k
         self.per_instance_budget = per_instance_budget
         self.spans = spans  # the decoder's seed memo (`wire.deserialize_proof`)
-        self.first_bytes = wire.STEP_TAGS if k is None else omega.STEP_TAGS
 
     def least_size(self, prefix: bytes) -> Optional[int]:
         return (wire.least_size if self.k is None else omega.least_size)(prefix)

@@ -55,9 +55,8 @@ REASON_MALFORMED = "malformed-encoding"
 
 @dataclass(frozen=True)
 class GenResult:
-    proof_bytes: Optional[bytes]  # None exactly when exhausted
+    proof_bytes: Optional[bytes]  # None: the instance's budget ran out
     steps_used: int
-    exhausted: bool = False
 
 
 @dataclass(frozen=True)
@@ -80,10 +79,10 @@ class LoopsPremiseMachine:
         cost = 1  # emission
         if index > 0:
             if budget <= 0:
-                return GenResult(None, 0, exhausted=True)
+                return GenResult(None, 0)
             cost += self._simulate(min(index, budget))
         if cost > budget:
-            return GenResult(None, budget, exhausted=True)
+            return GenResult(None, budget)
         instance = substitute(self.phi, self.var, numeral(index))
         return GenResult(_encode_eval_true(instance, self._closed_spans[1]), cost)
 
@@ -133,13 +132,14 @@ class OmegaStep:
     var: str
     phi: Formula
     premise_machine: LoopsPremiseMachine
-    conclusion: Formula
 
     def __post_init__(self):
         if free_vars(self.phi) != frozenset({self.var}):
             raise ValueError("phi must have exactly the rule variable free")
-        if self.conclusion != ForAll(self.var, self.phi):
-            raise ValueError("conclusion must be the universal closure of phi")
+
+    @cached_property
+    def conclusion(self) -> Formula:
+        return ForAll(self.var, self.phi)
 
     @cached_property
     def _readable_closed_spans(self) -> Optional[tuple[dict, dict]]:
@@ -201,7 +201,7 @@ def check_instance(
 
     None means the instance verified; otherwise the reason it did not."""
     produced = s.premise_machine.generate(index, per_instance_budget)
-    if produced.exhausted:
+    if produced.proof_bytes is None:
         return REASON_BUDGET_EXHAUSTED
     target = substitute(s.phi, s.var, numeral(index))
     readable = s._readable_closed_spans
@@ -251,7 +251,6 @@ def build_loops_certificate(
         var=q.var,
         phi=q.body,
         premise_machine=LoopsPremiseMachine(m, n, q.var, q.body),
-        conclusion=q,
     )
 
 
@@ -315,20 +314,23 @@ STEP_TAGS = wire.STEP_TAGS | {wire.OMEGA_STEP_TAG}  # what a proof starts with
 def _encode_step(s, out: bytearray, spans: dict | None = None) -> None:
     if not isinstance(s, OmegaStep):
         return wire.encode_step(s, out, spans=spans)
-    if not isinstance(s.premise_machine, LoopsPremiseMachine):
+    pm = s.premise_machine
+    if not isinstance(pm, LoopsPremiseMachine):
         raise ValueError("only the loops premise machine has a wire representation")
+    if (pm.var, pm.phi) != (s.var, s.phi):  # the wire writes them once
+        raise ValueError("the loops premise machine's var and phi are not the step's")
     out.append(wire.OMEGA_STEP_TAG)
     gamma = sorted(wire.encode_formula(g, bytearray(), spans) for g in s.gamma)
     out += len(gamma).to_bytes(2, "big") + b"".join(gamma)
     wire.put_field(out, "v", s.var)
     wire.put_field(out, "f", s.phi, spans)
-    text = machine_to_text(s.premise_machine.machine).encode("utf-8")
+    text = machine_to_text(pm.machine).encode("utf-8")
     out.append(_PM_LOOPS)
     out += len(text).to_bytes(4, "big")
     out += text
-    if s.premise_machine.input_n >= 1 << 32:
-        raise EncodingOverflow(f"input {s.premise_machine.input_n} is over a u32")
-    out += s.premise_machine.input_n.to_bytes(4, "big")
+    if pm.input_n >= 1 << 32:
+        raise EncodingOverflow(f"input {pm.input_n} is over a u32")
+    out += pm.input_n.to_bytes(4, "big")
 
 
 def _decode_step(r: wire.Reader):
@@ -363,7 +365,7 @@ def _decode_step(r: wire.Reader):
         short.need += rest
         raise
     try:
-        return OmegaStep(frozenset(gamma), var, phi, premise_machine, ForAll(var, phi))
+        return OmegaStep(frozenset(gamma), var, phi, premise_machine)
     except ValueError as exc:
         raise wire.MalformedEncoding(str(exc)) from exc
 

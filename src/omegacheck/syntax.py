@@ -826,7 +826,7 @@ def _eval(f: Formula, env: dict[str, int]) -> bool:
                 env[node.var] = v
                 node = node.body
             else:
-                raise NotBounded("unbounded quantifier in eval_bounded")
+                raise NotBounded(f"a {cls.__name__} node is not a bounded formula")
         # Ascend with the truth value until a frame has more to evaluate.
         while frames:
             frame = frames.pop()

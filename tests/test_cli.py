@@ -665,6 +665,11 @@ def test_unreadable_file_that_is_not_text(tmp_path, capsys):
         ("mp 1 2 ; 3", "cannot read rule specification"),
         ("gen 1x 1", "bad name '1x'"),
         ("induction forall ; 0 = 0", "bad name 'forall'"),
+        ("frobnicate 1", "missing BY and a rule"),
+        ("mp 1", "cannot read rule specification"),
+        ("inst 0", "cannot read rule specification"),
+        ("axiom 0 1", "cannot read rule specification"),
+        ("logic nope ; 0 = 0", "unknown scheme 'nope'"),
     ],
 )
 def test_rule_text_is_read_as_strictly_as_binary(tmp_path, capsys, spec, message):

@@ -460,8 +460,7 @@ def test_closed_bytes_are_unchanged_by_the_memo():
     x, t = S.Var("x"), S.Var(cert.var)
     phi = S.And(cert.phi, S.BoundedForAll("x", t, S.Eq(x, x)))
     premise = replace(cert.premise_machine, phi=phi)
-    conclusion = S.ForAll(t.name, phi)
-    wide = replace(cert, phi=phi, premise_machine=premise, conclusion=conclusion)
+    wide = replace(cert, phi=phi, premise_machine=premise)
     for step in (cert, wide):
         cached = step.premise_machine._closed_spans
         before = _closed_bytes(step)

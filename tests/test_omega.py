@@ -76,7 +76,7 @@ class HogsBudgetAt:
 
     def generate(self, index, budget):
         if index == self.bad_index:
-            return GenResult(None, budget, exhausted=True)
+            return GenResult(None, budget)
         return self.inner.generate(index, budget)
 
 
@@ -86,7 +86,6 @@ def trivial_step(premise=None, phi=TRIVIAL_PHI):
         var="t",
         phi=phi,
         premise_machine=premise or TrivialPremise(phi),
-        conclusion=ForAll("t", phi),
     )
 
 
@@ -97,16 +96,9 @@ def test_omega_step_validation():
             var="t",
             phi=parse_formula("0 = 0"),  # no free variable
             premise_machine=TrivialPremise(TRIVIAL_PHI),
-            conclusion=ForAll("t", parse_formula("0 = 0")),
         )
-    with pytest.raises(ValueError):
-        OmegaStep(
-            gamma=frozenset(),
-            var="t",
-            phi=TRIVIAL_PHI,
-            premise_machine=TrivialPremise(TRIVIAL_PHI),
-            conclusion=parse_formula("0 = 0"),
-        )
+    # The conclusion is derived, so it cannot disagree with phi.
+    assert trivial_step().conclusion is ForAll("t", TRIVIAL_PHI)
 
 
 def test_verdict_kinds_are_closed():
@@ -142,6 +134,20 @@ def test_budget_exhaustion_reported_at_instance():
     assert verdict == OmegaVerdict("budget_exhausted", index=2)
 
 
+class OutOfBudget:
+    """Gives no proof, having used none of its budget."""
+
+    def generate(self, index, budget):
+        return GenResult(None, 0)
+
+
+def test_no_proof_bytes_is_budget_exhaustion():
+    # A premise machine is out of budget exactly when it gives no bytes,
+    # whatever it says it used.
+    step = replace(build_loops_certificate(LOOP, 0), premise_machine=OutOfBudget())
+    assert check_omega_bounded(step, 3) == OmegaVerdict("budget_exhausted", index=0)
+
+
 def test_bound_monotonicity():
     cert = build_loops_certificate(LOOP, 1)
     assert check_omega_bounded(cert, 30).kind == "accepted_up_to"
@@ -164,9 +170,9 @@ def test_premise_machine_simulates_and_meters():
     cert = build_loops_certificate(LOOP, 0)
     assert isinstance(cert.premise_machine, LoopsPremiseMachine)
     produced = cert.premise_machine.generate(10, budget=5)
-    assert produced.exhausted
+    assert produced.proof_bytes is None
     produced = cert.premise_machine.generate(10, budget=100)
-    assert not produced.exhausted
+    assert produced.proof_bytes is not None
     assert produced.steps_used == 11  # ten simulated steps plus emission
 
 
@@ -253,7 +259,6 @@ def test_gamma_containment_enforced():
         var="t",
         phi=TRIVIAL_PHI,
         premise_machine=TrivialPremise(TRIVIAL_PHI),
-        conclusion=ForAll("t", TRIVIAL_PHI),
     )
     proof = OmegaProof((step,), step.conclusion)
     assert check_omega_proof(frozenset(), proof, step.conclusion).kind == "rejected"
@@ -274,6 +279,25 @@ def test_omega_wire_roundtrip():
     assert verdict.kind == "accepted_conditional"
     with pytest.raises(MalformedEncoding):
         deserialize_omega_proof(data[: len(data) // 2])
+
+
+def test_an_omega_step_the_wire_cannot_write_is_refused():
+    # The wire writes the step's var and phi once, for the premise machine
+    # too: a machine with another phi would read back as another step.
+    phi = parse_formula("t = t")
+    premise = LoopsPremiseMachine(LOOP, 0, "t", TRIVIAL_PHI)
+    step = OmegaStep(frozenset(), "t", phi, premise)
+    assert check_omega_bounded(step, 3) == OmegaVerdict(
+        "rejected", index=0, reason="target-mismatch"
+    )
+    other_var = replace(step, premise_machine=LoopsPremiseMachine(LOOP, 0, "u", phi))
+    for wrong, message in (
+        (step, "var and phi are not the step's"),
+        (other_var, "var and phi are not the step's"),
+        (trivial_step(), "only the loops premise machine"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            serialize_omega_proof(OmegaProof((wrong,), wrong.conclusion))
 
 
 def test_certificate_input_does_not_set_the_memory_used():
@@ -448,7 +472,7 @@ def test_resumed_premise_machine_matches_a_fresh_one(machine, n, calls):
         fresh = LoopsPremiseMachine(machine, n, q.var, q.body)
         produced = kept.generate(index, budget)
         assert produced == fresh.generate(index, budget)
-        if not produced.exhausted and index > 0:
+        if produced.proof_bytes is not None and index > 0:
             simulated = run(machine, n, min(index, budget)).steps
             assert produced.steps_used == 1 + (simulated or min(index, budget))
 

@@ -1,7 +1,8 @@
 """A search charges a run of refused candidates in one step, without building
 them. Every result must be the one the search gets when each candidate is
-built and opened, which is what an oracle with `first_bytes` None gets, and
-the search must never open a candidate outside the oracle's `first_bytes`."""
+built and opened, which is what an oracle with the default `least_size`
+gets, and the search must never open a candidate its `least_size` rules
+out."""
 
 import functools
 import itertools
@@ -43,8 +44,8 @@ BFS_TARGETS = (
 
 
 class EveryCandidate(VerifierOracle):
-    """The oracle it wraps, with `first_bytes` None, so that a search builds
-    and opens every candidate."""
+    """The oracle it wraps, with the default `least_size`, so that a search
+    builds and opens every candidate."""
 
     def __init__(self, oracle):
         self.oracle = oracle
@@ -53,16 +54,36 @@ class EveryCandidate(VerifierOracle):
         return self.oracle.open(candidate, target)
 
 
+def first_byte_rule(tags):
+    """A `least_size` that rules out only by the first byte: a candidate that
+    is empty or starts outside `tags`. b'' is every longer string's prefix,
+    so its least size is 1, not None."""
+
+    def least_size(prefix):
+        if prefix[:1] and prefix[0] in tags:
+            return len(prefix)
+        return None if prefix else 1
+
+    return least_size
+
+
+def step_tags(k):
+    """The bytes a proof that the oracle with bound k decodes starts with."""
+    return wire.STEP_TAGS if k is None else omega.STEP_TAGS
+
+
 class KeptOnly(VerifierOracle):
-    """The oracle it wraps, with its `first_bytes`, failing on a candidate
-    that is empty or starts outside them: a search never opens one."""
+    """The kernel oracle it wraps, refusing by the first byte only (its
+    decoder's step tags), and failing on a candidate that is empty or starts
+    outside them: a search never opens one."""
 
     def __init__(self, oracle):
         self.oracle = oracle
-        self.first_bytes = oracle.first_bytes
+        self.tags = step_tags(oracle.k)
+        self.least_size = first_byte_rule(self.tags)
 
     def open(self, candidate, target):
-        assert candidate and candidate[0] in self.first_bytes, candidate
+        assert candidate and candidate[0] in self.tags, candidate
         return self.oracle.open(candidate, target)
 
 
@@ -178,10 +199,12 @@ def test_a_run_of_refused_candidates_is_one_yield_across_blocks():
 class ByteOneRuns(VerifierOracle):
     """Over the alphabet (0, 1), a candidate i that starts with 1 answers at
     its step 1 + i % 4, yes on b'\\x01' * 5 only; any other answers no at its
-    first step. Logs each candidate it opens."""
+    first step. Refuses by the first byte when given `first_bytes`, and logs
+    each candidate it opens."""
 
     def __init__(self, first_bytes):
-        self.first_bytes = first_bytes
+        if first_bytes is not None:
+            self.least_size = first_byte_rule(first_bytes)
         self.opened = []
 
     def open(self, candidate, target):
@@ -222,13 +245,12 @@ def test_a_refused_candidate_takes_its_unit_while_runs_are_live():
 
 @pytest.mark.parametrize("k", [None, 50], ids=["finitary", "k=50"])
 def test_the_oracle_refuses_exactly_outside_its_first_bytes(k):
-    oracle = OmegaVerifierOracle(k)
-    assert oracle.first_bytes == (wire.STEP_TAGS if k is None else omega.STEP_TAGS)
+    oracle, tags = OmegaVerifierOracle(k), step_tags(k)
     # Each candidate that is empty or starts outside them answers no at once.
     refused = [
         (data, target)
         for data, target in parity_inputs()
-        if not data or data[0] not in oracle.first_bytes
+        if not data or data[0] not in tags
     ]
     assert refused
     wrong = [
@@ -238,7 +260,7 @@ def test_the_oracle_refuses_exactly_outside_its_first_bytes(k):
 
 
 class Logged(VerifierOracle):
-    """Leaves `first_bytes` None, logs each candidate it opens, and decides
+    """Keeps the default `least_size`, logs each candidate it opens, and decides
     every run no at its first step, so each candidate takes one unit."""
 
     def __init__(self, log):

@@ -28,7 +28,7 @@ from omegacheck.omega import (
     deserialize_omega_proof,
     serialize_omega_proof,
 )
-from omegacheck.syntax import ForAll, parse_formula, parse_term
+from omegacheck.syntax import parse_formula, parse_term
 from omegacheck.wire import (
     MalformedEncoding,
     Reader,
@@ -243,7 +243,6 @@ def _golden_omega_proof():
         var="t",
         phi=phi,
         premise_machine=LoopsPremiseMachine(ALWAYS_YES, 2, "t", phi),
-        conclusion=ForAll("t", phi),
     )
     return OmegaProof((step,), step.conclusion)
 
